@@ -11,7 +11,6 @@ import argparse
 import json
 import os
 import sys
-import platform
 from pathlib import Path
 from typing import Optional
 
@@ -34,6 +33,7 @@ from .runner import (
     BackendSpec,
     DatasetMismatch,
     ObjectiveKind,
+    _host,
     load_dataset,
     read_log,
     resume_suite,
@@ -213,7 +213,7 @@ def _cmd_bench_report(args) -> int:
     meta = {
         "time_limit_s": baseline.dataset.time_limit_s,
         "shift": baseline.protocol.get("shift", 10.0),
-        "host": f"{platform.node()}/{platform.machine()}",
+        "host": _host(),
     }
     print(table, end="")
     print(f"protocol: {json.dumps(meta)}")

@@ -329,16 +329,17 @@ def _finalize_row(
     return LinearRow(name, sorted_coeffs, relation, rhs, None)
 
 
+def instance_stem(path: Union[str, Path]) -> str:
+    """File name without ``.gz`` and then ``.mps``: the name of an instance with no NAME card."""
+    return Path(path).name.removesuffix(".gz").removesuffix(".mps")
+
+
 def load_instance(path: Union[str, Path]) -> Instance:
     """Read an instance from an ``.mps`` file; ``.gz`` paths are decompressed."""
     path = Path(path)
-    stem = path.name
-    for suffix in (".gz", ".mps"):
-        if stem.endswith(suffix):
-            stem = stem[: -len(suffix)]
     opener = gzip.open if path.name.endswith(".gz") else open
     with opener(path, "rt") as handle:  # type: ignore[arg-type]
-        return parse_mps(handle, name_hint=stem)
+        return parse_mps(handle, name_hint=instance_stem(path))
 
 
 def write_mps(inst: Instance) -> str:

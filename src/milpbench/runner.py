@@ -8,6 +8,7 @@ so a log always yields at most one record per (instance, solver) pair.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -17,16 +18,17 @@ import tempfile
 import time
 import platform
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, asdict
+from contextlib import nullcontext
+from dataclasses import dataclass, field, asdict, replace
 from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
-from typing import IO, Optional, Union
+from typing import IO, Callable, Optional, Union
 
 from .config import ConfigStore, Configuration, adapt, configuration_to_json, map_to_reference
 from .instance import Instance, extract_features
-from .mps import MpsParseError, load_instance
-from .solution_io import read_solution, read_status, status_path_for, write_solution, write_status
+from .mps import MpsParseError, instance_stem, load_instance
+from .solution_io import read_solution, read_status, write_solution, write_status
 from .solver import SolveStatus, branch_and_bound
 
 PathLike = Union[str, Path]
@@ -271,34 +273,36 @@ def run_job(
     limit_s: float,
     solver_label: str = "builtin",
     work_dir: Optional[PathLike] = None,
+    inst: Optional[Instance] = None,
 ) -> RunRecord:
     """Execute one timed solve; never raises for solver-side failures.
 
-    Wall time is measured with a monotonic clock around the solve only:
-    parsing happens before the clock starts.
+    ``inst`` is ``inst_path`` already parsed by the caller; without it the
+    path is parsed here.  Wall time is measured with a monotonic clock around
+    the solve only: parsing happens before the clock starts.
     """
-    started = datetime.now(timezone.utc).isoformat()
-    stem = Path(inst_path).name
-    for suffix in (".gz", ".mps"):
-        if stem.endswith(suffix):
-            stem = stem[: -len(suffix)]
-    try:
-        inst = load_instance(inst_path)
-    except (OSError, MpsParseError) as exc:
-        return RunRecord(
-            instance_name=stem,
-            solver_label=solver_label,
-            config_label=cfg.label,
-            status=RunStatus.ERROR,
-            wall_time_s=0.0,
-            started_at=started,
-            host_descriptor=_host(),
-            diagnostics=f"parse failure: {exc}",
-        )
-
+    if inst is None:
+        try:
+            inst = load_instance(inst_path)
+        except (OSError, MpsParseError) as exc:
+            return _unreadable(inst_path, solver_label, cfg.label, exc)
+    record = _builder(inst.name, solver_label, cfg.label)
     if backend.kind is BackendKind.BUILTIN:
-        return _run_builtin(inst, backend, cfg, limit_s, solver_label, started, work_dir)
-    return _run_external(inst, inst_path, backend, cfg, limit_s, solver_label, started, work_dir)
+        return _run_builtin(inst, backend, cfg, limit_s, record, work_dir)
+    return _run_external(inst, inst_path, backend, cfg, limit_s, record, work_dir)
+
+
+def _builder(name: str, solver_label: str, config_label: str) -> Callable[..., RunRecord]:
+    """``RunRecord`` with the fields shared by every record of one job filled in."""
+    started = datetime.now(timezone.utc).isoformat()
+    return functools.partial(
+        RunRecord, name, solver_label, config_label, started_at=started, host_descriptor=_host()
+    )
+
+
+def _unreadable(path: PathLike, solver_label: str, config_label: str, exc: Exception) -> RunRecord:
+    record = _builder(instance_stem(path), solver_label, config_label)
+    return record(RunStatus.ERROR, 0.0, diagnostics=f"parse failure: {exc}")
 
 
 def _solution_path(backend: BackendSpec, inst: Instance, cfg: Configuration, work_dir) -> Optional[Path]:
@@ -316,8 +320,7 @@ def _run_builtin(
     backend: BackendSpec,
     cfg: Configuration,
     limit_s: float,
-    solver_label: str,
-    started: str,
+    record: Callable[..., RunRecord],
     work_dir,
 ) -> RunRecord:
     opts = map_to_reference(cfg, time_limit_s=limit_s)
@@ -341,18 +344,12 @@ def _run_builtin(
             sol_path = str(target)
         write_status(target, status.value)
 
-    bound = outcome.best_bound if math.isfinite(outcome.best_bound) else None
-    return RunRecord(
-        instance_name=inst.name,
-        solver_label=solver_label,
-        config_label=cfg.label,
-        status=status,
-        wall_time_s=wall,
+    return record(
+        status,
+        wall,
         objective=outcome.incumbent.objective if outcome.incumbent else None,
-        best_bound=bound,
+        best_bound=outcome.best_bound if math.isfinite(outcome.best_bound) else None,
         solution_path=sol_path,
-        started_at=started,
-        host_descriptor=_host(),
         nodes=outcome.nodes,
         ticks=outcome.deterministic_ticks,
     )
@@ -364,8 +361,7 @@ def _run_external(
     backend: BackendSpec,
     cfg: Configuration,
     limit_s: float,
-    solver_label: str,
-    started: str,
+    record: Callable[..., RunRecord],
     work_dir,
 ) -> RunRecord:
     base = Path(work_dir) if work_dir else Path(tempfile.mkdtemp(prefix="milpbench-job-"))
@@ -395,54 +391,19 @@ def _run_external(
             proc.kill()
             _, stderr = proc.communicate()
     except OSError as exc:
-        return RunRecord(
-            instance_name=inst.name,
-            solver_label=solver_label,
-            config_label=cfg.label,
-            status=RunStatus.ERROR,
-            wall_time_s=time.perf_counter() - t0,
-            started_at=started,
-            host_descriptor=_host(),
-            diagnostics=f"launch failure: {exc}",
-        )
+        return record(RunStatus.ERROR, time.perf_counter() - t0, diagnostics=f"launch failure: {exc}")
     wall = time.perf_counter() - t0
 
     if killed:
-        return RunRecord(
-            instance_name=inst.name,
-            solver_label=solver_label,
-            config_label=cfg.label,
-            status=RunStatus.TIME_LIMIT,
-            wall_time_s=wall,
-            started_at=started,
-            host_descriptor=_host(),
-            diagnostics="killed after the grace envelope",
-        )
+        return record(RunStatus.TIME_LIMIT, wall, diagnostics="killed after the grace envelope")
     if proc.returncode != 0:
-        return RunRecord(
-            instance_name=inst.name,
-            solver_label=solver_label,
-            config_label=cfg.label,
-            status=RunStatus.ERROR,
-            wall_time_s=wall,
-            started_at=started,
-            host_descriptor=_host(),
-            diagnostics=f"exit code {proc.returncode}: {stderr.strip()[-500:]}",
-        )
+        diagnostics = f"exit code {proc.returncode}: {stderr.strip()[-500:]}"
+        return record(RunStatus.ERROR, wall, diagnostics=diagnostics)
 
     try:
         status = RunStatus(read_status(target))
     except (OSError, ValueError) as exc:
-        return RunRecord(
-            instance_name=inst.name,
-            solver_label=solver_label,
-            config_label=cfg.label,
-            status=RunStatus.ERROR,
-            wall_time_s=wall,
-            started_at=started,
-            host_descriptor=_host(),
-            diagnostics=f"unreadable status file: {exc}",
-        )
+        return record(RunStatus.ERROR, wall, diagnostics=f"unreadable status file: {exc}")
     objective = None
     sol_path = None
     if target.exists():
@@ -450,55 +411,44 @@ def _run_external(
             _, objective = read_solution(target)
             sol_path = str(target)
         except (OSError, ValueError) as exc:
-            return RunRecord(
-                instance_name=inst.name,
-                solver_label=solver_label,
-                config_label=cfg.label,
-                status=RunStatus.ERROR,
-                wall_time_s=wall,
-                started_at=started,
-                host_descriptor=_host(),
-                diagnostics=f"unparseable solution file: {exc}",
-            )
-    return RunRecord(
-        instance_name=inst.name,
-        solver_label=solver_label,
-        config_label=cfg.label,
-        status=status,
-        wall_time_s=wall,
-        objective=objective,
-        solution_path=sol_path,
-        started_at=started,
-        host_descriptor=_host(),
-    )
+            return record(RunStatus.ERROR, wall, diagnostics=f"unparseable solution file: {exc}")
+    return record(status, wall, objective=objective, solution_path=sol_path)
 
 
-def _select_config(
-    inst: Instance, store: ConfigStore, adapt_enabled: bool
-) -> Configuration:
-    if adapt_enabled:
-        return adapt(inst.name, extract_features(inst), store)
-    return store.configs[store.default_label]
-
-
-def _job_for_path(args) -> RunRecord:
-    path, backend, store, adapt_enabled, limit, label, work_dir = args
+def _job_for_path(args) -> Optional[RunRecord]:
+    """Parse one dataset path once and run it; ``None`` when its name is in ``done``."""
+    path, backend, store, adapt_enabled, limit, label, work_dir, done = args
     try:
         inst = load_instance(path)
-        cfg = _select_config(inst, store, adapt_enabled)
     except (OSError, MpsParseError) as exc:
-        stem = Path(path).name.removesuffix(".gz").removesuffix(".mps")
-        return RunRecord(
-            instance_name=stem,
-            solver_label=label,
-            config_label="",
-            status=RunStatus.ERROR,
-            wall_time_s=0.0,
-            started_at=datetime.now(timezone.utc).isoformat(),
-            host_descriptor=_host(),
-            diagnostics=f"unreadable instance: {exc}",
-        )
-    return run_job(path, backend, cfg, limit, solver_label=label, work_dir=work_dir)
+        return None if instance_stem(path) in done else _unreadable(path, label, "", exc)
+    if inst.name in done:
+        return None
+    if adapt_enabled:
+        cfg = adapt(inst.name, extract_features(inst), store)
+    else:
+        cfg = store.configs[store.default_label]
+    return run_job(path, backend, cfg, limit, solver_label=label, work_dir=work_dir, inst=inst)
+
+
+def _run_paths(
+    log: RunLog, writer: _LogWriter, backend, store, work_dir, done=frozenset(), parallel=1
+) -> RunLog:
+    """Run each dataset path of ``log`` not in ``done``; upsert and write every record, then close."""
+    ds = log.dataset
+    jobs = [
+        (p, backend, store, log.adapt_enabled, ds.time_limit_s, log.solver_label, work_dir, done)
+        for p in ds.instance_paths
+    ]
+    try:
+        with ProcessPoolExecutor(max_workers=parallel) if parallel > 1 else nullcontext() as pool:
+            for record in (pool.map if pool else map)(_job_for_path, jobs):
+                if record is not None:
+                    log.upsert(record)
+                    writer.write(record)
+    finally:
+        writer.close()
+    return log
 
 
 def run_suite(
@@ -519,22 +469,7 @@ def run_suite(
     """
     label = solver_label or f"{backend.kind.value}-{'adapted' if adapt_enabled else 'default'}"
     log = RunLog(dataset=ds, solver_label=label, adapt_enabled=adapt_enabled)
-    writer = _LogWriter(log_path, log)
-    jobs = [(p, backend, store, adapt_enabled, ds.time_limit_s, label, work_dir) for p in ds.instance_paths]
-    try:
-        if parallel > 1:
-            with ProcessPoolExecutor(max_workers=parallel) as pool:
-                for record in pool.map(_job_for_path, jobs):
-                    log.upsert(record)
-                    writer.write(record)
-        else:
-            for job in jobs:
-                record = _job_for_path(job)
-                log.upsert(record)
-                writer.write(record)
-    finally:
-        writer.close()
-    return log
+    return _run_paths(log, _LogWriter(log_path, log), backend, store, work_dir, parallel=parallel)
 
 
 def resume_suite(
@@ -546,36 +481,11 @@ def resume_suite(
     work_dir: Optional[PathLike] = None,
 ) -> RunLog:
     """Finish a suite: completed records are kept, error records re-run."""
-    if (
-        partial.dataset.name != ds.name
-        or partial.dataset.instance_paths != ds.instance_paths
-        or partial.dataset.time_limit_s != ds.time_limit_s
-    ):
-        raise DatasetMismatch(f"log dataset {partial.dataset.name!r} does not match {ds.name!r}")
+    old = partial.dataset
+    if (old.name, old.instance_paths, old.time_limit_s) != (ds.name, ds.instance_paths, ds.time_limit_s):
+        raise DatasetMismatch(f"log dataset {old.name!r} does not match {ds.name!r}")
 
-    done = {r.instance_name: r for r in partial.records if r.status is not RunStatus.ERROR}
-    log = RunLog(
-        dataset=ds,
-        solver_label=partial.solver_label,
-        adapt_enabled=partial.adapt_enabled,
-        records=list(partial.records),
-        protocol=dict(partial.protocol),
-    )
+    done = frozenset(r.instance_name for r in partial.records if r.status is not RunStatus.ERROR)
+    log = replace(partial, dataset=ds, records=list(partial.records), protocol=dict(partial.protocol))
     writer = _LogWriter(log_path, log, append=True)
-    try:
-        for path in ds.instance_paths:
-            try:
-                inst = load_instance(path)
-                name = inst.name
-            except (OSError, MpsParseError):
-                name = Path(path).name.removesuffix(".gz").removesuffix(".mps")
-            if name in done:
-                continue
-            record = _job_for_path(
-                (path, backend, store, log.adapt_enabled, ds.time_limit_s, log.solver_label, work_dir)
-            )
-            log.upsert(record)
-            writer.write(record)
-    finally:
-        writer.close()
-    return log
+    return _run_paths(log, writer, backend, store, work_dir, done=done)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, Union
 
+from .mps import instance_stem
 from .runner import DatasetSpec, ObjectiveKind, RunLog, RunStatus
 
 DEFAULT_SHIFT = 10.0
@@ -66,13 +67,7 @@ def _timing_vector(log: RunLog, limit_s: float) -> list[float]:
 
 
 def _check_complete(log: RunLog, ds: DatasetSpec) -> None:
-    stems = []
-    for p in ds.instance_paths:
-        stem = Path(p).name
-        for suffix in (".gz", ".mps"):
-            if stem.endswith(suffix):
-                stem = stem[: -len(suffix)]
-        stems.append(stem)
+    stems = [instance_stem(p) for p in ds.instance_paths]
     have = {r.instance_name for r in log.records}
     missing = [s for s in stems if s not in have]
     if missing and len(log.records) < len(ds.instance_paths):

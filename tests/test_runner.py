@@ -1,3 +1,4 @@
+import gzip
 import json
 import time
 from pathlib import Path
@@ -5,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from milpbench.config import Configuration, empty_store, load_store
+from milpbench.mps import write_mps
 from milpbench.runner import (
     BackendKind,
     BackendSpec,
@@ -329,3 +331,62 @@ def test_parallel_suite_keeps_record_order(tmp_path):
     assert [(r.status, r.objective, r.nodes) for r in par.records] == [
         (r.status, r.objective, r.nodes) for r in seq.records
     ]
+
+
+def _count_parses_and_jobs(monkeypatch) -> dict:
+    import milpbench.runner as runner_mod
+
+    calls = {"parse": 0, "job": 0}
+    real_load, real_job = runner_mod.load_instance, runner_mod.run_job
+
+    def load_instance(path):
+        calls["parse"] += 1
+        return real_load(path)
+
+    def run_job(*args, **kwargs):
+        calls["job"] += 1
+        return real_job(*args, **kwargs)
+
+    monkeypatch.setattr(runner_mod, "load_instance", load_instance)
+    monkeypatch.setattr(runner_mod, "run_job", run_job)
+    return calls
+
+
+@pytest.mark.parametrize("adapt_enabled", [False, True])
+def test_run_suite_parses_each_path_once(tmp_path, monkeypatch, adapt_enabled):
+    ds = _tiny_dataset(tmp_path, n=4)
+    calls = _count_parses_and_jobs(monkeypatch)
+    log = run_suite(ds, BUILTIN, empty_store(), adapt_enabled=adapt_enabled)
+    assert all(r.status is RunStatus.OPTIMAL for r in log.records)
+    assert calls == {"parse": 4, "job": 4}
+
+
+def test_resume_suite_parses_each_path_once(tmp_path, monkeypatch):
+    ds = _tiny_dataset(tmp_path, n=4)
+    full = run_suite(ds, BUILTIN, empty_store(), adapt_enabled=False)
+    full.records[2].status = RunStatus.ERROR
+    calls = _count_parses_and_jobs(monkeypatch)
+    resumed = resume_suite(ds, BUILTIN, empty_store(), full)
+    assert resumed.by_instance()["tiny2"].status is RunStatus.OPTIMAL
+    assert calls == {"parse": 4, "job": 1}
+
+
+def test_corrupt_gzip_in_suite_is_error_then_rerun_on_resume(tmp_path):
+    good = write_instance(tmp_path, knapsack_2var())
+    bad = tmp_path / "x.mps.gz"
+    bad.write_bytes(b"this is not gzip data")
+    ds = DatasetSpec("custom", (good, str(bad)), 30.0)
+    out = tmp_path / "run.jsonl"
+    log = run_suite(ds, BUILTIN, empty_store(), adapt_enabled=False, log_path=out)
+    assert [r.instance_name for r in log.records] == ["knap2", "x"]
+    error = log.by_instance()["x"]
+    assert error.status is RunStatus.ERROR
+    assert error.config_label == ""
+    assert "parse failure" in error.diagnostics
+
+    with gzip.open(bad, "wt") as fh:
+        fh.write(write_mps(chain_instance(6, name="x")))
+    resume_suite(ds, BUILTIN, empty_store(), read_log(out), log_path=out)
+    reloaded = read_log(out).by_instance()
+    assert reloaded["x"].status is RunStatus.OPTIMAL
+    assert reloaded["knap2"].status is RunStatus.OPTIMAL
