@@ -185,7 +185,8 @@ class RunLog:
 
 
 class _LogWriter:
-    """Append-only JSONL writer; one flush per record keeps crashes cheap."""
+    """JSONL writer, one flush per record keeps crashes cheap.  A fresh run
+    (``append=False``) starts the file over; a resume appends to it."""
 
     def __init__(self, path: Optional[PathLike], log: RunLog, append: bool = False):
         self.handle = None
@@ -197,7 +198,7 @@ class _LogWriter:
         if exists and append and not path.read_bytes().endswith(b"\n"):
             with open(path, "ab") as fh:  # heal a torn tail before appending
                 fh.write(b"\n")
-        self.handle = open(path, "a")
+        self.handle = open(path, "a" if append else "w")
         if not (append and exists):
             header = {
                 "kind": "header",

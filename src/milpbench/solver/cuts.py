@@ -17,6 +17,7 @@ _F0_MIN = 0.005          # skip cuts from nearly integral rows
 _COEF_DROP = 1e-11
 _DYNAMISM_MAX = 1e7
 _RHS_RELAX = 1e-9
+_COVER_TOL = 1e-6
 
 
 def _relax(rhs: float) -> float:
@@ -109,7 +110,9 @@ def cover_cuts(
 
     Every finite row side ``a.x <= b`` whose support is all binary yields a
     knapsack; negative weights are complemented.  Only cuts violated by
-    ``xstar`` are emitted.
+    ``xstar`` are emitted.  A set is a cover only if its weight exceeds the
+    capacity by more than ``_COVER_TOL`` relative: a Gomory row that a 0/1
+    point meets only up to rounding must not yield a cover that cuts it off.
     """
     n = A.shape[1]
     binary = is_int & (lb == 0.0) & (ub == 1.0)
@@ -132,7 +135,8 @@ def cover_cuts(
         flip = a_row[support] < 0
         w = np.abs(a_row[support])
         cap = b - float(a_row[support][flip].sum())  # complements shift the rhs
-        if w.sum() <= cap + 1e-9:
+        cap += _COVER_TOL * max(1.0, abs(cap))
+        if w.sum() <= cap:
             continue  # no cover exists
         xs = np.where(flip, 1.0 - xstar[support], xstar[support])
 
@@ -142,13 +146,13 @@ def cover_cuts(
         for k in order:
             cover.append(k)
             weight += w[k]
-            if weight > cap + 1e-9:
+            if weight > cap:
                 break
-        if weight <= cap + 1e-9:
+        if weight <= cap:
             continue
         # minimalize: drop heavy members that are not needed
         for k in sorted(cover, key=lambda t: -w[t]):
-            if weight - w[k] > cap + 1e-9:
+            if weight - w[k] > cap:
                 cover.remove(k)
                 weight -= w[k]
 

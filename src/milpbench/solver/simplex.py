@@ -25,6 +25,7 @@ AT_LOWER, AT_UPPER, FREE, BASIC = 0, 1, 2, 3
 _REFACTOR_EVERY = 64
 _BLAND_TRIGGER = 1000
 _PIVOT_TOL = 1e-9
+_SMALL_PIVOT = 1e-5
 _DEGEN_TOL = 1e-12
 
 
@@ -238,6 +239,9 @@ class BoundedSimplex:
                     t_best = min(t_best, t)
                     p_best = p
 
+            if p_best >= 0 and abs(step[p_best]) < _SMALL_PIVOT:
+                p_best, t_best = self._avoid_small_pivot(step, xb, lob, hib, p_best, t_best)
+
             t_flip = self.hi[q] - self.lo[q]  # inf for free/one-sided columns
 
             if not np.isfinite(t_best) and not np.isfinite(t_flip):
@@ -283,6 +287,23 @@ class BoundedSimplex:
             else:
                 degenerate_run = 0
         return "breakdown"
+
+    def _avoid_small_pivot(self, step, xb, lob, hib, p_best, t_best):
+        """Harris's second pass, run when the min-ratio pivot is below
+        ``_SMALL_PIVOT``: such pivots left near-singular bases whose next
+        steps pushed basic variables far outside their bounds.  Take instead
+        the largest pivot whose ratio keeps every basic variable within
+        ``feas_tol`` of its bounds, if there is one."""
+        mag = np.abs(step)
+        slack = np.where(step > 0, xb - lob, hib - xb)
+        rows = np.flatnonzero((mag > _PIVOT_TOL) & np.isfinite(slack))
+        ratio = np.maximum(slack[rows] / mag[rows], 0.0)
+        t_max = np.min((slack[rows] + self.feas_tol) / mag[rows])
+        ok = np.flatnonzero((mag[rows] >= _SMALL_PIVOT) & (ratio <= t_max))
+        if ok.size == 0:
+            return p_best, t_best
+        k = ok[int(np.argmax(mag[rows][ok]))]
+        return int(rows[k]), float(ratio[k])
 
     def _expel_artificials(self) -> None:
         """Pivot basic artificials out where possible; stuck rows are redundant."""

@@ -117,6 +117,16 @@ def test_cover_cut_complements_negative_weights():
                 assert float(g @ np.array(bits)) >= rhs - 1e-9
 
 
+def test_cover_must_exceed_capacity_beyond_row_tolerance():
+    # x0 + x1 >= 2 - 2e-9 is a Gomory row met by (1, 1) up to rounding;
+    # {x0, x1} is no cover of it, so x0 + x1 <= 1 must not be derived
+    A = np.array([[-1.0, -1.0]])
+    rlo = np.array([-2.0 + 2e-9])
+    rup = np.array([math.inf])
+    cuts = cover_cuts(A, rlo, rup, np.zeros(2), np.ones(2), np.ones(2, dtype=bool), np.array([1.0, 1.0]))
+    assert cuts == []
+
+
 def test_cover_cuts_skip_non_binary_rows():
     A = np.array([[2.0, 2.0]])
     rlo = np.array([-math.inf])
@@ -137,3 +147,37 @@ def test_cut_pipeline_preserves_optimum_on_random_instances():
         assert out.status.value == want_status
         if want_status == "optimal":
             assert out.incumbent.objective == pytest.approx(want_obj, abs=1e-6)
+
+
+def _knapsack_10x3(rng: np.random.Generator) -> Instance:
+    """max profit.x over 10 binaries and 3 rows of density 0.5, weights 1..49,
+    each rhs half its row weight."""
+    rows = []
+    for i in range(3):
+        mask = rng.random(10) < 0.5
+        if not mask.any():
+            mask[rng.integers(10)] = True
+        w = rng.integers(1, 50, size=10)
+        coeffs = [(int(j), float(w[j])) for j in np.flatnonzero(mask)]
+        rows.append(make_row(f"r{i}", coeffs, Relation.LE, float(sum(c for _, c in coeffs) // 2)))
+    profit = rng.integers(1, 50, size=10)
+    variables = tuple(Variable(f"x{j}", 0.0, 1.0, VarKind.BINARY) for j in range(10))
+    return Instance("knap", Sense.MAXIMIZE, variables, tuple(rows), tuple((j, float(p)) for j, p in enumerate(profit)))
+
+
+@pytest.mark.parametrize("seed", range(22, 35))
+def test_gomory_and_cover_knapsacks_reach_the_enumerated_optimum(seed):
+    # Seeds 22 and 26 each hold a knapsack whose node LPs, after the cuts,
+    # pivoted on a tiny element and returned x_j > 1 on a binary, so the
+    # search re-branched on one node until the node limit; raising the pivot
+    # tolerance to 1e-6 instead did the same to seed 34 after a pivot of
+    # 3.05e-6.  Seed 33 holds one where a cover of a Gomory row cut off the
+    # optimum (120 instead of 121).
+    rng = np.random.default_rng(seed)
+    opts = ReferenceSolverOptions(gomory_rounds=2, cover_cuts=True, node_limit=300)
+    for _ in range(25):
+        inst = _knapsack_10x3(rng)
+        _, want = enumerate_binary_optimum(inst)
+        out = branch_and_bound(inst, opts)
+        assert out.status.value == "optimal"
+        assert out.incumbent.objective == pytest.approx(want, abs=1e-6)

@@ -1,9 +1,15 @@
+import importlib
 import math
 
-from milpbench.instance import Instance, Relation, Sense, Variable, VarKind, make_row
+import numpy as np
+import pytest
+
+from milpbench.instance import INF, Instance, Relation, Sense, Variable, VarKind, make_row
 from milpbench.solver import ReferenceSolverOptions, presolve
 
 from _helpers import binary_instance
+
+presolve_module = importlib.import_module("milpbench.solver.presolve")
 
 BOTH_ON = ReferenceSolverOptions(presolve_bound_tighten=True, presolve_coeff_reduce=True)
 TIGHTEN = ReferenceSolverOptions(presolve_bound_tighten=True)
@@ -125,3 +131,165 @@ def test_fixpoint_chains_across_rows():
     )
     res = presolve(inst, TIGHTEN)
     assert [v.upper for v in res.instance.variables] == [3.0, 3.0, 3.0]
+
+
+# ---- the per-coefficient bound pass, kept as a reference -------------------
+
+
+def _reference_activity(coeffs, lb, ub):
+    lo = hi = 0.0
+    for j, a in coeffs:
+        if a > 0:
+            lo += a * lb[j] if math.isfinite(lb[j]) else -INF
+            hi += a * ub[j] if math.isfinite(ub[j]) else INF
+        elif a < 0:
+            lo += a * ub[j] if math.isfinite(ub[j]) else -INF
+            hi += a * lb[j] if math.isfinite(lb[j]) else INF
+    return lo, hi
+
+
+def _reference_tighten(rows, lb, ub, is_int):
+    """The O(sum of row_nnz^2) pass: the other terms' activity is summed afresh
+    for every coefficient."""
+    changed = False
+    for row in rows:
+        rlo, rup = row.interval()
+        for j, a in row.coefficients:
+            if a == 0.0:
+                continue
+            olo, ohi = _reference_activity([(k, v) for k, v in row.coefficients if k != j], lb, ub)
+            new_lo, new_hi = lb[j], ub[j]
+            if math.isfinite(rup) and olo > -INF:
+                limit = (rup - olo) / a
+                if a > 0:
+                    new_hi = min(new_hi, limit)
+                else:
+                    new_lo = max(new_lo, limit)
+            if rlo > -INF and math.isfinite(ohi):
+                limit = (rlo - ohi) / a
+                if a > 0:
+                    new_lo = max(new_lo, limit)
+                else:
+                    new_hi = min(new_hi, limit)
+            if is_int[j]:
+                if math.isfinite(new_lo):
+                    new_lo = math.ceil(new_lo - 1e-7)
+                if math.isfinite(new_hi):
+                    new_hi = math.floor(new_hi + 1e-7)
+            if new_lo > lb[j] + 1e-9:
+                lb[j] = new_lo
+                changed = True
+            if new_hi < ub[j] - 1e-9:
+                ub[j] = new_hi
+                changed = True
+            if lb[j] > ub[j] + 1e-9:
+                return changed, True
+    return changed, False
+
+
+def _reference_presolve(inst, opts, monkeypatch):
+    with monkeypatch.context() as patch:
+        patch.setattr(presolve_module, "_tighten_bounds", _reference_tighten)
+        return presolve(inst, opts)
+
+
+_RELATIONS = (Relation.LE, Relation.GE, Relation.EQ, Relation.RANGE)
+
+
+def _random_rows(rng, n, coefficient, rhs):
+    rows = []
+    for i in range(int(rng.integers(1, 7))):
+        support = sorted(int(j) for j in rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
+        relation = _RELATIONS[int(rng.integers(0, 4))]
+        width = abs(rhs()) if relation is Relation.RANGE else None
+        rows.append(make_row(f"r{i}", [(j, coefficient()) for j in support], relation, rhs(), width))
+    return tuple(rows)
+
+
+def _random_integer_instance(rng):
+    """Integral data over binaries and general integers, some bounds infinite."""
+    variables = []
+    for j in range(int(rng.integers(2, 9))):
+        if rng.random() < 0.4:
+            variables.append(Variable(f"x{j}", 0.0, 1.0, VarKind.BINARY))
+            continue
+        lo = -INF if rng.random() < 0.2 else float(rng.integers(-6, 3))
+        up = INF if rng.random() < 0.2 else max(lo, 0.0) + float(rng.integers(0, 9))
+        variables.append(Variable(f"x{j}", lo, up, VarKind.INTEGER))
+    rows = _random_rows(
+        rng,
+        len(variables),
+        lambda: float(rng.integers(-9, 10)),  # zeros included
+        lambda: float(rng.integers(-12, 25)),
+    )
+    return Instance("int", Sense.MINIMIZE, tuple(variables), rows)
+
+
+def _random_float_instance(rng):
+    """Continuous variables with float data, some bounds infinite."""
+    variables = []
+    for j in range(int(rng.integers(2, 9))):
+        lo = -INF if rng.random() < 0.2 else rng.uniform(-10.0, 5.0)
+        up = INF if rng.random() < 0.2 else max(lo, -5.0) + rng.uniform(0.0, 15.0)
+        variables.append(Variable(f"x{j}", lo, up, VarKind.CONTINUOUS))
+    rows = _random_rows(rng, len(variables), lambda: rng.uniform(-5.0, 5.0), lambda: rng.uniform(-20.0, 40.0))
+    return Instance("float", Sense.MINIMIZE, tuple(variables), rows)
+
+
+@pytest.mark.parametrize("opts", [TIGHTEN, BOTH_ON], ids=["tighten", "both"])
+def test_integer_data_matches_reference_exactly(opts, monkeypatch):
+    rng = np.random.default_rng(2020)
+    verdicts = set()
+    for _ in range(600):
+        inst = _random_integer_instance(rng)
+        want = _reference_presolve(inst, opts, monkeypatch)
+        assert presolve(inst, opts) == want
+        verdicts.add((want.proven_infeasible, want.instance.variables != inst.variables))
+    assert verdicts == {(True, True), (False, True), (False, False)}
+
+
+def test_float_data_matches_reference_up_to_rounding(monkeypatch):
+    # Summation order differs, so bounds agree only to rounding.
+    rng = np.random.default_rng(2021)
+    verdicts = set()
+    for _ in range(600):
+        inst = _random_float_instance(rng)
+        want = _reference_presolve(inst, BOTH_ON, monkeypatch)
+        got = presolve(inst, BOTH_ON)
+        assert got.proven_infeasible == want.proven_infeasible
+        verdicts.add(want.proven_infeasible)
+        for v, w in zip(got.instance.variables, want.instance.variables):
+            for b, ref in ((v.lower, w.lower), (v.upper, w.upper)):
+                assert b == ref or abs(b - ref) <= 1e-9 * max(1.0, abs(ref))
+    assert verdicts == {True, False}
+
+
+def test_huge_finite_bound_is_not_cancelled(monkeypatch):
+    # x + y <= 12.5 with x >= -1e30: the row total -1e30 - 0.5 rounds to -1e30,
+    # so taking x's term back out of it would give 0 for y's share, not -0.5,
+    # and cut x down to 12.5 although x = 13, y = -0.5 is feasible.
+    inst = Instance(
+        "huge",
+        Sense.MINIMIZE,
+        (
+            Variable("x", -1e30, 20.0, VarKind.CONTINUOUS),
+            Variable("y", -0.5, 5.0, VarKind.CONTINUOUS),
+        ),
+        (make_row("r", [(0, 1.0), (1, 1.0)], Relation.LE, 12.5),),
+    )
+    res = presolve(inst, TIGHTEN)
+    assert res.instance.variables[0].upper == 13.0
+    assert res == _reference_presolve(inst, TIGHTEN, monkeypatch)
+
+
+def test_bound_pass_cost_is_linear_in_row_length(monkeypatch):
+    # one dense row, every bound moves: 2x_0 + ... + 2x_{n-1} <= n with x_j in [0, 1000]
+    n = 400
+    row = make_row("cap", [(j, 2.0) for j in range(n)], Relation.LE, float(n))
+    lb, ub, is_int = [0.0] * n, [1000.0] * n, [True] * n
+    calls = []
+    contribution = presolve_module._contribution
+    monkeypatch.setattr(presolve_module, "_contribution", lambda *a: calls.append(a) or contribution(*a))
+    assert presolve_module._tighten_bounds([row], lb, ub, is_int) == (True, False)
+    assert ub == [float(n // 2)] * n
+    assert len(calls) <= 2 * n

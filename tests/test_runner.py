@@ -220,6 +220,19 @@ def test_log_round_trip_and_header(tmp_path):
     assert loaded.protocol["gap_tolerance"] == 0.0
 
 
+def test_second_run_into_one_log_replaces_it(tmp_path):
+    ds = _tiny_dataset(tmp_path, n=2)
+    out = tmp_path / "run.jsonl"
+    run_suite(ds, BUILTIN, empty_store(), adapt_enabled=False, log_path=out)
+    run_suite(ds, BUILTIN, empty_store(), adapt_enabled=False, solver_label="other", log_path=out)
+    kinds = [json.loads(line).get("kind") for line in out.read_text().splitlines()]
+    assert kinds.count("header") == 1
+    loaded = read_log(out)
+    assert loaded.solver_label == "other"
+    assert [r.instance_name for r in loaded.records] == ["tiny0", "tiny1"]
+    assert {r.solver_label for r in loaded.records} == {"other"}
+
+
 def test_resume_skips_done_and_runs_missing(tmp_path):
     ds = _tiny_dataset(tmp_path)
     out = tmp_path / "run.jsonl"

@@ -34,6 +34,17 @@ def test_improving_ray_unbounded():
     assert solve_lp(inst).status is LpStatus.UNBOUNDED
 
 
+@pytest.mark.parametrize("c", [1e-4, 1e-6, 1e-8])
+def test_small_coefficient_still_blocks(c):
+    # min -x s.t. c*x <= 1: the only pivot is c itself, so it must be taken
+    inst = Instance(
+        "t", Sense.MINIMIZE, (Variable("x", 0.0, math.inf),), (make_row("r", [(0, c)], Relation.LE, 1.0),), ((0, -1.0),)
+    )
+    res = solve_lp(inst)
+    assert res.status is LpStatus.OPTIMAL
+    assert res.point[0] == pytest.approx(1.0 / c, rel=1e-9)
+
+
 def test_tolerances_must_be_positive():
     inst = Instance("t", Sense.MINIMIZE, (Variable("x", 0.0, 1.0),), ())
     with pytest.raises(ValueError):
