@@ -159,6 +159,10 @@ class RunRecord:
         return cls(**d)
 
 
+def _log_key(record: RunRecord) -> tuple[str, str]:
+    return record.instance_name, record.solver_label
+
+
 @dataclass
 class RunLog:
     dataset: DatasetSpec
@@ -172,13 +176,29 @@ class RunLog:
         }
     )
 
+    # (instance, solver) -> first position in ``records``, for the list and
+    # length in ``_indexed``; rebuilt when ``records`` changed other than by upsert
+    _index: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _indexed: tuple = field(default=(None, 0), init=False, repr=False, compare=False)
+
     def upsert(self, record: RunRecord) -> None:
-        key = (record.instance_name, record.solver_label)
-        for i, old in enumerate(self.records):
-            if (old.instance_name, old.solver_label) == key:
-                self.records[i] = record
-                return
-        self.records.append(record)
+        """Replace the record of the same (instance, solver) in place, or append."""
+        key = _log_key(record)
+        i = self._index.get(key)
+        seen, length = self._indexed
+        if seen is not self.records or length != len(self.records) or (
+            i is not None and _log_key(self.records[i]) != key
+        ):
+            self._index = {}
+            for j, old in enumerate(self.records):
+                self._index.setdefault(_log_key(old), j)
+            i = self._index.get(key)
+        if i is None:
+            self._index[key] = len(self.records)
+            self.records.append(record)
+        else:
+            self.records[i] = record
+        self._indexed = (self.records, len(self.records))
 
     def by_instance(self) -> dict[str, RunRecord]:
         return {r.instance_name: r for r in self.records}

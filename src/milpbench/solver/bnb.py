@@ -21,7 +21,7 @@ from ..instance import Instance
 from .cuts import cover_cuts, gomory_cuts
 from .options import BranchRule, NodeStrategy, ReferenceSolverOptions
 from .presolve import presolve
-from .simplex import BoundedSimplex, LpStatus, SimplexBreakdown
+from .simplex import BoundedSimplex, LpStatus, SimplexBreakdown, WarmStart
 from .standard_form import StandardForm, to_standard_form
 
 _INT_TOL = 1e-6
@@ -76,6 +76,7 @@ class _Node:
     branch_up: bool = False
     parent_obj: float = math.nan
     parent_frac: float = math.nan
+    warm: Optional[WarmStart] = None  # the parent LP's final basis
 
     def __lt__(self, other: "_Node") -> bool:
         return (self.bound_est, -self.depth, self.node_id) < (
@@ -104,7 +105,9 @@ class _Search:
         self.pc_up_count = np.zeros(form.n)
         self.pc_dn_count = np.zeros(form.n)
 
-    def lp(self, lb: np.ndarray, ub: np.ndarray):
+    def lp(self, lb: np.ndarray, ub: np.ndarray, warm: Optional[WarmStart] = None):
+        """Solve the LP over the current rows; a breakdown is retried once
+        from scratch under Bland's rule before it reaches the caller."""
         form = StandardForm(
             name=self.base.name,
             c=self.c,
@@ -118,8 +121,12 @@ class _Search:
             obj_constant=self.base.obj_constant,
             flipped=self.base.flipped,
         )
-        splx = BoundedSimplex(form, feas_tol=_FEAS_TOL, opt_tol=_OPT_TOL)
-        res = splx.solve()
+        try:
+            splx = BoundedSimplex(form, feas_tol=_FEAS_TOL, opt_tol=_OPT_TOL, warm=warm)
+            res = splx.solve()
+        except SimplexBreakdown:
+            splx = BoundedSimplex(form, feas_tol=_FEAS_TOL, opt_tol=_OPT_TOL, bland=True)
+            res = splx.solve()
         self.ticks += res.iterations
         return splx, res.status, res.objective, res.point
 
@@ -278,7 +285,7 @@ def branch_and_bound(
 
     if opts.diving and search.fractional(root_x).size:
         lbd, ubd = root_lb.copy(), root_ub.copy()
-        xd = root_x
+        xd, warm = root_x, splx.warm_start()
         for _ in range(2 * max(1, search.int_idx.size)):
             if clock() >= deadline:
                 break
@@ -291,12 +298,12 @@ def branch_and_bound(
             val = min(max(float(np.round(xd[j])), lbd[j]), ubd[j])
             lbd[j] = ubd[j] = val
             try:
-                _, st, _, xd_new = search.lp(lbd, ubd)
+                dive_splx, st, _, xd_new = search.lp(lbd, ubd, warm)
             except SimplexBreakdown:
                 break
             if st is not LpStatus.OPTIMAL:
                 break
-            xd = xd_new
+            xd, warm = xd_new, dive_splx.warm_start()
 
     # ---- tree ----
     best_heap: list[_Node] = []
@@ -318,14 +325,14 @@ def branch_and_bound(
     def prune_eps() -> float:
         return 1e-9 * max(1.0, abs(incumbent_obj)) if incumbent_obj is not None else 0.0
 
-    def branch(parent_obj: float, depth: int, lb, ub, x_frac) -> None:
+    def branch(parent_obj: float, depth: int, lb, ub, x_frac, warm: WarmStart) -> None:
         nonlocal next_id
         cand = search.fractional(x_frac)
         j = search.pick_branch_var(x_frac, cand)
         frac = x_frac[j] - math.floor(x_frac[j])
-        dn = _Node(parent_obj, depth, next_id, lb.copy(), ub.copy(), j, False, parent_obj, frac)
+        dn = _Node(parent_obj, depth, next_id, lb.copy(), ub.copy(), j, False, parent_obj, frac, warm)
         dn.ub[j] = math.floor(x_frac[j])
-        up = _Node(parent_obj, depth, next_id + 1, lb.copy(), ub.copy(), j, True, parent_obj, frac)
+        up = _Node(parent_obj, depth, next_id + 1, lb.copy(), ub.copy(), j, True, parent_obj, frac, warm)
         up.lb[j] = math.ceil(x_frac[j])
         next_id += 2
         push(up)
@@ -336,7 +343,7 @@ def branch_and_bound(
         if incumbent_obj is None:  # integral point rejected by the row check
             return finish(SolveStatus.ERROR, root_obj)
         return finish(SolveStatus.OPTIMAL, root_obj)
-    branch(root_obj, 1, root_lb, root_ub, root_x)
+    branch(root_obj, 1, root_lb, root_ub, root_x, splx.warm_start())
 
     limit_status: Optional[SolveStatus] = None
     while best_heap or stack:
@@ -357,7 +364,7 @@ def branch_and_bound(
             continue
 
         try:
-            _, status, obj, x = search.lp(node.lb, node.ub)
+            splx, status, obj, x = search.lp(node.lb, node.ub, node.warm)
         except SimplexBreakdown:
             limit_status = SolveStatus.ERROR
             break
@@ -373,7 +380,7 @@ def branch_and_bound(
         if search.fractional(x).size == 0:
             accept_candidate(x, node.lb, node.ub)
             continue
-        branch(obj, node.depth + 1, node.lb, node.ub, x)
+        branch(obj, node.depth + 1, node.lb, node.ub, x, splx.warm_start())
 
     if limit_status is not None:
         bound = open_bound()

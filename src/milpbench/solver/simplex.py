@@ -1,12 +1,21 @@
-"""Two-phase bounded-variable primal simplex.
+"""Bounded-variable simplex: two-phase primal, and dual from a warm start.
 
 Works on the equality system ``A x - r = 0`` where r holds the row
-activities with bounds ``rlo <= r <= rup``.  Phase 1 introduces an
-artificial column for every row whose activity at the starting point
-violates its interval and minimizes the total artificial mass; phase 2
-minimizes the true costs.  Dantzig pricing with a switch to Bland's rule
-after 1000 consecutive degenerate steps; the basis inverse is maintained
-by eta updates with periodic refactorization.
+activities with bounds ``rlo <= r <= rup``.  A cold solve starts from the
+corner of the bound box: phase 1 introduces an artificial column for every
+row whose activity there violates its interval and minimizes the total
+artificial mass; phase 2 minimizes the true costs.  A warm solve starts
+from another solve's final basis and nonbasic statuses over the same rows,
+typically a parent node's LP after one bound moved: such a basis stays dual
+feasible, so a bounded dual simplex restores primal feasibility and primal
+phase 2 then cleans up.  A warm start that does not fit, is not dual
+feasible or breaks down falls back to the cold path.  ``iterations`` counts
+primal pivots, dual pivots and bound flips alike.
+
+Dantzig pricing with a switch to Bland's rule after 1000 consecutive
+degenerate steps; the basis inverse is maintained by eta updates with
+periodic refactorization.  No solve returns OPTIMAL with a basic value
+outside its bounds.
 """
 
 from __future__ import annotations
@@ -27,6 +36,10 @@ _BLAND_TRIGGER = 1000
 _PIVOT_TOL = 1e-9
 _SMALL_PIVOT = 1e-5
 _DEGEN_TOL = 1e-12
+_BOUND_TOL = 1e-6  # bnb's integrality tolerance: a fractional value is never out of bounds
+
+# a basis over the structural and row columns, and the status of each of them
+WarmStart = tuple[np.ndarray, np.ndarray]
 
 
 class SimplexBreakdown(RuntimeError):
@@ -58,6 +71,8 @@ class BoundedSimplex:
         ub: Optional[np.ndarray] = None,
         feas_tol: float = 1e-7,
         opt_tol: float = 1e-9,
+        warm: Optional[WarmStart] = None,
+        bland: bool = False,
     ):
         self.form = form
         self.n = form.n
@@ -67,14 +82,36 @@ class BoundedSimplex:
         self.iterations = 0
         self._lb_struct = form.lb if lb is None else lb
         self._ub_struct = form.ub if ub is None else ub
+        self._warm = warm
+        self._bland = bland  # Bland's rule from the first primal pivot
 
     def solve(self) -> LpResult:
-        n, m = self.n, self.m
         if self.feas_tol <= 0 or self.opt_tol <= 0:
             raise ValueError("tolerances must be positive")
         if np.any(self._lb_struct > self._ub_struct) or np.any(self.form.rlo > self.form.rup):
-            return LpResult(LpStatus.INFEASIBLE, None, np.zeros(n), (), 0)
+            return LpResult(LpStatus.INFEASIBLE, None, np.zeros(self.n), (), 0)
+        if self._warm is not None:
+            try:
+                result = self._solve_warm(*self._warm)
+            except SimplexBreakdown:
+                result = None
+            if result is not None:
+                return result
+        return self._solve_cold()
 
+    def _setup(self, n_art: int) -> None:
+        """Columns ``[A, -I]`` plus ``n_art`` artificial slots, and their bounds."""
+        n, m = self.n, self.m
+        total = n + m + n_art
+        self.lo = np.concatenate([self._lb_struct, self.form.rlo, np.zeros(n_art)])
+        self.hi = np.concatenate([self._ub_struct, self.form.rup, np.full(n_art, np.inf)])
+        self.F = np.zeros((m, total))
+        self.F[:, :n] = self.form.A
+        self.F[:, n : n + m] = -np.eye(m)
+        self.art_start = n + m
+
+    def _solve_cold(self) -> LpResult:
+        n, m = self.n, self.m
         # starting point: nonbasic structural columns at a finite bound
         x0 = np.where(
             np.isfinite(self._lb_struct),
@@ -87,13 +124,8 @@ class BoundedSimplex:
         viol_rows = np.flatnonzero(~sat)
         n_art = len(viol_rows)
         total = n + m + n_art
-
-        lo = np.concatenate([self._lb_struct, self.form.rlo, np.zeros(n_art)])
-        hi = np.concatenate([self._ub_struct, self.form.rup, np.full(n_art, np.inf)])
-
-        F = np.zeros((m, total))
-        F[:, :n] = self.form.A
-        F[:, n : n + m] = -np.eye(m)
+        self._setup(n_art)
+        F = self.F
 
         status = np.full(total, AT_LOWER, dtype=np.int8)
         status[:n] = np.where(
@@ -124,14 +156,10 @@ class BoundedSimplex:
             status[col] = BASIC
             xval[col] = abs(residual)
 
-        self.F = F
-        self.lo = lo
-        self.hi = hi
         self.status = status
         self.xval = xval
         self.basis = basis
         self.B_inv = self._refactorize()
-        self.art_start = n + m
 
         # phase 1: drive artificial mass to zero
         if n_art:
@@ -142,22 +170,81 @@ class BoundedSimplex:
                 raise SimplexBreakdown("phase-1 iteration limit or singular basis")
             infeas = float(np.sum(xval[self.art_start :]))
             if infeas > self.feas_tol:
-                return LpResult(
-                    LpStatus.INFEASIBLE, None, xval[:n].copy(), tuple(basis), self.iterations
-                )
+                return self._result(LpStatus.INFEASIBLE)
             self._expel_artificials()
-        lo[self.art_start :] = 0.0
-        hi[self.art_start :] = 0.0
+        self.lo[self.art_start :] = 0.0
+        self.hi[self.art_start :] = 0.0
+        return self._phase_two()
 
-        c2 = np.zeros(total)
-        c2[:n] = self.form.c
-        outcome = self._iterate(c2, phase_one=False)
-        if outcome == "breakdown":
-            raise SimplexBreakdown("phase-2 iteration limit or singular basis")
-        if outcome == "unbounded":
-            return LpResult(LpStatus.UNBOUNDED, None, xval[:n].copy(), tuple(basis), self.iterations)
-        obj = float(self.form.c @ xval[:n])
-        return LpResult(LpStatus.OPTIMAL, obj, xval[:n].copy(), tuple(basis), self.iterations)
+    def _solve_warm(self, basis, status) -> Optional[LpResult]:
+        """Start from a given basis and nonbasic statuses over the structural
+        and row columns; None when they do not fit this LP or are not dual
+        feasible, and the caller solves cold."""
+        n, m = self.n, self.m
+        basis = np.array(basis, dtype=np.int64)
+        status = np.array(status, dtype=np.int8)
+        if basis.shape != (m,) or status.shape != (n + m,) or (m and basis.max() >= n + m):
+            return None  # other rows, or an artificial column in the basis
+        if np.count_nonzero(status == BASIC) != m or (status[basis] != BASIC).any():
+            return None
+        self._setup(0)
+        lo, hi = self.lo, self.hi
+        free = status == FREE
+        xval = np.where(status == AT_UPPER, hi, np.where(status == AT_LOWER, lo, 0.0))
+        if not np.isfinite(xval).all() or np.isfinite(lo[free]).any() or np.isfinite(hi[free]).any():
+            return None  # a status points at an infinite bound
+        self.basis, self.status, self.xval = basis, status, xval
+        self.B_inv = self._refactorize()
+        self._recompute_basics()
+
+        z = self._reduced_costs(self._phase_two_cost())
+        movable = hi - lo > 0
+        if self._eligible(z, movable).any():
+            return None
+        if not self._dual(z, movable):
+            return self._result(LpStatus.INFEASIBLE)
+        return self._phase_two()
+
+    def _phase_two_cost(self) -> np.ndarray:
+        cost = np.zeros(self.F.shape[1])
+        cost[: self.n] = self.form.c
+        return cost
+
+    def _phase_two(self) -> LpResult:
+        """Primal iterations to optimality; the basic values are checked
+        against their bounds before OPTIMAL is returned."""
+        cost = self._phase_two_cost()
+        for _ in range(2):
+            outcome = self._iterate(cost, phase_one=False)
+            if outcome == "breakdown":
+                raise SimplexBreakdown("phase-2 iteration limit or singular basis")
+            if outcome == "unbounded":
+                return self._result(LpStatus.UNBOUNDED)
+            if not self._bounds_violated():
+                return self._result(LpStatus.OPTIMAL)
+            self.B_inv = self._refactorize()
+            self._recompute_basics()
+        raise SimplexBreakdown("basic values outside their bounds at the optimum")
+
+    def _bounds_violated(self) -> bool:
+        """Any basic value beyond its bounds by more than ``_BOUND_TOL``,
+        absolute on structural columns (bnb's integrality tolerance) and
+        relative to the bound on row columns."""
+        xb, lob, hib = self.xval[self.basis], self.lo[self.basis], self.hi[self.basis]
+        row = self.basis >= self.n
+        tol_lo = _BOUND_TOL * np.where(row, np.maximum(1.0, np.abs(lob)), 1.0)
+        tol_hi = _BOUND_TOL * np.where(row, np.maximum(1.0, np.abs(hib)), 1.0)
+        return bool(((xb < lob - tol_lo) | (xb > hib + tol_hi)).any())
+
+    def _result(self, status: LpStatus) -> LpResult:
+        point = self.xval[: self.n].copy()
+        obj = float(self.form.c @ point) if status is LpStatus.OPTIMAL else None
+        return LpResult(status, obj, point, tuple(self.basis), self.iterations)
+
+    def warm_start(self) -> WarmStart:
+        """This solve's final basis and the statuses of its structural and row
+        columns, for a later solve of the same rows under other bounds."""
+        return self.basis.copy(), self.status[: self.n + self.m].copy()
 
     # -- iteration machinery ------------------------------------------------
 
@@ -170,28 +257,53 @@ class BoundedSimplex:
         return B_inv
 
     def _recompute_basics(self) -> None:
-        nonbasic = np.flatnonzero(self.status != BASIC)
+        nonbasic = (self.status != BASIC).nonzero()[0]
         rhs = -(self.F[:, nonbasic] @ self.xval[nonbasic]) if self.m else np.zeros(0)
         self.xval[self.basis] = self.B_inv @ rhs
+
+    def _reduced_costs(self, cost: np.ndarray) -> np.ndarray:
+        y = cost[self.basis] @ self.B_inv if self.m else np.zeros(0)
+        return cost - (y @ self.F if self.m else 0.0)
+
+    def _eligible(self, z: np.ndarray, movable: np.ndarray) -> np.ndarray:
+        """Nonbasic columns whose reduced cost says the objective improves
+        when they move off their bound."""
+        return movable & (
+            ((self.status == AT_LOWER) & (z < -self.opt_tol))
+            | ((self.status == AT_UPPER) & (z > self.opt_tol))
+            | ((self.status == FREE) & (np.abs(z) > self.opt_tol))
+        )
+
+    def _pivot(self, p: int, q: int, d: np.ndarray) -> None:
+        """Column q replaces the basic column at position p; ``d`` is
+        ``B^-1 F[:, q]``.  Eta update, with a refactorization every
+        ``_REFACTOR_EVERY`` pivots."""
+        self.basis[p] = q
+        self.status[q] = BASIC
+        if abs(d[p]) < _PIVOT_TOL:
+            self.B_inv = self._refactorize()
+        else:
+            r = self.B_inv[p, :] / d[p]
+            self.B_inv -= np.outer(d, r)
+            self.B_inv[p, :] = r
+        self._since_refactor += 1
+        if self._since_refactor >= _REFACTOR_EVERY:
+            self.B_inv = self._refactorize()
+            self._recompute_basics()
+            self._since_refactor = 0
 
     def _iterate(self, cost: np.ndarray, phase_one: bool) -> str:
         total = self.F.shape[1]
         max_iter = 5000 + 200 * (self.m + total)
         degenerate_run = 0
-        bland = False
-        pivots_since_refactor = 0
+        bland = self._bland
+        self._since_refactor = 0
 
         movable = self.hi - self.lo > 0  # fixed columns never enter
 
         for _ in range(max_iter):
-            y = cost[self.basis] @ self.B_inv if self.m else np.zeros(0)
-            z = cost - (y @ self.F if self.m else 0.0)
-
-            eligible = movable & (
-                ((self.status == AT_LOWER) & (z < -self.opt_tol))
-                | ((self.status == AT_UPPER) & (z > self.opt_tol))
-                | ((self.status == FREE) & (np.abs(z) > self.opt_tol))
-            )
+            z = self._reduced_costs(cost)
+            eligible = self._eligible(z, movable)
             if phase_one:
                 eligible &= np.arange(total) < self.art_start  # artificials never re-enter
             idx = np.flatnonzero(eligible)
@@ -264,20 +376,7 @@ class BoundedSimplex:
                 else:
                     self.status[leaving] = AT_UPPER
                     self.xval[leaving] = self.hi[leaving]
-                self.basis[p_best] = q
-                self.status[q] = BASIC
-
-                if abs(d[p_best]) < _PIVOT_TOL:
-                    self.B_inv = self._refactorize()
-                else:
-                    r = self.B_inv[p_best, :] / d[p_best]
-                    self.B_inv -= np.outer(d, r)
-                    self.B_inv[p_best, :] = r
-                pivots_since_refactor += 1
-                if pivots_since_refactor >= _REFACTOR_EVERY:
-                    self.B_inv = self._refactorize()
-                    self._recompute_basics()
-                    pivots_since_refactor = 0
+                self._pivot(p_best, q, d)
                 move = t_best
 
             if move <= _DEGEN_TOL:
@@ -287,6 +386,66 @@ class BoundedSimplex:
             else:
                 degenerate_run = 0
         return "breakdown"
+
+    def _dual(self, z: np.ndarray, movable: np.ndarray) -> bool:
+        """Bounded dual simplex from a dual feasible basis with reduced costs
+        ``z``: while a basic value lies outside its bounds, the worst one
+        leaves at the bound it violates and the entering column is chosen by
+        Harris's two-pass ratio test on the reduced costs.  True once every
+        basic value is within ``feas_tol`` of its bounds, False when a row
+        proves the LP infeasible."""
+        if not self.m:
+            return True
+        # the direction in which each nonbasic column may move off its bound:
+        # +1 up from its lower bound, -1 down from its upper bound; 0 for
+        # basic and fixed columns, and for free ones, which move either way
+        at_lo, at_hi = self.status == AT_LOWER, self.status == AT_UPPER
+        dirn = np.where(movable, at_lo * 1.0 - at_hi, 0.0)
+        free = self.status == FREE
+        span = self.hi - self.lo
+        self._since_refactor = 0
+        for _ in range(5000 + 200 * (self.m + self.F.shape[1])):
+            xb, lob, hib = self.xval[self.basis], self.lo[self.basis], self.hi[self.basis]
+            viol = np.maximum(lob - xb, xb - hib)
+            p = int(viol.argmax())
+            if viol[p] <= self.feas_tol:
+                return True
+            s = 1.0 if xb[p] < lob[p] else -1.0  # +1: the leaving value must rise
+            target = lob[p] if s > 0 else hib[p]
+            alpha = s * (self.B_inv[p] @ self.F)
+            # moving column j off its bound by u moves the leaving value
+            # toward its target by -g[j] * u
+            g = alpha * dirn
+            g[free] = -np.abs(alpha[free])
+            idx = (g < -_PIVOT_TOL).nonzero()[0]
+            if idx.size == 0:
+                # the nonbasic columns' whole ranges cannot close the gap
+                # (entries at rounding level count as zero)
+                helpful = g < -_DEGEN_TOL
+                if float((-g[helpful] * span[helpful]).sum()) < viol[p] - self.feas_tol:
+                    return False
+                raise SimplexBreakdown("dual ratio test found no usable pivot")
+            mag = -g[idx]
+            slack = np.maximum(dirn[idx] * z[idx], 0.0)  # free columns: 0
+            ratio = slack / mag
+            ok = (ratio <= ((slack + self.opt_tol) / mag).min()).nonzero()[0]
+            k = ok[mag[ok].argmax()]
+            q, t = int(idx[k]), float(ratio[k])
+
+            self.iterations += 1
+            z += t * alpha
+            z[q] = 0.0
+            d = self.B_inv @ self.F[:, q]
+            dq = (xb[p] - target) / d[p]
+            leaving = self.basis[p]
+            self.xval[self.basis] -= dq * d
+            self.xval[q] += dq
+            self.xval[leaving] = target
+            self.status[leaving] = AT_LOWER if s > 0 else AT_UPPER
+            dirn[leaving] = s if movable[leaving] else 0.0
+            dirn[q], free[q] = 0.0, False
+            self._pivot(p, q, d)
+        raise SimplexBreakdown("dual iteration limit")
 
     def _avoid_small_pivot(self, step, xb, lob, hib, p_best, t_best):
         """Harris's second pass, run when the min-ratio pivot is below

@@ -13,6 +13,7 @@ from milpbench.solver import (
     branch_and_bound,
     compute_gap,
 )
+from milpbench.solver.simplex import BoundedSimplex, SimplexBreakdown
 from milpbench.validate import check_feasibility
 
 from _helpers import (
@@ -250,3 +251,44 @@ def test_maximization_sense_restored():
     assert out.status is SolveStatus.OPTIMAL
     assert out.incumbent.objective == pytest.approx(want[1], abs=1e-9)
     assert out.best_bound >= out.incumbent.objective - 1e-9  # bound on the max side
+
+
+def test_node_lps_start_from_the_parent_basis():
+    # a cold node LP repeats phase 1 from the bound box, about 30 pivots a node here
+    out = branch_and_bound(chain_instance(60), ReferenceSolverOptions())
+    assert out.status is SolveStatus.OPTIMAL
+    assert out.deterministic_ticks / out.nodes <= 3
+
+
+def _flaky_solve(monkeypatch, fail_calls):
+    """Make the given (1-based) BoundedSimplex.solve calls raise a breakdown;
+    returns the ``bland`` flag of every call."""
+    real = BoundedSimplex.solve
+    flags = []
+
+    def solve(self):
+        flags.append(self._bland)
+        if len(flags) in fail_calls:
+            raise SimplexBreakdown("injected")
+        return real(self)
+
+    monkeypatch.setattr(BoundedSimplex, "solve", solve)
+    return flags
+
+
+def test_node_breakdown_is_retried_under_blands_rule(monkeypatch):
+    inst = chain_instance(10)
+    want = branch_and_bound(inst, ReferenceSolverOptions())
+    assert want.status is SolveStatus.OPTIMAL and want.nodes > 5
+    flags = _flaky_solve(monkeypatch, {4})  # the third node LP
+    out = branch_and_bound(inst, ReferenceSolverOptions())
+    assert flags[3:5] == [False, True]
+    assert out.status is SolveStatus.OPTIMAL
+    assert out.incumbent.objective == want.incumbent.objective
+
+
+def test_node_breakdown_after_the_retry_is_an_error(monkeypatch):
+    inst = chain_instance(10)
+    _flaky_solve(monkeypatch, {4, 5})
+    out = branch_and_bound(inst, ReferenceSolverOptions())
+    assert out.status is SolveStatus.ERROR

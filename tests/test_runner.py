@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from milpbench.config import Configuration, empty_store, load_store
+from milpbench import runner
 from milpbench.mps import write_mps
 from milpbench.runner import (
     BackendKind,
@@ -13,6 +14,8 @@ from milpbench.runner import (
     DatasetMismatch,
     DatasetSpec,
     ObjectiveKind,
+    RunLog,
+    RunRecord,
     RunStatus,
     grace_seconds,
     load_dataset,
@@ -403,3 +406,39 @@ def test_corrupt_gzip_in_suite_is_error_then_rerun_on_resume(tmp_path):
     reloaded = read_log(out).by_instance()
     assert reloaded["x"].status is RunStatus.OPTIMAL
     assert reloaded["knap2"].status is RunStatus.OPTIMAL
+
+
+def _record(name, label="s", objective=0.0):
+    return RunRecord(name, label, "default", RunStatus.OPTIMAL, 1.0, objective=objective)
+
+
+def _empty_log():
+    return RunLog(dataset=DatasetSpec("d", (), 10.0), solver_label="s", adapt_enabled=False)
+
+
+def test_upsert_replaces_in_place_and_keeps_first_insertion_order():
+    log = _empty_log()
+    for name in ("a", "b", "c"):
+        log.upsert(_record(name))
+    log.upsert(_record("b", objective=2.0))
+    log.upsert(_record("b", label="other"))
+    log.records.append(_record("d"))  # grown directly, then upserted into
+    log.upsert(_record("d", objective=4.0))
+    assert [(r.instance_name, r.solver_label, r.objective) for r in log.records] == [
+        ("a", "s", 0.0),
+        ("b", "s", 2.0),
+        ("c", "s", 0.0),
+        ("b", "other", 0.0),
+        ("d", "s", 4.0),
+    ]
+
+
+def test_upsert_looks_up_a_record_in_constant_time(monkeypatch):
+    keys = []
+    real = runner._log_key
+    monkeypatch.setattr(runner, "_log_key", lambda r: keys.append(r) or real(r))
+    log = _empty_log()
+    for k in range(2000):
+        log.upsert(_record(f"x{k % 1500}"))
+    assert len(log.records) == 1500
+    assert len(keys) <= 3 * 2000  # a scan per upsert would take about 2.6 million

@@ -1,3 +1,4 @@
+import collections
 import math
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 from scipy.optimize import linprog
 
 from milpbench.instance import Instance, Relation, Sense, Variable, make_row
-from milpbench.solver.simplex import LpStatus, solve_lp
+from milpbench.solver.simplex import AT_LOWER, FREE, BoundedSimplex, LpStatus, SimplexBreakdown, solve_lp
+from milpbench.solver.standard_form import to_standard_form
 
 from _helpers import random_lp_instance
 
@@ -136,3 +138,165 @@ def test_optimal_point_is_feasible_and_complementary():
             scale = max(1.0, abs(lo) if math.isfinite(lo) else 1.0, abs(hi) if math.isfinite(hi) else 1.0)
             assert act >= lo - 1e-7 * scale
             assert act <= hi + 1e-7 * scale
+
+
+def _bounded_lp(rng):
+    """Random LP with finite integral bounds and float coefficients."""
+    n = int(rng.integers(2, 9))
+    m = int(rng.integers(1, 7))
+    variables = []
+    for j in range(n):
+        lo = float(rng.integers(-4, 2))
+        variables.append(Variable(f"x{j}", lo, lo + float(rng.integers(1, 8))))
+    rows = []
+    for i in range(m):
+        support = sorted(int(j) for j in rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
+        coeffs = [(j, float(np.round(rng.uniform(-5, 5), 2)) or 1.0) for j in support]
+        relation = (Relation.LE, Relation.GE, Relation.EQ)[int(rng.integers(0, 3))]
+        rows.append(make_row(f"r{i}", coeffs, relation, float(np.round(rng.uniform(-8, 8), 1))))
+    objective = tuple((j, float(np.round(rng.uniform(-6, 6), 2))) for j in range(n))
+    return Instance("lp", Sense.MINIMIZE, tuple(variables), tuple(rows), objective)
+
+
+def _assert_feasible(form, lb, ub, x, tol=1e-7):
+    assert np.all(x >= lb - tol) and np.all(x <= ub + tol)
+    act = form.A @ x
+    scale = np.maximum(1.0, np.abs(np.where(np.isfinite(form.rlo), form.rlo, 0.0)))
+    scale = np.maximum(scale, np.abs(np.where(np.isfinite(form.rup), form.rup, 0.0)))
+    assert np.all(act >= form.rlo - tol * scale) and np.all(act <= form.rup + tol * scale)
+
+
+def test_warm_start_from_parent_basis_matches_cold_solve(monkeypatch):
+    # branch on each fractional basic column of an optimal parent; the child
+    # solved from the parent's basis must agree with the child solved cold
+    fallbacks, cleanup = [], []
+    cold, primal = BoundedSimplex._solve_cold, BoundedSimplex._iterate
+    monkeypatch.setattr(BoundedSimplex, "_solve_cold", lambda self: fallbacks.append(self._warm) or cold(self))
+
+    def iterate(self, cost, phase_one):
+        before = self.iterations
+        outcome = primal(self, cost, phase_one)
+        if self._warm is not None:
+            cleanup.append(self.iterations - before)
+        return outcome
+
+    monkeypatch.setattr(BoundedSimplex, "_iterate", iterate)
+    rng = np.random.default_rng(11)
+    seen = collections.Counter()
+    for _ in range(400):
+        form = to_standard_form(_bounded_lp(rng))
+        parent = BoundedSimplex(form)
+        res = parent.solve()
+        if res.status is not LpStatus.OPTIMAL:
+            continue
+        warm = parent.warm_start()
+        for j in [b for b in parent.basis if b < form.n]:
+            v = res.point[j]
+            if abs(v - round(v)) < 1e-6:
+                continue
+            for up in (False, True):
+                lb, ub = form.lb.copy(), form.ub.copy()
+                if up:
+                    lb[j] = math.ceil(v)
+                else:
+                    ub[j] = math.floor(v)
+                ref = BoundedSimplex(form, lb, ub).solve()
+                got = BoundedSimplex(form, lb, ub, warm=warm).solve()
+                assert got.status is ref.status
+                seen[got.status] += 1
+                if got.status is LpStatus.OPTIMAL:
+                    assert got.objective == pytest.approx(ref.objective, abs=1e-9 * max(1.0, abs(ref.objective)))
+                    _assert_feasible(form, lb, ub, got.point)
+    assert seen[LpStatus.OPTIMAL] > 100 and seen[LpStatus.INFEASIBLE] > 20
+    assert [w for w in fallbacks if w is not None] == []  # every child was solved warm
+    assert sum(cleanup) == 0  # the dual simplex ends at an optimal basis
+
+
+def test_warm_start_falls_back_to_cold_when_it_does_not_apply(monkeypatch):
+    fallbacks = []
+    cold = BoundedSimplex._solve_cold
+    monkeypatch.setattr(BoundedSimplex, "_solve_cold", lambda self: fallbacks.append(self._warm) or cold(self))
+    form = to_standard_form(_bounded_lp(np.random.default_rng(3)))
+    parent = BoundedSimplex(form)
+    assert parent.solve().status is LpStatus.OPTIMAL
+    basis, status = parent.warm_start()
+    bad_status = status.copy()
+    bad_status[bad_status == AT_LOWER] = FREE  # a free status on a bounded column
+    lb = form.lb.copy()
+    lb[0] = form.ub[0]
+    ref = BoundedSimplex(form, lb=lb).solve()
+
+    def breakdown(self, z, movable):
+        raise SimplexBreakdown("injected")
+
+    for warm, dual in (((basis[:-1], status), None), ((basis, bad_status), None), ((basis, status), breakdown)):
+        if dual:
+            monkeypatch.setattr(BoundedSimplex, "_dual", dual)
+        fallbacks.clear()
+        got = BoundedSimplex(form, lb=lb, warm=warm).solve()
+        assert [w is warm for w in fallbacks] == [True]
+        assert (got.status, got.objective) == (ref.status, ref.objective)
+
+
+def test_warm_start_leaves_an_undecided_row_to_the_cold_path(monkeypatch):
+    # x + 1e-10 y = 0.5 with y >= 0: after x <= 0 only y = 5e9 could restore
+    # the row, through an entry below the pivot tolerance, so the dual simplex
+    # neither pivots nor proves the child infeasible
+    inst = Instance(
+        "t",
+        Sense.MINIMIZE,
+        (Variable("x", 0.0, 1.0), Variable("y", 0.0, math.inf)),
+        (make_row("r", [(0, 1.0), (1, 1e-10)], Relation.EQ, 0.5),),
+        ((0, -1.0),),
+    )
+    form = to_standard_form(inst)
+    parent = BoundedSimplex(form)
+    assert parent.solve().point[0] == pytest.approx(0.5)
+    fallbacks = []
+    cold = BoundedSimplex._solve_cold
+    monkeypatch.setattr(BoundedSimplex, "_solve_cold", lambda self: fallbacks.append(self._warm) or cold(self))
+    ub = np.array([0.0, math.inf])
+    got = BoundedSimplex(form, ub=ub, warm=parent.warm_start()).solve()
+    assert len(fallbacks) == 1
+    assert got.status is BoundedSimplex(form, ub=ub).solve().status
+
+
+def _one_basic_structural():
+    # min -x - y  s.t.  x + 2y <= 3,  x, y in [0, 2]: x = 2 at its bound, y = 0.5 basic
+    inst = Instance(
+        "t",
+        Sense.MINIMIZE,
+        (Variable("x", 0.0, 2.0), Variable("y", 0.0, 2.0)),
+        (make_row("r", [(0, 1.0), (1, 2.0)], Relation.LE, 3.0),),
+        ((0, -1.0), (1, -1.0)),
+    )
+    return to_standard_form(inst)
+
+
+def _overshooting_iterate(monkeypatch, times):
+    """Phase-2 iterations that leave the basic y past its upper bound, ``times`` times."""
+    real = BoundedSimplex._iterate
+    left = [times]
+
+    def stub(self, cost, phase_one):
+        outcome = real(self, cost, phase_one)
+        if not phase_one and outcome == "optimal" and left[0]:
+            left[0] -= 1
+            self.xval[1] = self.hi[1] + 0.5
+        return outcome
+
+    monkeypatch.setattr(BoundedSimplex, "_iterate", stub)
+
+
+def test_basic_value_outside_its_bound_is_recomputed_before_optimal(monkeypatch):
+    _overshooting_iterate(monkeypatch, times=1)
+    res = BoundedSimplex(_one_basic_structural()).solve()
+    assert res.status is LpStatus.OPTIMAL
+    assert res.point == pytest.approx([2.0, 0.5], abs=1e-12)
+    assert res.objective == pytest.approx(-2.5, abs=1e-12)
+
+
+def test_basic_value_left_outside_its_bound_is_a_breakdown(monkeypatch):
+    _overshooting_iterate(monkeypatch, times=2)
+    with pytest.raises(SimplexBreakdown):
+        BoundedSimplex(_one_basic_structural()).solve()
