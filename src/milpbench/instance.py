@@ -93,9 +93,6 @@ class Instance:
     def n_rows(self) -> int:
         return len(self.rows)
 
-    def variable_index(self) -> dict[str, int]:
-        return {v.name: j for j, v in enumerate(self.variables)}
-
     def objective_value(self, values: Iterable[float]) -> float:
         x = list(values)
         return sum(c * x[j] for j, c in self.objective) + self.objective_constant

@@ -1,5 +1,5 @@
-"""Deterministic reference MILP solver: bounded-variable two-phase simplex
-plus branch-and-bound with presolve, root cuts, and a diving heuristic."""
+"""Deterministic reference MILP solver: bounded-variable dual and primal
+simplex plus branch-and-bound with presolve, root cuts, and a diving heuristic."""
 
 from .options import BranchRule, NodeStrategy, ReferenceSolverOptions
 from .simplex import LpResult, LpStatus, SimplexBreakdown, solve_lp

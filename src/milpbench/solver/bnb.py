@@ -107,7 +107,7 @@ class _Search:
 
     def lp(self, lb: np.ndarray, ub: np.ndarray, warm: Optional[WarmStart] = None):
         """Solve the LP over the current rows; a breakdown is retried once
-        from scratch under Bland's rule before it reaches the caller."""
+        from the slack basis under Bland's rule before it reaches the caller."""
         form = StandardForm(
             name=self.base.name,
             c=self.c,

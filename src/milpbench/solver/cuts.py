@@ -75,9 +75,6 @@ def gomory_cuts(
                 gamma = abar if abar > 0 else f0 * (-abar) / (1.0 - f0)
             if gamma == 0.0:
                 continue
-            if j >= n + m:
-                ok = False  # artificial with nonzero width should not exist
-                break
             if at_upper:
                 g[j] -= gamma
                 rhs -= gamma * splx.hi[j]

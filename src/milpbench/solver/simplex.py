@@ -1,20 +1,23 @@
-"""Bounded-variable simplex: two-phase primal, and dual from a warm start.
+"""Bounded-variable simplex: dual simplex from a basis, then primal phase 2.
 
 Works on the equality system ``A x - r = 0`` where r holds the row
-activities with bounds ``rlo <= r <= rup``.  A cold solve starts from the
-corner of the bound box: phase 1 introduces an artificial column for every
-row whose activity there violates its interval and minimizes the total
-artificial mass; phase 2 minimizes the true costs.  A warm solve starts
-from another solve's final basis and nonbasic statuses over the same rows,
-typically a parent node's LP after one bound moved: such a basis stays dual
-feasible, so a bounded dual simplex restores primal feasibility and primal
-phase 2 then cleans up.  A warm start that does not fit, is not dual
-feasible or breaks down falls back to the cold path.  ``iterations`` counts
-primal pivots, dual pivots and bound flips alike.
+activities with bounds ``rlo <= r <= rup``.  Every solve takes one path.  It
+starts from a basis: a warm start is another solve's final basis and
+statuses over the same rows, typically a parent node's LP after one bound
+moved; otherwise, or when the warm start does not fit or breaks down, the
+slack basis, with every row column basic and each structural column at the
+bound its cost favours.  Nonbasic columns that are dual infeasible there
+(a cost that favours an infinite bound, or a free column with a nonzero
+cost) get a reduced cost of 0 for the dual phase only, which is dual phase 1
+by cost modification (Koberstein, 2005).  A bounded dual simplex with
+steepest-edge pricing then reaches primal feasibility or proves the LP
+infeasible, and primal phase 2 under the true costs reaches the optimum or
+proves it unbounded.  ``iterations`` counts primal pivots, dual pivots and
+bound flips alike.
 
-Dantzig pricing with a switch to Bland's rule after 1000 consecutive
-degenerate steps; the basis inverse is maintained by eta updates with
-periodic refactorization.  No solve returns OPTIMAL with a basic value
+Primal phase 2 uses Dantzig pricing with a switch to Bland's rule after 1000
+consecutive degenerate steps; the basis inverse is maintained by eta updates
+with periodic refactorization.  No solve returns OPTIMAL with a basic value
 outside its bounds.
 """
 
@@ -83,111 +86,53 @@ class BoundedSimplex:
         self._lb_struct = form.lb if lb is None else lb
         self._ub_struct = form.ub if ub is None else ub
         self._warm = warm
-        self._bland = bland  # Bland's rule from the first primal pivot
+        self._bland = bland  # Bland's rule from the first pivot, dual and primal
 
     def solve(self) -> LpResult:
         if self.feas_tol <= 0 or self.opt_tol <= 0:
             raise ValueError("tolerances must be positive")
         if np.any(self._lb_struct > self._ub_struct) or np.any(self.form.rlo > self.form.rup):
             return LpResult(LpStatus.INFEASIBLE, None, np.zeros(self.n), (), 0)
+        self._setup()
         if self._warm is not None:
             try:
-                result = self._solve_warm(*self._warm)
+                result = self._solve_from(*self._warm)
             except SimplexBreakdown:
                 result = None
             if result is not None:
                 return result
-        return self._solve_cold()
+        return self._solve_from(*self._slack_start())
 
-    def _setup(self, n_art: int) -> None:
-        """Columns ``[A, -I]`` plus ``n_art`` artificial slots, and their bounds."""
+    def _setup(self) -> None:
+        """Columns ``[A, -I]`` and their bounds."""
         n, m = self.n, self.m
-        total = n + m + n_art
-        self.lo = np.concatenate([self._lb_struct, self.form.rlo, np.zeros(n_art)])
-        self.hi = np.concatenate([self._ub_struct, self.form.rup, np.full(n_art, np.inf)])
-        self.F = np.zeros((m, total))
+        self.lo = np.concatenate([self._lb_struct, self.form.rlo])
+        self.hi = np.concatenate([self._ub_struct, self.form.rup])
+        self.F = np.zeros((m, n + m))
         self.F[:, :n] = self.form.A
-        self.F[:, n : n + m] = -np.eye(m)
-        self.art_start = n + m
+        self.F[:, n:] = -np.eye(m)
 
-    def _solve_cold(self) -> LpResult:
-        n, m = self.n, self.m
-        # starting point: nonbasic structural columns at a finite bound
-        x0 = np.where(
-            np.isfinite(self._lb_struct),
-            self._lb_struct,
-            np.where(np.isfinite(self._ub_struct), self._ub_struct, 0.0),
-        )
-        act = self.form.A @ x0 if m else np.zeros(0)
+    def _slack_start(self) -> WarmStart:
+        """Every row column basic; each structural column at the bound its
+        cost favours, at its other bound when that one is infinite, and free
+        at 0 when both are."""
+        lo, hi = self._lb_struct, self._ub_struct
+        status = np.where(np.isfinite(lo), AT_LOWER, FREE).astype(np.int8)
+        status[np.isfinite(hi) & ((self.form.c < 0) | ~np.isfinite(lo))] = AT_UPPER
+        return np.arange(self.n, self.n + self.m), np.concatenate([status, np.full(self.m, BASIC, np.int8)])
 
-        sat = (act >= self.form.rlo - self.feas_tol) & (act <= self.form.rup + self.feas_tol)
-        viol_rows = np.flatnonzero(~sat)
-        n_art = len(viol_rows)
-        total = n + m + n_art
-        self._setup(n_art)
-        F = self.F
-
-        status = np.full(total, AT_LOWER, dtype=np.int8)
-        status[:n] = np.where(
-            np.isfinite(self._lb_struct),
-            AT_LOWER,
-            np.where(np.isfinite(self._ub_struct), AT_UPPER, FREE),
-        )
-        xval = np.concatenate([x0, np.zeros(m), np.zeros(n_art)])
-
-        basis = np.empty(m, dtype=np.int64)
-        for i in range(m):
-            if sat[i]:
-                basis[i] = n + i
-                status[n + i] = BASIC
-                xval[n + i] = act[i]
-        for k, i in enumerate(viol_rows):
-            if act[i] > self.form.rup[i]:
-                xval[n + i] = self.form.rup[i]
-                status[n + i] = AT_UPPER
-            else:
-                xval[n + i] = self.form.rlo[i]
-                status[n + i] = AT_LOWER
-            residual = xval[n + i] - act[i]  # sigma*t must equal this
-            sigma = 1.0 if residual > 0 else -1.0
-            col = n + m + k
-            F[i, col] = sigma
-            basis[i] = col
-            status[col] = BASIC
-            xval[col] = abs(residual)
-
-        self.status = status
-        self.xval = xval
-        self.basis = basis
-        self.B_inv = self._refactorize()
-
-        # phase 1: drive artificial mass to zero
-        if n_art:
-            c1 = np.zeros(total)
-            c1[self.art_start :] = 1.0
-            outcome = self._iterate(c1, phase_one=True)
-            if outcome == "breakdown":
-                raise SimplexBreakdown("phase-1 iteration limit or singular basis")
-            infeas = float(np.sum(xval[self.art_start :]))
-            if infeas > self.feas_tol:
-                return self._result(LpStatus.INFEASIBLE)
-            self._expel_artificials()
-        self.lo[self.art_start :] = 0.0
-        self.hi[self.art_start :] = 0.0
-        return self._phase_two()
-
-    def _solve_warm(self, basis, status) -> Optional[LpResult]:
-        """Start from a given basis and nonbasic statuses over the structural
-        and row columns; None when they do not fit this LP or are not dual
-        feasible, and the caller solves cold."""
+    def _solve_from(self, basis, status) -> Optional[LpResult]:
+        """Start from a basis and the statuses of the structural and row
+        columns: dual simplex to a primal feasible basis, then primal phase 2.
+        None when they do not fit this LP, and the caller starts from the
+        slack basis."""
         n, m = self.n, self.m
         basis = np.array(basis, dtype=np.int64)
         status = np.array(status, dtype=np.int8)
         if basis.shape != (m,) or status.shape != (n + m,) or (m and basis.max() >= n + m):
-            return None  # other rows, or an artificial column in the basis
+            return None  # other rows
         if np.count_nonzero(status == BASIC) != m or (status[basis] != BASIC).any():
             return None
-        self._setup(0)
         lo, hi = self.lo, self.hi
         free = status == FREE
         xval = np.where(status == AT_UPPER, hi, np.where(status == AT_LOWER, lo, 0.0))
@@ -199,8 +144,7 @@ class BoundedSimplex:
 
         z = self._reduced_costs(self._phase_two_cost())
         movable = hi - lo > 0
-        if self._eligible(z, movable).any():
-            return None
+        z[self._eligible(z, movable)] = 0.0  # cost shifting: the dual phase starts dual feasible
         if not self._dual(z, movable):
             return self._result(LpStatus.INFEASIBLE)
         return self._phase_two()
@@ -215,7 +159,7 @@ class BoundedSimplex:
         against their bounds before OPTIMAL is returned."""
         cost = self._phase_two_cost()
         for _ in range(2):
-            outcome = self._iterate(cost, phase_one=False)
+            outcome = self._iterate(cost)
             if outcome == "breakdown":
                 raise SimplexBreakdown("phase-2 iteration limit or singular basis")
             if outcome == "unbounded":
@@ -244,7 +188,7 @@ class BoundedSimplex:
     def warm_start(self) -> WarmStart:
         """This solve's final basis and the statuses of its structural and row
         columns, for a later solve of the same rows under other bounds."""
-        return self.basis.copy(), self.status[: self.n + self.m].copy()
+        return self.basis.copy(), self.status.copy()
 
     # -- iteration machinery ------------------------------------------------
 
@@ -292,7 +236,7 @@ class BoundedSimplex:
             self._recompute_basics()
             self._since_refactor = 0
 
-    def _iterate(self, cost: np.ndarray, phase_one: bool) -> str:
+    def _iterate(self, cost: np.ndarray) -> str:
         total = self.F.shape[1]
         max_iter = 5000 + 200 * (self.m + total)
         degenerate_run = 0
@@ -303,10 +247,7 @@ class BoundedSimplex:
 
         for _ in range(max_iter):
             z = self._reduced_costs(cost)
-            eligible = self._eligible(z, movable)
-            if phase_one:
-                eligible &= np.arange(total) < self.art_start  # artificials never re-enter
-            idx = np.flatnonzero(eligible)
+            idx = np.flatnonzero(self._eligible(z, movable))
             if idx.size == 0:
                 return "optimal"
 
@@ -357,7 +298,7 @@ class BoundedSimplex:
             t_flip = self.hi[q] - self.lo[q]  # inf for free/one-sided columns
 
             if not np.isfinite(t_best) and not np.isfinite(t_flip):
-                return "breakdown" if phase_one else "unbounded"
+                return "unbounded"
 
             self.iterations += 1
             if t_flip <= t_best:
@@ -389,11 +330,16 @@ class BoundedSimplex:
 
     def _dual(self, z: np.ndarray, movable: np.ndarray) -> bool:
         """Bounded dual simplex from a dual feasible basis with reduced costs
-        ``z``: while a basic value lies outside its bounds, the worst one
-        leaves at the bound it violates and the entering column is chosen by
-        Harris's two-pass ratio test on the reduced costs.  True once every
-        basic value is within ``feas_tol`` of its bounds, False when a row
-        proves the LP infeasible."""
+        ``z``, which may be shifted from the true ones: while a basic value
+        lies outside its bounds, one of them leaves at the bound it violates
+        and the entering column is chosen by Harris's two-pass ratio test on
+        the reduced costs.  The leaving row maximizes ``viol_p^2 / w_p``, the
+        dual steepest-edge rule with exact weights ``w_p = |e_p^T B^-1|^2``
+        (Forrest and Goldfarb, 1992), computed only when more than one row
+        is violated; under Bland's rule the violated row whose basic column
+        has the lowest index leaves.  True once every basic value is within
+        ``feas_tol`` of its bounds, False when a row proves the LP
+        infeasible; neither depends on the costs."""
         if not self.m:
             return True
         # the direction in which each nonbasic column may move off its bound:
@@ -407,9 +353,16 @@ class BoundedSimplex:
         for _ in range(5000 + 200 * (self.m + self.F.shape[1])):
             xb, lob, hib = self.xval[self.basis], self.lo[self.basis], self.hi[self.basis]
             viol = np.maximum(lob - xb, xb - hib)
-            p = int(viol.argmax())
-            if viol[p] <= self.feas_tol:
+            rows = (viol > self.feas_tol).nonzero()[0]
+            if rows.size == 0:
                 return True
+            if self._bland:
+                p = int(rows[self.basis[rows].argmin()])
+            elif rows.size == 1:
+                p = int(rows[0])
+            else:
+                w = np.einsum("ij,ij->i", self.B_inv[rows], self.B_inv[rows])
+                p = int(rows[(viol[rows] ** 2 / w).argmax()])
             s = 1.0 if xb[p] < lob[p] else -1.0  # +1: the leaving value must rise
             target = lob[p] if s > 0 else hib[p]
             alpha = s * (self.B_inv[p] @ self.F)
@@ -464,40 +417,11 @@ class BoundedSimplex:
         k = ok[int(np.argmax(mag[rows][ok]))]
         return int(rows[k]), float(ratio[k])
 
-    def _expel_artificials(self) -> None:
-        """Pivot basic artificials out where possible; stuck rows are redundant."""
-        for p in range(self.m):
-            if self.basis[p] < self.art_start:
-                continue
-            w = self.B_inv[p, :] @ self.F[:, : self.art_start]
-            candidates = np.flatnonzero((np.abs(w) > 1e-7) & (self.status[: self.art_start] != BASIC))
-            if candidates.size == 0:
-                continue  # redundant row; artificial stays basic pinned at 0
-            q = int(candidates[0])
-            d = self.B_inv @ self.F[:, q]
-            leaving = self.basis[p]
-            self.status[leaving] = AT_LOWER
-            self.xval[leaving] = 0.0
-            self.basis[p] = q
-            self.status[q] = BASIC
-            if abs(d[p]) < _PIVOT_TOL:
-                self.B_inv = self._refactorize()
-                self._recompute_basics()
-            else:
-                r = self.B_inv[p, :] / d[p]
-                self.B_inv -= np.outer(d, r)
-                self.B_inv[p, :] = r
-                self._recompute_basics()
-
     # -- tableau access for cut generation ----------------------------------
 
     def tableau_row(self, p: int) -> np.ndarray:
         """Row p of B^-1 F, expressed over all columns."""
         return self.B_inv[p, :] @ self.F
-
-    def basic_position(self, col: int) -> Optional[int]:
-        hits = np.flatnonzero(self.basis == col)
-        return int(hits[0]) if hits.size else None
 
 
 def solve_lp(inst: Instance, feas_tol: float = 1e-7, opt_tol: float = 1e-9) -> LpResult:

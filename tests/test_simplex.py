@@ -103,12 +103,24 @@ def _scipy_reference(inst: Instance):
     )
 
 
-def test_random_lps_match_reference_solver():
+def test_random_lps_match_reference_solver(monkeypatch):
+    # also counts, per outcome, the inputs whose slack start needed a cost shift
+    shifted, dual = [], BoundedSimplex._dual
+
+    def spy(self, z, movable):
+        shifted.append(not np.array_equal(z, self._reduced_costs(self._phase_two_cost())))
+        return dual(self, z, movable)
+
+    monkeypatch.setattr(BoundedSimplex, "_dual", spy)
     rng = np.random.default_rng(42)
     optimal_seen = 0
+    shifted_seen = collections.Counter()
     for _ in range(150):
         inst = random_lp_instance(rng)
+        shifted.clear()
         mine = solve_lp(inst)
+        if any(shifted):
+            shifted_seen[mine.status] += 1
         ref = _scipy_reference(inst)
         if ref.status == 0:
             assert mine.status is LpStatus.OPTIMAL, f"{inst} expected optimal"
@@ -119,6 +131,32 @@ def test_random_lps_match_reference_solver():
         elif ref.status == 3:
             assert mine.status is LpStatus.UNBOUNDED
     assert optimal_seen > 30  # the generator must exercise the optimal path
+    assert all(shifted_seen[status] > 0 for status in LpStatus)  # and every outcome after a cost shift
+
+
+def test_bland_dual_leaves_the_lowest_index_violated_row(monkeypatch):
+    # x0 >= 1 and x1 >= 5 are both violated at the slack start: steepest edge
+    # takes the larger violation (row column 3), Bland the lower index (2)
+    inst = Instance(
+        "t",
+        Sense.MINIMIZE,
+        (Variable("x0", 0.0, 10.0), Variable("x1", 0.0, 10.0)),
+        (make_row("a", [(0, 1.0)], Relation.GE, 1.0), make_row("b", [(1, 1.0)], Relation.GE, 5.0)),
+        ((0, 1.0), (1, 1.0)),
+    )
+    form = to_standard_form(inst)
+    leaving, pivot = [], BoundedSimplex._pivot
+
+    def spy(self, p, q, d):
+        leaving.append(int(self.basis[p]))
+        pivot(self, p, q, d)
+
+    monkeypatch.setattr(BoundedSimplex, "_pivot", spy)
+    for bland, first in ((False, 3), (True, 2)):
+        leaving.clear()
+        res = BoundedSimplex(form, bland=bland).solve()
+        assert leaving[0] == first
+        assert res.status is LpStatus.OPTIMAL and res.objective == pytest.approx(6.0, abs=1e-12)
 
 
 def test_optimal_point_is_feasible_and_complementary():
@@ -166,16 +204,23 @@ def _assert_feasible(form, lb, ub, x, tol=1e-7):
     assert np.all(act >= form.rlo - tol * scale) and np.all(act <= form.rup + tol * scale)
 
 
+def _count_slack_starts(monkeypatch):
+    """The warm starts of the solves that fell back to the slack basis (None
+    for a cold solve)."""
+    fallbacks, slack = [], BoundedSimplex._slack_start
+    monkeypatch.setattr(BoundedSimplex, "_slack_start", lambda self: fallbacks.append(self._warm) or slack(self))
+    return fallbacks
+
+
 def test_warm_start_from_parent_basis_matches_cold_solve(monkeypatch):
     # branch on each fractional basic column of an optimal parent; the child
     # solved from the parent's basis must agree with the child solved cold
-    fallbacks, cleanup = [], []
-    cold, primal = BoundedSimplex._solve_cold, BoundedSimplex._iterate
-    monkeypatch.setattr(BoundedSimplex, "_solve_cold", lambda self: fallbacks.append(self._warm) or cold(self))
+    fallbacks, cleanup = _count_slack_starts(monkeypatch), []
+    primal = BoundedSimplex._iterate
 
-    def iterate(self, cost, phase_one):
+    def iterate(self, cost):
         before = self.iterations
-        outcome = primal(self, cost, phase_one)
+        outcome = primal(self, cost)
         if self._warm is not None:
             cleanup.append(self.iterations - before)
         return outcome
@@ -213,9 +258,7 @@ def test_warm_start_from_parent_basis_matches_cold_solve(monkeypatch):
 
 
 def test_warm_start_falls_back_to_cold_when_it_does_not_apply(monkeypatch):
-    fallbacks = []
-    cold = BoundedSimplex._solve_cold
-    monkeypatch.setattr(BoundedSimplex, "_solve_cold", lambda self: fallbacks.append(self._warm) or cold(self))
+    fallbacks = _count_slack_starts(monkeypatch)
     form = to_standard_form(_bounded_lp(np.random.default_rng(3)))
     parent = BoundedSimplex(form)
     assert parent.solve().status is LpStatus.OPTIMAL
@@ -226,8 +269,12 @@ def test_warm_start_falls_back_to_cold_when_it_does_not_apply(monkeypatch):
     lb[0] = form.ub[0]
     ref = BoundedSimplex(form, lb=lb).solve()
 
+    real_dual = BoundedSimplex._dual
+
     def breakdown(self, z, movable):
-        raise SimplexBreakdown("injected")
+        if not fallbacks:  # only the warm attempt breaks down
+            raise SimplexBreakdown("injected")
+        return real_dual(self, z, movable)
 
     for warm, dual in (((basis[:-1], status), None), ((basis, bad_status), None), ((basis, status), breakdown)):
         if dual:
@@ -241,7 +288,8 @@ def test_warm_start_falls_back_to_cold_when_it_does_not_apply(monkeypatch):
 def test_warm_start_leaves_an_undecided_row_to_the_cold_path(monkeypatch):
     # x + 1e-10 y = 0.5 with y >= 0: after x <= 0 only y = 5e9 could restore
     # the row, through an entry below the pivot tolerance, so the dual simplex
-    # neither pivots nor proves the child infeasible
+    # neither pivots nor proves the child infeasible, from the parent's basis
+    # or from the slack basis: the solve is a breakdown, not a verdict
     inst = Instance(
         "t",
         Sense.MINIMIZE,
@@ -252,13 +300,13 @@ def test_warm_start_leaves_an_undecided_row_to_the_cold_path(monkeypatch):
     form = to_standard_form(inst)
     parent = BoundedSimplex(form)
     assert parent.solve().point[0] == pytest.approx(0.5)
-    fallbacks = []
-    cold = BoundedSimplex._solve_cold
-    monkeypatch.setattr(BoundedSimplex, "_solve_cold", lambda self: fallbacks.append(self._warm) or cold(self))
+    fallbacks = _count_slack_starts(monkeypatch)
     ub = np.array([0.0, math.inf])
-    got = BoundedSimplex(form, ub=ub, warm=parent.warm_start()).solve()
+    with pytest.raises(SimplexBreakdown):
+        BoundedSimplex(form, ub=ub, warm=parent.warm_start()).solve()
     assert len(fallbacks) == 1
-    assert got.status is BoundedSimplex(form, ub=ub).solve().status
+    with pytest.raises(SimplexBreakdown):
+        BoundedSimplex(form, ub=ub).solve()
 
 
 def _one_basic_structural():
@@ -278,9 +326,9 @@ def _overshooting_iterate(monkeypatch, times):
     real = BoundedSimplex._iterate
     left = [times]
 
-    def stub(self, cost, phase_one):
-        outcome = real(self, cost, phase_one)
-        if not phase_one and outcome == "optimal" and left[0]:
+    def stub(self, cost):
+        outcome = real(self, cost)
+        if outcome == "optimal" and left[0]:
             left[0] -= 1
             self.xval[1] = self.hi[1] + 0.5
         return outcome
