@@ -36,8 +36,6 @@ class ParamDef:
     index: int
     name: str
     value_kind: ValueKind
-    allowed: str = "unrestricted"
-    default: Optional[float] = None
 
 
 _PARAM_NAMES = (
@@ -155,7 +153,6 @@ class ConfigStore:
     by_instance: dict[str, str]
     rules: tuple[ConfigRule, ...]  # kept sorted by descending priority
     default_label: str
-    registry: tuple[ParamDef, ...] = PARAMETER_REGISTRY
 
 
 def empty_store(label: str = "default") -> ConfigStore:

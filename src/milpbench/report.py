@@ -8,7 +8,6 @@ The SVG is hand-emitted with an 800x500 viewport and a logarithmic y axis.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence, Union
 
@@ -179,11 +178,3 @@ def emit_distribution_svg(
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text("\n".join(parts) + "\n")
     return out
-
-
-@dataclass
-class ReportBundle:
-    tables: list[str] = field(default_factory=list)
-    csv_paths: list[Path] = field(default_factory=list)
-    svg_paths: list[Path] = field(default_factory=list)
-    metadata: dict = field(default_factory=dict)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import heapq
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Optional
 
@@ -21,12 +21,10 @@ from ..instance import Instance
 from .cuts import cover_cuts, gomory_cuts
 from .options import BranchRule, NodeStrategy, ReferenceSolverOptions
 from .presolve import presolve
-from .simplex import BoundedSimplex, LpStatus, SimplexBreakdown, WarmStart
+from .simplex import BoundedSimplex, LpResult, LpStatus, SimplexBreakdown, WarmStart
 from .standard_form import StandardForm, to_standard_form
 
 _INT_TOL = 1e-6
-_FEAS_TOL = 1e-7
-_OPT_TOL = 1e-9
 _COVER_ROUNDS = 5
 
 
@@ -55,7 +53,7 @@ class SolveOutcome:
     deterministic_ticks: int
 
 
-def compute_gap(incumbent_obj: Optional[float], best_bound: float, sense=None) -> float:
+def compute_gap(incumbent_obj: Optional[float], best_bound: float) -> float:
     """Relative optimality gap; infinity when there is no incumbent.
 
     Symmetric in sense: |incumbent - bound| / max(1e-10, |incumbent|).
@@ -87,16 +85,13 @@ class _Node:
 
 
 class _Search:
-    """Mutable solve state: extended matrix, counters, pseudocosts."""
+    """Mutable solve state: the rows so far (``form``, root cuts included) and
+    the one LP object over them (``splx``), counters, pseudocosts."""
 
     def __init__(self, form: StandardForm, opts: ReferenceSolverOptions):
         self.opts = opts
-        self.base = form
-        self.A = form.A.copy()
-        self.rlo = form.rlo.copy()
-        self.rup = form.rup.copy()
-        self.c = form.c
-        self.is_int = form.is_int
+        self.form = form
+        self.splx = BoundedSimplex(form)
         self.int_idx = np.flatnonzero(form.is_int)
         self.ticks = 0
         self.nodes = 0
@@ -105,48 +100,41 @@ class _Search:
         self.pc_up_count = np.zeros(form.n)
         self.pc_dn_count = np.zeros(form.n)
 
-    def lp(self, lb: np.ndarray, ub: np.ndarray, warm: Optional[WarmStart] = None):
-        """Solve the LP over the current rows; a breakdown is retried once
-        from the slack basis under Bland's rule before it reaches the caller."""
-        form = StandardForm(
-            name=self.base.name,
-            c=self.c,
-            A=self.A,
-            rlo=self.rlo,
-            rup=self.rup,
-            lb=lb,
-            ub=ub,
-            is_int=self.is_int,
-            var_names=self.base.var_names,
-            obj_constant=self.base.obj_constant,
-            flipped=self.base.flipped,
-        )
+    def lp(self, lb: np.ndarray, ub: np.ndarray, warm: Optional[WarmStart] = None) -> LpResult:
+        """Solve ``splx`` under these bounds, from ``warm`` when given; a
+        breakdown is retried once from the slack basis under Bland's rule
+        before it reaches the caller."""
         try:
-            splx = BoundedSimplex(form, feas_tol=_FEAS_TOL, opt_tol=_OPT_TOL, warm=warm)
-            res = splx.solve()
+            res = self.splx.solve(lb, ub, warm)
         except SimplexBreakdown:
-            splx = BoundedSimplex(form, feas_tol=_FEAS_TOL, opt_tol=_OPT_TOL, bland=True)
-            res = splx.solve()
+            res = self.splx.solve(lb, ub, bland=True)
         self.ticks += res.iterations
-        return splx, res.status, res.objective, res.point
+        return res
 
     def add_cut_rows(self, cuts: list[tuple[np.ndarray, float]]) -> None:
-        for g, rhs in cuts:
-            self.A = np.vstack([self.A, g[np.newaxis, :]])
-            self.rlo = np.append(self.rlo, rhs)
-            self.rup = np.append(self.rup, np.inf)
+        """Append one round's cuts ``g x >= rhs``; the LP object is rebuilt
+        for the new rows."""
+        f = self.form
+        self.form = replace(
+            f,
+            A=np.vstack([f.A] + [g[np.newaxis, :] for g, _ in cuts]),
+            rlo=np.concatenate([f.rlo, [rhs for _, rhs in cuts]]),
+            rup=np.concatenate([f.rup, np.full(len(cuts), np.inf)]),
+        )
+        self.splx = BoundedSimplex(self.form)
 
     def rows_ok(self, x: np.ndarray, tol: float = _INT_TOL) -> bool:
-        if not self.A.shape[0]:
+        A, rlo, rup = self.form.A, self.form.rlo, self.form.rup
+        if not A.shape[0]:
             return True
-        act = self.A @ x
-        scale = np.ones(self.A.shape[0])
-        finite_lo = np.isfinite(self.rlo)
-        finite_hi = np.isfinite(self.rup)
-        scale[finite_lo] = np.maximum(scale[finite_lo], np.abs(self.rlo[finite_lo]))
-        scale[finite_hi] = np.maximum(scale[finite_hi], np.abs(self.rup[finite_hi]))
-        lo_ok = ~finite_lo | (act >= self.rlo - tol * scale)
-        hi_ok = ~finite_hi | (act <= self.rup + tol * scale)
+        act = A @ x
+        scale = np.ones(A.shape[0])
+        finite_lo = np.isfinite(rlo)
+        finite_hi = np.isfinite(rup)
+        scale[finite_lo] = np.maximum(scale[finite_lo], np.abs(rlo[finite_lo]))
+        scale[finite_hi] = np.maximum(scale[finite_hi], np.abs(rup[finite_hi]))
+        lo_ok = ~finite_lo | (act >= rlo - tol * scale)
+        hi_ok = ~finite_hi | (act <= rup + tol * scale)
         return bool(np.all(lo_ok & hi_ok))
 
     def fractional(self, x: np.ndarray) -> np.ndarray:
@@ -236,14 +224,14 @@ def branch_and_bound(
             lb2[ii] = snapped[ii]
             ub2[ii] = snapped[ii]
             try:
-                _, st, _, pt = search.lp(lb2, ub2)
+                res = search.lp(lb2, ub2)
             except SimplexBreakdown:
                 return
-            if st is not LpStatus.OPTIMAL or not search.rows_ok(pt):
+            if res.status is not LpStatus.OPTIMAL or not search.rows_ok(res.point):
                 return
-            snapped = pt
+            snapped = res.point
             snapped[ii] = np.round(snapped[ii])
-        obj = float(search.c @ snapped)
+        obj = float(form.c @ snapped)
         if incumbent_obj is None or obj < incumbent_obj - 1e-12:
             incumbent_obj = obj
             x_inc = snapped
@@ -252,40 +240,40 @@ def branch_and_bound(
     root_lb = form.lb.copy()
     root_ub = form.ub.copy()
     try:
-        splx, status, obj, x = search.lp(root_lb, root_ub)
+        res = search.lp(root_lb, root_ub)
         search.nodes += 1
-        if status is LpStatus.INFEASIBLE:
+        if res.status is LpStatus.INFEASIBLE:
             return finish(SolveStatus.INFEASIBLE, math.inf)
-        if status is LpStatus.UNBOUNDED:
+        if res.status is LpStatus.UNBOUNDED:
             return finish(SolveStatus.ERROR, -math.inf)
 
         max_rounds = max(opts.gomory_rounds, _COVER_ROUNDS if opts.cover_cuts else 0)
         for rnd in range(max_rounds):
-            if search.fractional(x).size == 0:
+            if search.fractional(res.point).size == 0:
                 break
             cuts: list[tuple[np.ndarray, float]] = []
             if rnd < opts.gomory_rounds:
-                cuts.extend(gomory_cuts(splx, search.is_int))
+                cuts.extend(gomory_cuts(search.splx, form.is_int))
             if opts.cover_cuts:
-                cuts.extend(
-                    cover_cuts(search.A, search.rlo, search.rup, root_lb, root_ub, search.is_int, x)
-                )
+                rows = search.form
+                cuts.extend(cover_cuts(rows.A, rows.rlo, rows.rup, root_lb, root_ub, form.is_int, res.point))
             if not cuts:
                 break
             search.add_cut_rows(cuts)
-            splx, status, obj, x = search.lp(root_lb, root_ub)
-            if status is LpStatus.INFEASIBLE:
+            res = search.lp(root_lb, root_ub)
+            if res.status is LpStatus.INFEASIBLE:
                 return finish(SolveStatus.INFEASIBLE, math.inf)
-            if status is LpStatus.UNBOUNDED:
+            if res.status is LpStatus.UNBOUNDED:
                 return finish(SolveStatus.ERROR, -math.inf)
     except SimplexBreakdown:
         return finish(SolveStatus.ERROR, -math.inf)
 
-    root_obj, root_x = obj, x
+    # the dive and completion LPs reuse search.splx: keep the root's basis for the tree
+    root_obj, root_x, root_warm = res.objective, res.point, res.warm
 
     if opts.diving and search.fractional(root_x).size:
         lbd, ubd = root_lb.copy(), root_ub.copy()
-        xd, warm = root_x, splx.warm_start()
+        xd, warm = root_x, root_warm
         for _ in range(2 * max(1, search.int_idx.size)):
             if clock() >= deadline:
                 break
@@ -298,12 +286,12 @@ def branch_and_bound(
             val = min(max(float(np.round(xd[j])), lbd[j]), ubd[j])
             lbd[j] = ubd[j] = val
             try:
-                dive_splx, st, _, xd_new = search.lp(lbd, ubd, warm)
+                dive = search.lp(lbd, ubd, warm)
             except SimplexBreakdown:
                 break
-            if st is not LpStatus.OPTIMAL:
+            if dive.status is not LpStatus.OPTIMAL:
                 break
-            xd, warm = xd_new, dive_splx.warm_start()
+            xd, warm = dive.point, dive.warm
 
     # ---- tree ----
     best_heap: list[_Node] = []
@@ -343,7 +331,7 @@ def branch_and_bound(
         if incumbent_obj is None:  # integral point rejected by the row check
             return finish(SolveStatus.ERROR, root_obj)
         return finish(SolveStatus.OPTIMAL, root_obj)
-    branch(root_obj, 1, root_lb, root_ub, root_x, splx.warm_start())
+    branch(root_obj, 1, root_lb, root_ub, root_x, root_warm)
 
     limit_status: Optional[SolveStatus] = None
     while best_heap or stack:
@@ -364,23 +352,24 @@ def branch_and_bound(
             continue
 
         try:
-            splx, status, obj, x = search.lp(node.lb, node.ub, node.warm)
+            res = search.lp(node.lb, node.ub, node.warm)
         except SimplexBreakdown:
             limit_status = SolveStatus.ERROR
             break
         search.nodes += 1
-        if status is LpStatus.INFEASIBLE:
+        if res.status is LpStatus.INFEASIBLE:
             continue
-        if status is LpStatus.UNBOUNDED:
+        if res.status is LpStatus.UNBOUNDED:
             limit_status = SolveStatus.ERROR
             break
+        obj, x = res.objective, res.point
         search.observe_pseudocost(node, obj)
         if incumbent_obj is not None and obj >= incumbent_obj - prune_eps():
             continue
         if search.fractional(x).size == 0:
             accept_candidate(x, node.lb, node.ub)
             continue
-        branch(obj, node.depth + 1, node.lb, node.ub, x, splx.warm_start())
+        branch(obj, node.depth + 1, node.lb, node.ub, x, res.warm)
 
     if limit_status is not None:
         bound = open_bound()

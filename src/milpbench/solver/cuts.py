@@ -27,7 +27,8 @@ def _relax(rhs: float) -> float:
 def gomory_cuts(
     splx: BoundedSimplex, is_int: np.ndarray, max_cuts: int = 16
 ) -> list[tuple[np.ndarray, float]]:
-    """Derive GMI cuts from fractional basic integer variables.
+    """Derive GMI cuts from fractional basic integer variables of the final
+    tableau of ``splx``'s last solve, which must have ended OPTIMAL.
 
     Nonbasic columns are shifted onto their bounds; activity columns are
     substituted back through the row definitions so each cut lives purely in

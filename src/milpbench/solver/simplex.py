@@ -1,19 +1,23 @@
 """Bounded-variable simplex: dual simplex from a basis, then primal phase 2.
 
 Works on the equality system ``A x - r = 0`` where r holds the row
-activities with bounds ``rlo <= r <= rup``.  Every solve takes one path.  It
-starts from a basis: a warm start is another solve's final basis and
-statuses over the same rows, typically a parent node's LP after one bound
-moved; otherwise, or when the warm start does not fit or breaks down, the
-slack basis, with every row column basic and each structural column at the
-bound its cost favours.  Nonbasic columns that are dual infeasible there
-(a cost that favours an infinite bound, or a free column with a nonzero
-cost) get a reduced cost of 0 for the dual phase only, which is dual phase 1
-by cost modification (Koberstein, 2005).  A bounded dual simplex with
-steepest-edge pricing then reaches primal feasibility or proves the LP
-infeasible, and primal phase 2 under the true costs reaches the optimum or
-proves it unbounded.  ``iterations`` counts primal pivots, dual pivots and
-bound flips alike.
+activities with bounds ``rlo <= r <= rup``.  A :class:`BoundedSimplex` is
+the LP over one set of rows: it builds the columns ``[A, -I]`` once, and each
+``solve`` takes the column bounds and the start basis as arguments, so one
+object serves a whole search as long as its rows stay the same.
+
+Every solve takes one path.  It starts from a basis: a warm start is another
+solve's final basis and statuses over the same rows (``LpResult.warm``),
+typically a parent node's LP after one bound moved; otherwise, or when the
+warm start does not fit or breaks down, the slack basis, with every row
+column basic and each structural column at the bound its cost favours.
+Nonbasic columns that are dual infeasible there (a cost that favours an
+infinite bound, or a free column with a nonzero cost) get a reduced cost of 0
+for the dual phase only, which is dual phase 1 by cost modification
+(Koberstein, 2005).  A bounded dual simplex with steepest-edge pricing then
+reaches primal feasibility or proves the LP infeasible, and primal phase 2
+under the true costs reaches the optimum or proves it unbounded.
+``iterations`` counts primal pivots, dual pivots and bound flips alike.
 
 Primal phase 2 uses Dantzig pricing with a switch to Bland's rule after 1000
 consecutive degenerate steps; the basis inverse is maintained by eta updates
@@ -39,6 +43,8 @@ _BLAND_TRIGGER = 1000
 _PIVOT_TOL = 1e-9
 _SMALL_PIVOT = 1e-5
 _DEGEN_TOL = 1e-12
+_FEAS_TOL = 1e-7  # primal: how far a basic value may lie outside its bounds
+_OPT_TOL = 1e-9  # dual: how far a reduced cost may lie on its improving side
 _BOUND_TOL = 1e-6  # bnb's integrality tolerance: a fractional value is never out of bounds
 
 # a basis over the structural and row columns, and the status of each of them
@@ -60,63 +66,53 @@ class LpResult:
     status: LpStatus
     objective: Optional[float]
     point: np.ndarray
-    basis: tuple[int, ...]
     iterations: int
+    warm: Optional[WarmStart]  # copies of the final basis and statuses; None when no basis was built
 
 
 class BoundedSimplex:
-    """One LP solve; exposes the final tableau for cut generation."""
+    """The LP over one set of rows; after a solve, its final tableau stays
+    readable for cut generation until the next solve."""
 
-    def __init__(
-        self,
-        form: StandardForm,
-        lb: Optional[np.ndarray] = None,
-        ub: Optional[np.ndarray] = None,
-        feas_tol: float = 1e-7,
-        opt_tol: float = 1e-9,
-        warm: Optional[WarmStart] = None,
-        bland: bool = False,
-    ):
+    def __init__(self, form: StandardForm):
         self.form = form
         self.n = form.n
         self.m = form.m
-        self.feas_tol = feas_tol
-        self.opt_tol = opt_tol
-        self.iterations = 0
-        self._lb_struct = form.lb if lb is None else lb
-        self._ub_struct = form.ub if ub is None else ub
-        self._warm = warm
-        self._bland = bland  # Bland's rule from the first pivot, dual and primal
+        self.F = np.hstack([form.A, -np.eye(form.m)])
+        self.cost = np.concatenate([form.c, np.zeros(form.m)])  # over the columns of F
 
-    def solve(self) -> LpResult:
-        if self.feas_tol <= 0 or self.opt_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if np.any(self._lb_struct > self._ub_struct) or np.any(self.form.rlo > self.form.rup):
-            return LpResult(LpStatus.INFEASIBLE, None, np.zeros(self.n), (), 0)
-        self._setup()
-        if self._warm is not None:
+    def solve(
+        self,
+        lb: Optional[np.ndarray] = None,
+        ub: Optional[np.ndarray] = None,
+        warm: Optional[WarmStart] = None,
+        bland: bool = False,
+    ) -> LpResult:
+        """Solve under the column bounds ``lb``/``ub`` (the form's where
+        None), from ``warm`` when it fits these rows and from the slack basis
+        otherwise; ``bland`` applies Bland's rule from the first pivot, dual
+        and primal.  Nothing of an earlier solve carries over."""
+        self.iterations = 0
+        self._bland = bland
+        self.lo = np.concatenate([self.form.lb if lb is None else lb, self.form.rlo])
+        self.hi = np.concatenate([self.form.ub if ub is None else ub, self.form.rup])
+        self.basis = self.status = self.xval = self.B_inv = None
+        if np.any(self.lo > self.hi):
+            return LpResult(LpStatus.INFEASIBLE, None, np.zeros(self.n), 0, None)
+        if warm is not None:
             try:
-                result = self._solve_from(*self._warm)
+                result = self._solve_from(*warm)
             except SimplexBreakdown:
                 result = None
             if result is not None:
                 return result
         return self._solve_from(*self._slack_start())
 
-    def _setup(self) -> None:
-        """Columns ``[A, -I]`` and their bounds."""
-        n, m = self.n, self.m
-        self.lo = np.concatenate([self._lb_struct, self.form.rlo])
-        self.hi = np.concatenate([self._ub_struct, self.form.rup])
-        self.F = np.zeros((m, n + m))
-        self.F[:, :n] = self.form.A
-        self.F[:, n:] = -np.eye(m)
-
     def _slack_start(self) -> WarmStart:
         """Every row column basic; each structural column at the bound its
         cost favours, at its other bound when that one is infinite, and free
         at 0 when both are."""
-        lo, hi = self._lb_struct, self._ub_struct
+        lo, hi = self.lo[: self.n], self.hi[: self.n]
         status = np.where(np.isfinite(lo), AT_LOWER, FREE).astype(np.int8)
         status[np.isfinite(hi) & ((self.form.c < 0) | ~np.isfinite(lo))] = AT_UPPER
         return np.arange(self.n, self.n + self.m), np.concatenate([status, np.full(self.m, BASIC, np.int8)])
@@ -142,24 +138,18 @@ class BoundedSimplex:
         self.B_inv = self._refactorize()
         self._recompute_basics()
 
-        z = self._reduced_costs(self._phase_two_cost())
+        z = self._reduced_costs(self.cost)
         movable = hi - lo > 0
         z[self._eligible(z, movable)] = 0.0  # cost shifting: the dual phase starts dual feasible
         if not self._dual(z, movable):
             return self._result(LpStatus.INFEASIBLE)
         return self._phase_two()
 
-    def _phase_two_cost(self) -> np.ndarray:
-        cost = np.zeros(self.F.shape[1])
-        cost[: self.n] = self.form.c
-        return cost
-
     def _phase_two(self) -> LpResult:
         """Primal iterations to optimality; the basic values are checked
         against their bounds before OPTIMAL is returned."""
-        cost = self._phase_two_cost()
         for _ in range(2):
-            outcome = self._iterate(cost)
+            outcome = self._iterate(self.cost)
             if outcome == "breakdown":
                 raise SimplexBreakdown("phase-2 iteration limit or singular basis")
             if outcome == "unbounded":
@@ -183,12 +173,7 @@ class BoundedSimplex:
     def _result(self, status: LpStatus) -> LpResult:
         point = self.xval[: self.n].copy()
         obj = float(self.form.c @ point) if status is LpStatus.OPTIMAL else None
-        return LpResult(status, obj, point, tuple(self.basis), self.iterations)
-
-    def warm_start(self) -> WarmStart:
-        """This solve's final basis and the statuses of its structural and row
-        columns, for a later solve of the same rows under other bounds."""
-        return self.basis.copy(), self.status.copy()
+        return LpResult(status, obj, point, self.iterations, (self.basis.copy(), self.status.copy()))
 
     # -- iteration machinery ------------------------------------------------
 
@@ -213,9 +198,9 @@ class BoundedSimplex:
         """Nonbasic columns whose reduced cost says the objective improves
         when they move off their bound."""
         return movable & (
-            ((self.status == AT_LOWER) & (z < -self.opt_tol))
-            | ((self.status == AT_UPPER) & (z > self.opt_tol))
-            | ((self.status == FREE) & (np.abs(z) > self.opt_tol))
+            ((self.status == AT_LOWER) & (z < -_OPT_TOL))
+            | ((self.status == AT_UPPER) & (z > _OPT_TOL))
+            | ((self.status == FREE) & (np.abs(z) > _OPT_TOL))
         )
 
     def _pivot(self, p: int, q: int, d: np.ndarray) -> None:
@@ -338,7 +323,7 @@ class BoundedSimplex:
         (Forrest and Goldfarb, 1992), computed only when more than one row
         is violated; under Bland's rule the violated row whose basic column
         has the lowest index leaves.  True once every basic value is within
-        ``feas_tol`` of its bounds, False when a row proves the LP
+        ``_FEAS_TOL`` of its bounds, False when a row proves the LP
         infeasible; neither depends on the costs."""
         if not self.m:
             return True
@@ -353,7 +338,7 @@ class BoundedSimplex:
         for _ in range(5000 + 200 * (self.m + self.F.shape[1])):
             xb, lob, hib = self.xval[self.basis], self.lo[self.basis], self.hi[self.basis]
             viol = np.maximum(lob - xb, xb - hib)
-            rows = (viol > self.feas_tol).nonzero()[0]
+            rows = (viol > _FEAS_TOL).nonzero()[0]
             if rows.size == 0:
                 return True
             if self._bland:
@@ -375,13 +360,13 @@ class BoundedSimplex:
                 # the nonbasic columns' whole ranges cannot close the gap
                 # (entries at rounding level count as zero)
                 helpful = g < -_DEGEN_TOL
-                if float((-g[helpful] * span[helpful]).sum()) < viol[p] - self.feas_tol:
+                if float((-g[helpful] * span[helpful]).sum()) < viol[p] - _FEAS_TOL:
                     return False
                 raise SimplexBreakdown("dual ratio test found no usable pivot")
             mag = -g[idx]
             slack = np.maximum(dirn[idx] * z[idx], 0.0)  # free columns: 0
             ratio = slack / mag
-            ok = (ratio <= ((slack + self.opt_tol) / mag).min()).nonzero()[0]
+            ok = (ratio <= ((slack + _OPT_TOL) / mag).min()).nonzero()[0]
             k = ok[mag[ok].argmax()]
             q, t = int(idx[k]), float(ratio[k])
 
@@ -405,12 +390,12 @@ class BoundedSimplex:
         ``_SMALL_PIVOT``: such pivots left near-singular bases whose next
         steps pushed basic variables far outside their bounds.  Take instead
         the largest pivot whose ratio keeps every basic variable within
-        ``feas_tol`` of its bounds, if there is one."""
+        ``_FEAS_TOL`` of its bounds, if there is one."""
         mag = np.abs(step)
         slack = np.where(step > 0, xb - lob, hib - xb)
         rows = np.flatnonzero((mag > _PIVOT_TOL) & np.isfinite(slack))
         ratio = np.maximum(slack[rows] / mag[rows], 0.0)
-        t_max = np.min((slack[rows] + self.feas_tol) / mag[rows])
+        t_max = np.min((slack[rows] + _FEAS_TOL) / mag[rows])
         ok = np.flatnonzero((mag[rows] >= _SMALL_PIVOT) & (ratio <= t_max))
         if ok.size == 0:
             return p_best, t_best
@@ -424,15 +409,14 @@ class BoundedSimplex:
         return self.B_inv[p, :] @ self.F
 
 
-def solve_lp(inst: Instance, feas_tol: float = 1e-7, opt_tol: float = 1e-9) -> LpResult:
+def solve_lp(inst: Instance) -> LpResult:
     """Solve the LP relaxation of ``inst`` (integrality dropped).
 
     Raises :class:`SimplexBreakdown` on numeric failure, which callers treat
     as an error state distinct from infeasibility.
     """
     form = to_standard_form(inst)
-    solver = BoundedSimplex(form, feas_tol=feas_tol, opt_tol=opt_tol)
-    result = solver.solve()
+    result = BoundedSimplex(form).solve()
     if result.status is LpStatus.OPTIMAL:
         # report in the user's orientation, constant included
         result.objective = form.user_objective(result.objective + form.obj_constant)

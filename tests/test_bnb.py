@@ -13,10 +13,12 @@ from milpbench.solver import (
     branch_and_bound,
     compute_gap,
 )
+from milpbench.solver import bnb
 from milpbench.solver.simplex import BoundedSimplex, SimplexBreakdown
 from milpbench.validate import check_feasibility
 
 from _helpers import (
+    binary_instance,
     chain_instance,
     contradictory_bounds_instance,
     enumerate_binary_optimum,
@@ -266,11 +268,11 @@ def _flaky_solve(monkeypatch, fail_calls):
     real = BoundedSimplex.solve
     flags = []
 
-    def solve(self):
-        flags.append(self._bland)
+    def solve(self, lb=None, ub=None, warm=None, bland=False):
+        flags.append(bland)
         if len(flags) in fail_calls:
             raise SimplexBreakdown("injected")
-        return real(self)
+        return real(self, lb, ub, warm, bland)
 
     monkeypatch.setattr(BoundedSimplex, "solve", solve)
     return flags
@@ -292,3 +294,67 @@ def test_node_breakdown_after_the_retry_is_an_error(monkeypatch):
     _flaky_solve(monkeypatch, {4, 5})
     out = branch_and_bound(inst, ReferenceSolverOptions())
     assert out.status is SolveStatus.ERROR
+
+
+_CUTS_AND_DIVE = ReferenceSolverOptions(gomory_rounds=3, cover_cuts=True, diving=True)
+
+
+def _two_row_knapsack(seed: int = 1, n: int = 12):
+    rng = np.random.default_rng(seed)
+    w = rng.integers(3, 20, size=(2, n))
+    rows = [
+        make_row(f"c{i}", [(j, float(v)) for j, v in enumerate(w[i])], Relation.LE, float(w[i].sum() // 2))
+        for i in range(2)
+    ]
+    return binary_instance(f"knap{seed}", n, rows, [(j, -float(rng.integers(5, 30))) for j in range(n)])
+
+
+def test_one_lp_object_per_row_set(monkeypatch):
+    # the search builds its LP once, and once more after each cut round that
+    # added rows, however many root, cut, dive and node LPs it solves
+    built, solves, pending, rounds = [], [], [], []
+    init, solve = BoundedSimplex.__init__, BoundedSimplex.solve
+    gomory, cover = bnb.gomory_cuts, bnb.cover_cuts
+
+    def gomory_spy(*args):
+        cuts = gomory(*args)
+        pending.append(len(cuts))
+        return cuts
+
+    def cover_spy(*args):  # with covers on, every round ends with one cover call
+        cuts = cover(*args)
+        rounds.append(sum(pending) + len(cuts))
+        pending.clear()
+        return cuts
+
+    monkeypatch.setattr(BoundedSimplex, "__init__", lambda self, *a, **k: built.append(1) or init(self, *a, **k))
+    monkeypatch.setattr(BoundedSimplex, "solve", lambda self, *a, **k: solves.append(1) or solve(self, *a, **k))
+    monkeypatch.setattr(bnb, "gomory_cuts", gomory_spy)
+    monkeypatch.setattr(bnb, "cover_cuts", cover_spy)
+    out = branch_and_bound(_two_row_knapsack(), _CUTS_AND_DIVE)
+    assert out.status is SolveStatus.OPTIMAL and out.nodes > 5
+    added = sum(1 for rows in rounds if rows)
+    assert added >= 2 and len(solves) > 10
+    assert len(built) == 1 + added
+
+
+def test_first_tree_node_starts_from_the_root_basis_not_the_dive(monkeypatch):
+    # root and cut LPs start cold, the dive's first LP is the first warm one,
+    # and the first tree-node LP is the first solve after a node is made
+    calls, first_node = [], []
+    solve, node = BoundedSimplex.solve, bnb._Node
+
+    def spy(self, lb=None, ub=None, warm=None, bland=False):
+        res = solve(self, lb, ub, warm, bland)
+        calls.append((warm, res))
+        return res
+
+    monkeypatch.setattr(BoundedSimplex, "solve", spy)
+    monkeypatch.setattr(bnb, "_Node", lambda *a: first_node.append(len(calls)) or node(*a))
+    out = branch_and_bound(_two_row_knapsack(), _CUTS_AND_DIVE)
+    assert out.status is SolveStatus.OPTIMAL
+    dive = next(k for k, (warm, _) in enumerate(calls) if warm is not None)
+    tree = first_node[0]
+    root_warm, dive_warm = calls[dive - 1][1].warm, calls[tree - 1][1].warm
+    assert tree - dive >= 2 and not np.array_equal(root_warm[1], dive_warm[1])  # the dive moved the basis
+    assert calls[tree][0] is root_warm
