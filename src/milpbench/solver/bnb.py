@@ -76,13 +76,6 @@ class _Node:
     parent_frac: float = math.nan
     warm: Optional[WarmStart] = None  # the parent LP's final basis
 
-    def __lt__(self, other: "_Node") -> bool:
-        return (self.bound_est, -self.depth, self.node_id) < (
-            other.bound_est,
-            -other.depth,
-            other.node_id,
-        )
-
 
 class _Search:
     """Mutable solve state: the rows so far (``form``, root cuts included) and
@@ -101,15 +94,12 @@ class _Search:
         self.pc_dn_count = np.zeros(form.n)
 
     def lp(self, lb: np.ndarray, ub: np.ndarray, warm: Optional[WarmStart] = None) -> LpResult:
-        """Solve ``splx`` under these bounds, from ``warm`` when given; a
-        breakdown is retried once from the slack basis under Bland's rule
-        before it reaches the caller."""
+        """Solve ``splx`` under these bounds, from ``warm`` when given; its
+        pivots count in ticks even when the solve breaks down."""
         try:
-            res = self.splx.solve(lb, ub, warm)
-        except SimplexBreakdown:
-            res = self.splx.solve(lb, ub, bland=True)
-        self.ticks += res.iterations
-        return res
+            return self.splx.solve(lb, ub, warm)
+        finally:
+            self.ticks += self.splx.iterations
 
     def add_cut_rows(self, cuts: list[tuple[np.ndarray, float]]) -> None:
         """Append one round's cuts ``g x >= rhs``; the LP object is rebuilt
@@ -294,21 +284,21 @@ def branch_and_bound(
             xd, warm = dive.point, dive.warm
 
     # ---- tree ----
-    best_heap: list[_Node] = []
-    stack: list[_Node] = []
+    # one heap of open nodes keyed by the node strategy; the depth-first key
+    # (deepest first, then the down child, whose id is lower) pops them in
+    # the order of a stack
+    open_nodes: list[tuple[tuple, _Node]] = []
     next_id = 1
-    use_heap = opts.node_strategy is NodeStrategy.BEST_BOUND
+    best_first = opts.node_strategy is NodeStrategy.BEST_BOUND
 
     def push(node: _Node) -> None:
-        if use_heap:
-            heapq.heappush(best_heap, node)
-        else:
-            stack.append(node)
+        key = (node.bound_est, -node.depth, node.node_id) if best_first else (-node.depth, node.node_id)
+        heapq.heappush(open_nodes, (key, node))
 
     def open_bound() -> float:
-        if use_heap:
-            return best_heap[0].bound_est if best_heap else math.inf
-        return min((nd.bound_est for nd in stack), default=math.inf)
+        if best_first:  # the least key holds the least bound
+            return open_nodes[0][1].bound_est if open_nodes else math.inf
+        return min((node.bound_est for _, node in open_nodes), default=math.inf)
 
     def prune_eps() -> float:
         return 1e-9 * max(1.0, abs(incumbent_obj)) if incumbent_obj is not None else 0.0
@@ -334,7 +324,7 @@ def branch_and_bound(
     branch(root_obj, 1, root_lb, root_ub, root_x, root_warm)
 
     limit_status: Optional[SolveStatus] = None
-    while best_heap or stack:
+    while open_nodes:
         if clock() >= deadline:
             limit_status = SolveStatus.TIME_LIMIT
             break
@@ -347,7 +337,7 @@ def branch_and_bound(
             if compute_gap(incumbent_obj, bound_now) <= threshold:
                 break
 
-        node = stack.pop() if not use_heap else heapq.heappop(best_heap)
+        node = heapq.heappop(open_nodes)[1]
         if incumbent_obj is not None and node.bound_est >= incumbent_obj - prune_eps():
             continue
 

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .simplex import AT_LOWER, AT_UPPER, BASIC, FREE, BoundedSimplex
+from .simplex import AT_UPPER, BASIC, FREE, BoundedSimplex
 
 _F0_MIN = 0.005          # skip cuts from nearly integral rows
 _COEF_DROP = 1e-11

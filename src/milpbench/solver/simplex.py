@@ -6,21 +6,28 @@ the LP over one set of rows: it builds the columns ``[A, -I]`` once, and each
 ``solve`` takes the column bounds and the start basis as arguments, so one
 object serves a whole search as long as its rows stay the same.
 
-Every solve takes one path.  It starts from a basis: a warm start is another
-solve's final basis and statuses over the same rows (``LpResult.warm``),
-typically a parent node's LP after one bound moved; otherwise, or when the
-warm start does not fit or breaks down, the slack basis, with every row
-column basic and each structural column at the bound its cost favours.
-Nonbasic columns that are dual infeasible there (a cost that favours an
-infinite bound, or a free column with a nonzero cost) get a reduced cost of 0
-for the dual phase only, which is dual phase 1 by cost modification
-(Koberstein, 2005).  A bounded dual simplex with steepest-edge pricing then
-reaches primal feasibility or proves the LP infeasible, and primal phase 2
-under the true costs reaches the optimum or proves it unbounded.
-``iterations`` counts primal pivots, dual pivots and bound flips alike.
+Every attempt takes one path.  It starts from a basis: a warm start is
+another solve's final basis and statuses over the same rows
+(``LpResult.warm``), typically a parent node's LP after one bound moved;
+otherwise the slack basis, with every row column basic and each structural
+column at the bound its cost favours.  Nonbasic columns that are dual
+infeasible there (a cost that favours an infinite bound, or a free column
+with a nonzero cost) get a reduced cost of 0 for the dual phase only, which
+is dual phase 1 by cost modification (Koberstein, 2005).  A bounded dual
+simplex with steepest-edge pricing then reaches primal feasibility or proves
+the LP infeasible, and primal phase 2 under the true costs reaches the
+optimum or proves it unbounded.  Both phases move through one exchange step
+and stop at one iteration limit.
+
+A solve climbs one ladder of attempts: the warm start when it is given and
+fits, the slack basis when it is not or it broke down, and the slack basis
+under Bland's rule, dual and primal, when that broke down too; only a
+breakdown of the last attempt reaches the caller.  ``iterations`` counts
+primal pivots, dual pivots and bound flips alike, over every attempt.
 
 Primal phase 2 uses Dantzig pricing with a switch to Bland's rule after 1000
-consecutive degenerate steps; the basis inverse is maintained by eta updates
+consecutive degenerate steps, and one vectorized ratio test with Harris's
+second pass on small pivots; the basis inverse is maintained by eta updates
 with periodic refactorization.  No solve returns OPTIMAL with a basic value
 outside its bounds.
 """
@@ -80,32 +87,35 @@ class BoundedSimplex:
         self.m = form.m
         self.F = np.hstack([form.A, -np.eye(form.m)])
         self.cost = np.concatenate([form.c, np.zeros(form.m)])  # over the columns of F
+        self._max_iter = 5000 + 200 * (self.m + self.F.shape[1])  # per phase; beyond it, a breakdown
 
     def solve(
         self,
         lb: Optional[np.ndarray] = None,
         ub: Optional[np.ndarray] = None,
         warm: Optional[WarmStart] = None,
-        bland: bool = False,
     ) -> LpResult:
         """Solve under the column bounds ``lb``/``ub`` (the form's where
-        None), from ``warm`` when it fits these rows and from the slack basis
-        otherwise; ``bland`` applies Bland's rule from the first pivot, dual
-        and primal.  Nothing of an earlier solve carries over."""
+        None): from ``warm`` when it fits these rows, then from the slack
+        basis, then from the slack basis under Bland's rule, each attempt
+        taken when the one before did not fit or broke down.  A breakdown of
+        the last attempt reaches the caller.  Nothing of an earlier solve
+        carries over."""
         self.iterations = 0
-        self._bland = bland
         self.lo = np.concatenate([self.form.lb if lb is None else lb, self.form.rlo])
         self.hi = np.concatenate([self.form.ub if ub is None else ub, self.form.rup])
         self.basis = self.status = self.xval = self.B_inv = None
         if np.any(self.lo > self.hi):
             return LpResult(LpStatus.INFEASIBLE, None, np.zeros(self.n), 0, None)
-        if warm is not None:
+        self._bland = False
+        for start in (warm, None) if warm is not None else (None,):
             try:
-                result = self._solve_from(*warm)
+                result = self._solve_from(*(self._slack_start() if start is None else start))
             except SimplexBreakdown:
-                result = None
+                continue
             if result is not None:
                 return result
+        self._bland = True
         return self._solve_from(*self._slack_start())
 
     def _slack_start(self) -> WarmStart:
@@ -138,7 +148,7 @@ class BoundedSimplex:
         self.B_inv = self._refactorize()
         self._recompute_basics()
 
-        z = self._reduced_costs(self.cost)
+        z = self._reduced_costs()
         movable = hi - lo > 0
         z[self._eligible(z, movable)] = 0.0  # cost shifting: the dual phase starts dual feasible
         if not self._dual(z, movable):
@@ -149,10 +159,7 @@ class BoundedSimplex:
         """Primal iterations to optimality; the basic values are checked
         against their bounds before OPTIMAL is returned."""
         for _ in range(2):
-            outcome = self._iterate(self.cost)
-            if outcome == "breakdown":
-                raise SimplexBreakdown("phase-2 iteration limit or singular basis")
-            if outcome == "unbounded":
+            if not self._iterate():
                 return self._result(LpStatus.UNBOUNDED)
             if not self._bounds_violated():
                 return self._result(LpStatus.OPTIMAL)
@@ -190,9 +197,9 @@ class BoundedSimplex:
         rhs = -(self.F[:, nonbasic] @ self.xval[nonbasic]) if self.m else np.zeros(0)
         self.xval[self.basis] = self.B_inv @ rhs
 
-    def _reduced_costs(self, cost: np.ndarray) -> np.ndarray:
-        y = cost[self.basis] @ self.B_inv if self.m else np.zeros(0)
-        return cost - (y @ self.F if self.m else 0.0)
+    def _reduced_costs(self) -> np.ndarray:
+        y = self.cost[self.basis] @ self.B_inv if self.m else np.zeros(0)
+        return self.cost - (y @ self.F if self.m else 0.0)
 
     def _eligible(self, z: np.ndarray, movable: np.ndarray) -> np.ndarray:
         """Nonbasic columns whose reduced cost says the objective improves
@@ -221,97 +228,83 @@ class BoundedSimplex:
             self._recompute_basics()
             self._since_refactor = 0
 
-    def _iterate(self, cost: np.ndarray) -> str:
-        total = self.F.shape[1]
-        max_iter = 5000 + 200 * (self.m + total)
+    def _exchange(self, p: int, q: int, d: np.ndarray, theta: float, to_upper: bool) -> None:
+        """Column q enters, moved by ``theta`` (the basic values by
+        ``-theta * d``), and the basic column at position p leaves at its
+        upper bound when ``to_upper``, else at its lower bound."""
+        leaving = self.basis[p]
+        self.xval[self.basis] -= theta * d
+        self.xval[q] += theta
+        self.status[leaving] = AT_UPPER if to_upper else AT_LOWER
+        self.xval[leaving] = self.hi[leaving] if to_upper else self.lo[leaving]
+        self._pivot(p, q, d)
+
+    def _ratio_test(self, step: np.ndarray, bland: bool) -> tuple[int, float]:
+        """The basic position that blocks first when the entering column
+        moves by t and the basic values by ``-t * step``, and that t;
+        ``(-1, inf)`` when no entry above ``_PIVOT_TOL`` meets a finite
+        bound.  Ratios within 1e-9 of the minimum tie: the first of them
+        leaves, or under Bland's rule the one whose basic column has the
+        lowest index.  When that pivot is below ``_SMALL_PIVOT``, Harris's
+        second pass takes instead the largest pivot whose ratio keeps every
+        basic value within ``_FEAS_TOL`` of its bounds, if there is one:
+        such small pivots left near-singular bases whose next steps pushed
+        basic values far outside their bounds."""
+        xb, lob, hib = self.xval[self.basis], self.lo[self.basis], self.hi[self.basis]
+        mag = np.abs(step)
+        slack = np.where(step > 0, xb - lob, hib - xb)
+        rows = np.flatnonzero((mag > _PIVOT_TOL) & np.isfinite(slack))
+        if rows.size == 0:
+            return -1, np.inf
+        mag, slack = mag[rows], slack[rows]
+        ratio = np.maximum(slack / mag, 0.0)
+        ties = np.flatnonzero(ratio <= ratio.min() + 1e-9)
+        k = ties[self.basis[rows[ties]].argmin()] if bland else ties[0]
+        if mag[k] < _SMALL_PIVOT:
+            ok = np.flatnonzero((mag >= _SMALL_PIVOT) & (ratio <= ((slack + _FEAS_TOL) / mag).min()))
+            if ok.size:
+                k = ok[mag[ok].argmax()]
+        return int(rows[k]), float(ratio[k])
+
+    def _iterate(self) -> bool:
+        """Primal simplex under the true costs from a primal feasible basis:
+        True at an optimal basis, False on an improving ray, a breakdown at
+        the iteration limit."""
         degenerate_run = 0
         bland = self._bland
         self._since_refactor = 0
-
         movable = self.hi - self.lo > 0  # fixed columns never enter
-
-        for _ in range(max_iter):
-            z = self._reduced_costs(cost)
+        for _ in range(self._max_iter):
+            z = self._reduced_costs()
             idx = np.flatnonzero(self._eligible(z, movable))
             if idx.size == 0:
-                return "optimal"
-
-            if bland:
-                q = int(idx[0])
-            else:
-                # |z| is the improvement rate for every eligible status
-                q = int(idx[int(np.argmax(np.abs(z[idx])))])
-
-            delta = 1.0
-            if self.status[q] == AT_UPPER or (self.status[q] == FREE and z[q] > 0):
-                delta = -1.0
-
+                return True
+            # |z| is the improvement rate for every eligible status
+            q = int(idx[0] if bland else idx[np.abs(z[idx]).argmax()])
+            delta = -1.0 if self.status[q] == AT_UPPER or (self.status[q] == FREE and z[q] > 0) else 1.0
             d = self.B_inv @ self.F[:, q] if self.m else np.zeros(0)
-
-            # ratio test over basic variables
-            t_best = np.inf
-            p_best = -1
-            xb = self.xval[self.basis]
-            lob = self.lo[self.basis]
-            hib = self.hi[self.basis]
             step = delta * d
-            for p in range(self.m):
-                s = step[p]
-                if s > _PIVOT_TOL:
-                    if np.isfinite(lob[p]):
-                        t = (xb[p] - lob[p]) / s
-                    else:
-                        continue
-                elif s < -_PIVOT_TOL:
-                    if np.isfinite(hib[p]):
-                        t = (hib[p] - xb[p]) / (-s)
-                    else:
-                        continue
-                else:
-                    continue
-                t = max(t, 0.0)
-                if t < t_best - 1e-9:
-                    t_best = t
-                    p_best = p
-                elif p_best >= 0 and t <= t_best + 1e-9 and bland and self.basis[p] < self.basis[p_best]:
-                    t_best = min(t_best, t)
-                    p_best = p
-
-            if p_best >= 0 and abs(step[p_best]) < _SMALL_PIVOT:
-                p_best, t_best = self._avoid_small_pivot(step, xb, lob, hib, p_best, t_best)
-
+            p, t = self._ratio_test(step, bland)
             t_flip = self.hi[q] - self.lo[q]  # inf for free/one-sided columns
-
-            if not np.isfinite(t_best) and not np.isfinite(t_flip):
-                return "unbounded"
+            if not np.isfinite(t) and not np.isfinite(t_flip):
+                return False
 
             self.iterations += 1
-            if t_flip <= t_best:
+            if t_flip <= t:
                 # bound flip, basis unchanged
                 self.xval[self.basis] -= t_flip * step
                 self.xval[q] = self.hi[q] if self.status[q] == AT_LOWER else self.lo[q]
                 self.status[q] = AT_UPPER if self.status[q] == AT_LOWER else AT_LOWER
-                move = t_flip
+                t = t_flip
             else:
-                leaving = self.basis[p_best]
-                self.xval[self.basis] -= t_best * step
-                self.xval[q] = self.xval[q] + delta * t_best
-                if step[p_best] > 0:
-                    self.status[leaving] = AT_LOWER
-                    self.xval[leaving] = self.lo[leaving]
-                else:
-                    self.status[leaving] = AT_UPPER
-                    self.xval[leaving] = self.hi[leaving]
-                self._pivot(p_best, q, d)
-                move = t_best
+                self._exchange(p, q, d, delta * t, step[p] < 0)
 
-            if move <= _DEGEN_TOL:
+            if t <= _DEGEN_TOL:
                 degenerate_run += 1
-                if degenerate_run >= _BLAND_TRIGGER:
-                    bland = True
+                bland = bland or degenerate_run >= _BLAND_TRIGGER
             else:
                 degenerate_run = 0
-        return "breakdown"
+        raise SimplexBreakdown("primal iteration limit")
 
     def _dual(self, z: np.ndarray, movable: np.ndarray) -> bool:
         """Bounded dual simplex from a dual feasible basis with reduced costs
@@ -335,7 +328,7 @@ class BoundedSimplex:
         free = self.status == FREE
         span = self.hi - self.lo
         self._since_refactor = 0
-        for _ in range(5000 + 200 * (self.m + self.F.shape[1])):
+        for _ in range(self._max_iter):
             xb, lob, hib = self.xval[self.basis], self.lo[self.basis], self.hi[self.basis]
             viol = np.maximum(lob - xb, xb - hib)
             rows = (viol > _FEAS_TOL).nonzero()[0]
@@ -374,33 +367,11 @@ class BoundedSimplex:
             z += t * alpha
             z[q] = 0.0
             d = self.B_inv @ self.F[:, q]
-            dq = (xb[p] - target) / d[p]
             leaving = self.basis[p]
-            self.xval[self.basis] -= dq * d
-            self.xval[q] += dq
-            self.xval[leaving] = target
-            self.status[leaving] = AT_LOWER if s > 0 else AT_UPPER
             dirn[leaving] = s if movable[leaving] else 0.0
             dirn[q], free[q] = 0.0, False
-            self._pivot(p, q, d)
+            self._exchange(p, q, d, (xb[p] - target) / d[p], s < 0)
         raise SimplexBreakdown("dual iteration limit")
-
-    def _avoid_small_pivot(self, step, xb, lob, hib, p_best, t_best):
-        """Harris's second pass, run when the min-ratio pivot is below
-        ``_SMALL_PIVOT``: such pivots left near-singular bases whose next
-        steps pushed basic variables far outside their bounds.  Take instead
-        the largest pivot whose ratio keeps every basic variable within
-        ``_FEAS_TOL`` of its bounds, if there is one."""
-        mag = np.abs(step)
-        slack = np.where(step > 0, xb - lob, hib - xb)
-        rows = np.flatnonzero((mag > _PIVOT_TOL) & np.isfinite(slack))
-        ratio = np.maximum(slack[rows] / mag[rows], 0.0)
-        t_max = np.min((slack[rows] + _FEAS_TOL) / mag[rows])
-        ok = np.flatnonzero((mag[rows] >= _SMALL_PIVOT) & (ratio <= t_max))
-        if ok.size == 0:
-            return p_best, t_best
-        k = ok[int(np.argmax(mag[rows][ok]))]
-        return int(rows[k]), float(ratio[k])
 
     # -- tableau access for cut generation ----------------------------------
 

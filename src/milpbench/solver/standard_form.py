@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..instance import Instance, Relation, Sense
+from ..instance import Instance, Sense
 
 
 @dataclass

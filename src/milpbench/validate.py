@@ -17,7 +17,7 @@ from importlib import resources
 from pathlib import Path
 from typing import IO, Optional, Union
 
-from .instance import Instance, Relation
+from .instance import Instance
 from .runner import RunLog
 from .solution_io import read_solution
 from .solver import Solution
@@ -25,7 +25,7 @@ from .solver import Solution
 DEFAULT_ROW_TOL = 1e-6
 DEFAULT_BOUND_TOL = 1e-6
 DEFAULT_INT_TOL = 1e-6
-DEFAULT_STRICT_TOL = 1e-9
+STRICT_TOL = 1e-9  # relative to the previous best
 
 
 @dataclass(frozen=True)
@@ -133,16 +133,10 @@ def check_feasibility(
     )
 
 
-def compare_incumbent(
-    new_obj: float,
-    registry_entry: Union[RegistryEntry, tuple[float, str]],
-    strict_tol: float = DEFAULT_STRICT_TOL,
-) -> Verdict:
+def compare_incumbent(new_obj: float, registry_entry: RegistryEntry) -> Verdict:
     """Strictly-better test with a relative tolerance on the previous best."""
-    if isinstance(registry_entry, tuple):
-        registry_entry = RegistryEntry(registry_entry[0], registry_entry[1])
     prev = registry_entry.objective
-    threshold = strict_tol * max(1.0, abs(prev))
+    threshold = STRICT_TOL * max(1.0, abs(prev))
     if abs(new_obj - prev) <= threshold:
         return Verdict.TIED
     if registry_entry.sense == "min":
@@ -162,10 +156,6 @@ def audit_log_incumbents(
     log: RunLog,
     instances: dict[str, Union[str, Path]],
     registry: BestKnownRegistry,
-    row_tol: float = DEFAULT_ROW_TOL,
-    bound_tol: float = DEFAULT_BOUND_TOL,
-    int_tol: float = DEFAULT_INT_TOL,
-    strict_tol: float = DEFAULT_STRICT_TOL,
 ) -> list[AuditEntry]:
     """Re-check every logged solution and classify it against the registry.
 
@@ -190,9 +180,7 @@ def audit_log_incumbents(
         except (OSError, ValueError, MpsParseError) as exc:
             out.append(AuditEntry(name, Verdict.UNVERIFIABLE, None, f"unreadable: {exc}"))
             continue
-        report = check_feasibility(
-            inst, Solution(values, file_obj if file_obj is not None else 0.0), row_tol, bound_tol, int_tol
-        )
+        report = check_feasibility(inst, Solution(values, file_obj if file_obj is not None else 0.0))
         if not report.feasible:
             out.append(AuditEntry(name, Verdict.INFEASIBLE, report, "feasibility gate failed"))
             continue
@@ -200,6 +188,6 @@ def audit_log_incumbents(
         if entry is None:
             out.append(AuditEntry(name, Verdict.UNKNOWN, report, "no registry entry"))
             continue
-        verdict = compare_incumbent(report.objective_recomputed, entry, strict_tol)
+        verdict = compare_incumbent(report.objective_recomputed, entry)
         out.append(AuditEntry(name, verdict, report))
     return out

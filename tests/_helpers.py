@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from milpbench.instance import Instance, LinearRow, Relation, Sense, Variable, VarKind, make_row
+from milpbench.instance import Instance, Relation, Sense, Variable, VarKind, make_row
 from milpbench.mps import write_mps
 
 INF = math.inf

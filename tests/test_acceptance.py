@@ -34,7 +34,6 @@ from milpbench.solver import (
     BranchRule,
     NodeStrategy,
     ReferenceSolverOptions,
-    SolveStatus,
     branch_and_bound,
 )
 from milpbench.validate import RegistryEntry, Verdict, compare_incumbent, load_registry

@@ -262,19 +262,27 @@ def test_node_lps_start_from_the_parent_basis():
     assert out.deterministic_ticks / out.nodes <= 3
 
 
-def _flaky_solve(monkeypatch, fail_calls):
-    """Make the given (1-based) BoundedSimplex.solve calls raise a breakdown;
-    returns the ``bland`` flag of every call."""
-    real = BoundedSimplex.solve
-    flags = []
+def _flaky_attempts(monkeypatch, solve_call, fail_attempts):
+    """Make the given (1-based) attempts of the ``solve_call``-th
+    BoundedSimplex.solve raise a breakdown; returns the Bland flag of every
+    attempt of that call."""
+    solve, start = BoundedSimplex.solve, BoundedSimplex._solve_from
+    calls, flags = [], []
 
-    def solve(self, lb=None, ub=None, warm=None, bland=False):
-        flags.append(bland)
-        if len(flags) in fail_calls:
+    def counted(self, *args):
+        calls.append(1)
+        return solve(self, *args)
+
+    def attempt(self, basis, status):
+        if len(calls) != solve_call:
+            return start(self, basis, status)
+        flags.append(self._bland)
+        if len(flags) in fail_attempts:
             raise SimplexBreakdown("injected")
-        return real(self, lb, ub, warm, bland)
+        return start(self, basis, status)
 
-    monkeypatch.setattr(BoundedSimplex, "solve", solve)
+    monkeypatch.setattr(BoundedSimplex, "solve", counted)
+    monkeypatch.setattr(BoundedSimplex, "_solve_from", attempt)
     return flags
 
 
@@ -282,17 +290,19 @@ def test_node_breakdown_is_retried_under_blands_rule(monkeypatch):
     inst = chain_instance(10)
     want = branch_and_bound(inst, ReferenceSolverOptions())
     assert want.status is SolveStatus.OPTIMAL and want.nodes > 5
-    flags = _flaky_solve(monkeypatch, {4})  # the third node LP
+    # the third node LP: its warm and slack attempts break down
+    flags = _flaky_attempts(monkeypatch, 4, {1, 2})
     out = branch_and_bound(inst, ReferenceSolverOptions())
-    assert flags[3:5] == [False, True]
+    assert flags == [False, False, True]
     assert out.status is SolveStatus.OPTIMAL
     assert out.incumbent.objective == want.incumbent.objective
 
 
 def test_node_breakdown_after_the_retry_is_an_error(monkeypatch):
     inst = chain_instance(10)
-    _flaky_solve(monkeypatch, {4, 5})
+    flags = _flaky_attempts(monkeypatch, 4, {1, 2, 3})
     out = branch_and_bound(inst, ReferenceSolverOptions())
+    assert flags == [False, False, True]
     assert out.status is SolveStatus.ERROR
 
 
@@ -344,8 +354,8 @@ def test_first_tree_node_starts_from_the_root_basis_not_the_dive(monkeypatch):
     calls, first_node = [], []
     solve, node = BoundedSimplex.solve, bnb._Node
 
-    def spy(self, lb=None, ub=None, warm=None, bland=False):
-        res = solve(self, lb, ub, warm, bland)
+    def spy(self, lb=None, ub=None, warm=None):
+        res = solve(self, lb, ub, warm)
         calls.append((warm, res))
         return res
 
@@ -358,3 +368,51 @@ def test_first_tree_node_starts_from_the_root_basis_not_the_dive(monkeypatch):
     root_warm, dive_warm = calls[dive - 1][1].warm, calls[tree - 1][1].warm
     assert tree - dive >= 2 and not np.array_equal(root_warm[1], dive_warm[1])  # the dive moved the basis
     assert calls[tree][0] is root_warm
+
+
+def _mixed_model(seed: int = 7):
+    """Four general integers, three binaries and three continuous columns under four packing rows."""
+    rng = np.random.default_rng(seed)
+    kinds = [VarKind.INTEGER] * 4 + [VarKind.BINARY] * 3 + [VarKind.CONTINUOUS] * 3
+    upper = {VarKind.INTEGER: 6.0, VarKind.BINARY: 1.0, VarKind.CONTINUOUS: 10.0}
+    variables = tuple(Variable(f"x{j}", 0.0, upper[k], k) for j, k in enumerate(kinds))
+    rows = tuple(
+        make_row(f"r{i}", [(j, float(rng.integers(1, 9))) for j in range(10) if rng.random() < 0.7],
+                 Relation.LE, float(rng.integers(15, 30)))
+        for i in range(4)
+    )
+    return Instance("mixed", Sense.MINIMIZE, variables, rows, tuple((j, -float(rng.integers(1, 12))) for j in range(10)))
+
+
+_PIN_OPTIONS = {
+    "best_bound": ReferenceSolverOptions(),
+    "depth_first_pseudocost": ReferenceSolverOptions(
+        node_strategy=NodeStrategy.DEPTH_FIRST, branch_rule=BranchRule.PSEUDOCOST
+    ),
+    "diving": ReferenceSolverOptions(diving=True),
+}
+
+# (nodes, deterministic_ticks) per option set; a change that alters pivots or
+# the node order on purpose updates these and says so
+_TREE_PINS = {
+    "chain": {"best_bound": (29, 28), "depth_first_pseudocost": (29, 28), "diving": (29, 29)},
+    "knapsack": {"best_bound": (17, 31), "depth_first_pseudocost": (17, 33), "diving": (17, 38)},
+    "market_split": {"best_bound": (303, 321), "depth_first_pseudocost": (375, 400), "diving": (303, 330)},
+    "mixed": {"best_bound": (7, 16), "depth_first_pseudocost": (15, 24), "diving": (5, 14)},
+}
+
+
+@pytest.mark.parametrize("model", sorted(_TREE_PINS))
+def test_tree_size_and_ticks_are_pinned(model):
+    inst = {
+        "chain": lambda: chain_instance(14),
+        "knapsack": _two_row_knapsack,
+        "market_split": lambda: market_split_instance(seed=5, n=12, m=2),
+        "mixed": _mixed_model,
+    }[model]()
+    got = {}
+    for name, opts in _PIN_OPTIONS.items():
+        out = branch_and_bound(inst, opts)
+        assert out.status is (SolveStatus.INFEASIBLE if model == "market_split" else SolveStatus.OPTIMAL)
+        got[name] = (out.nodes, out.deterministic_ticks)
+    assert got == _TREE_PINS[model]

@@ -6,7 +6,17 @@ import pytest
 from scipy.optimize import linprog
 
 from milpbench.instance import Instance, Relation, Sense, Variable, make_row
-from milpbench.solver.simplex import AT_LOWER, FREE, BoundedSimplex, LpStatus, SimplexBreakdown, solve_lp
+from milpbench.solver.simplex import (
+    _FEAS_TOL,
+    _PIVOT_TOL,
+    _SMALL_PIVOT,
+    AT_LOWER,
+    FREE,
+    BoundedSimplex,
+    LpStatus,
+    SimplexBreakdown,
+    solve_lp,
+)
 from milpbench.solver.standard_form import to_standard_form
 
 from _helpers import random_lp_instance
@@ -102,7 +112,7 @@ def test_random_lps_match_reference_solver(monkeypatch):
     shifted, dual = [], BoundedSimplex._dual
 
     def spy(self, z, movable):
-        shifted.append(not np.array_equal(z, self._reduced_costs(self.cost)))
+        shifted.append(not np.array_equal(z, self._reduced_costs()))
         return dual(self, z, movable)
 
     monkeypatch.setattr(BoundedSimplex, "_dual", spy)
@@ -128,9 +138,25 @@ def test_random_lps_match_reference_solver(monkeypatch):
     assert all(shifted_seen[status] > 0 for status in LpStatus)  # and every outcome after a cost shift
 
 
+def _injected_dual_breakdowns(monkeypatch):
+    """Each entry put in the returned list makes the next ``_dual`` call
+    raise a breakdown."""
+    pending, dual = [], BoundedSimplex._dual
+
+    def flaky(self, z, movable):
+        if pending:
+            pending.pop()
+            raise SimplexBreakdown("injected")
+        return dual(self, z, movable)
+
+    monkeypatch.setattr(BoundedSimplex, "_dual", flaky)
+    return pending
+
+
 def test_bland_dual_leaves_the_lowest_index_violated_row(monkeypatch):
     # x0 >= 1 and x1 >= 5 are both violated at the slack start: steepest edge
-    # takes the larger violation (row column 3), Bland the lower index (2)
+    # takes the larger violation (row column 3), Bland the lower index (2);
+    # Bland's rule runs when the first slack attempt breaks down
     inst = Instance(
         "t",
         Sense.MINIMIZE,
@@ -140,6 +166,7 @@ def test_bland_dual_leaves_the_lowest_index_violated_row(monkeypatch):
     )
     form = to_standard_form(inst)
     leaving, pivot = [], BoundedSimplex._pivot
+    breakdowns = _injected_dual_breakdowns(monkeypatch)
 
     def spy(self, p, q, d):
         leaving.append(int(self.basis[p]))
@@ -148,7 +175,8 @@ def test_bland_dual_leaves_the_lowest_index_violated_row(monkeypatch):
     monkeypatch.setattr(BoundedSimplex, "_pivot", spy)
     for bland, first in ((False, 3), (True, 2)):
         leaving.clear()
-        res = BoundedSimplex(form).solve(bland=bland)
+        breakdowns[:] = [True] if bland else []
+        res = BoundedSimplex(form).solve()
         assert leaving[0] == first
         assert res.status is LpStatus.OPTIMAL and res.objective == pytest.approx(6.0, abs=1e-12)
 
@@ -204,9 +232,9 @@ def _count_slack_starts(monkeypatch):
     warms, fallbacks = [], []
     solve, slack = BoundedSimplex.solve, BoundedSimplex._slack_start
 
-    def spy(self, lb=None, ub=None, warm=None, bland=False):
+    def spy(self, lb=None, ub=None, warm=None):
         warms.append(warm)
-        return solve(self, lb, ub, warm, bland)
+        return solve(self, lb, ub, warm)
 
     monkeypatch.setattr(BoundedSimplex, "solve", spy)
     monkeypatch.setattr(BoundedSimplex, "_slack_start", lambda self: fallbacks.append(warms[-1]) or slack(self))
@@ -219,9 +247,9 @@ def test_warm_start_from_parent_basis_matches_cold_solve(monkeypatch):
     (warms, fallbacks), cleanup = _count_slack_starts(monkeypatch), []
     primal = BoundedSimplex._iterate
 
-    def iterate(self, cost):
+    def iterate(self):
         before = self.iterations
-        outcome = primal(self, cost)
+        outcome = primal(self)
         if warms[-1] is not None:
             cleanup.append(self.iterations - before)
         return outcome
@@ -291,7 +319,8 @@ def test_warm_start_leaves_an_undecided_row_to_the_cold_path(monkeypatch):
     # x + 1e-10 y = 0.5 with y >= 0: after x <= 0 only y = 5e9 could restore
     # the row, through an entry below the pivot tolerance, so the dual simplex
     # neither pivots nor proves the child infeasible, from the parent's basis
-    # or from the slack basis: the solve is a breakdown, not a verdict
+    # or from the slack basis, under either rule: the solve is a breakdown,
+    # not a verdict
     inst = Instance(
         "t",
         Sense.MINIMIZE,
@@ -306,7 +335,7 @@ def test_warm_start_leaves_an_undecided_row_to_the_cold_path(monkeypatch):
     ub = np.array([0.0, math.inf])
     with pytest.raises(SimplexBreakdown):
         lp.solve(ub=ub, warm=parent.warm)
-    assert len(fallbacks) == 1
+    assert len(fallbacks) == 2  # the slack basis, then the slack basis under Bland's rule
     with pytest.raises(SimplexBreakdown):
         lp.solve(ub=ub)
 
@@ -328,12 +357,12 @@ def _overshooting_iterate(monkeypatch, times):
     real = BoundedSimplex._iterate
     left = [times]
 
-    def stub(self, cost):
-        outcome = real(self, cost)
-        if outcome == "optimal" and left[0]:
+    def stub(self):
+        optimal = real(self)
+        if optimal and left[0]:
             left[0] -= 1
             self.xval[1] = self.hi[1] + 0.5
-        return outcome
+        return optimal
 
     monkeypatch.setattr(BoundedSimplex, "_iterate", stub)
 
@@ -347,15 +376,19 @@ def test_basic_value_outside_its_bound_is_recomputed_before_optimal(monkeypatch)
 
 
 def test_basic_value_left_outside_its_bound_is_a_breakdown(monkeypatch):
-    _overshooting_iterate(monkeypatch, times=2)
+    # twice in the slack attempt and twice in its retry under Bland's rule
+    _overshooting_iterate(monkeypatch, times=4)
     with pytest.raises(SimplexBreakdown):
         BoundedSimplex(_one_basic_structural()).solve()
 
 
-def test_reused_object_solves_like_a_fresh_one():
+def test_reused_object_solves_like_a_fresh_one(monkeypatch):
     # one object solves cold, then warm children with tightened bounds, then
-    # under Bland's rule, then under the form's bounds again: each solve must
-    # equal a fresh object's, so no iterations, rule or bounds leak
+    # under Bland's rule after a breakdown, then under the form's bounds
+    # again: each solve must equal a fresh object's, so no iterations, rule
+    # or bounds leak
+    breakdowns = _injected_dual_breakdowns(monkeypatch)
+
     def same(a, b):
         assert (a.status, a.iterations, a.objective) == (b.status, b.iterations, b.objective)
         assert np.array_equal(a.point, b.point)
@@ -379,5 +412,106 @@ def test_reused_object_solves_like_a_fresh_one():
         children += len(calls)
         calls += [{"bland": True}, {"lb": None}]
         for kwargs in calls:
-            same(lp.solve(**kwargs), BoundedSimplex(form).solve(**kwargs))
+            bland = kwargs.pop("bland", False)
+            breakdowns[:] = [True] * bland  # the slack attempt breaks down
+            mine = lp.solve(**kwargs)
+            breakdowns[:] = [True] * bland
+            same(mine, BoundedSimplex(form).solve(**kwargs))
     assert children > 50
+
+
+def _avoid_small_pivot(step, xb, lob, hib, p_best, t_best):
+    """Harris's second pass as a separate step after the per-row loop below."""
+    mag = np.abs(step)
+    slack = np.where(step > 0, xb - lob, hib - xb)
+    rows = np.flatnonzero((mag > _PIVOT_TOL) & np.isfinite(slack))
+    ratio = np.maximum(slack[rows] / mag[rows], 0.0)
+    t_max = np.min((slack[rows] + _FEAS_TOL) / mag[rows])
+    ok = np.flatnonzero((mag[rows] >= _SMALL_PIVOT) & (ratio <= t_max))
+    if ok.size == 0:
+        return p_best, t_best
+    k = ok[int(np.argmax(mag[rows][ok]))]
+    return int(rows[k]), float(ratio[k])
+
+
+def _loop_ratio_test(step, xb, lob, hib, basis, bland):
+    """The primal ratio test as one pass over the basic rows, then Harris's
+    second pass: the oracle for ``BoundedSimplex._ratio_test``."""
+    t_best = np.inf
+    p_best = -1
+    for p in range(len(step)):
+        s = step[p]
+        if s > _PIVOT_TOL:
+            if np.isfinite(lob[p]):
+                t = (xb[p] - lob[p]) / s
+            else:
+                continue
+        elif s < -_PIVOT_TOL:
+            if np.isfinite(hib[p]):
+                t = (hib[p] - xb[p]) / (-s)
+            else:
+                continue
+        else:
+            continue
+        t = max(t, 0.0)
+        if t < t_best - 1e-9:
+            t_best = t
+            p_best = p
+        elif p_best >= 0 and t <= t_best + 1e-9 and bland and basis[p] < basis[p_best]:
+            t_best = min(t_best, t)
+            p_best = p
+    if p_best >= 0 and abs(step[p_best]) < _SMALL_PIVOT:
+        p_best, t_best = _avoid_small_pivot(step, xb, lob, hib, p_best, t_best)
+    return p_best, t_best
+
+
+def _ratio_test_input(rng):
+    """Basic rows with finite and infinite bounds, values at, inside and
+    outside them, entries from exact zeros through ones below ``_PIVOT_TOL``
+    and ``_SMALL_PIVOT`` to large ones, and rows that repeat another row's
+    ratio exactly."""
+    m = int(rng.integers(1, 13))
+    base = np.round(rng.uniform(-5, 5, m), int(rng.integers(0, 4)))
+    hib = base + np.where(rng.random(m) < 0.2, np.inf, rng.choice([0.0, 1.0, 2.5, rng.uniform(0, 10)], m))
+    lob = np.where(rng.random(m) < 0.2, -np.inf, base)
+    xb = base + rng.uniform(0, 3, m) * rng.choice([0.0, 1.0], m)
+    xb = np.where(np.isfinite(hib) & (rng.random(m) < 0.2), hib, xb)  # at the upper bound
+    xb += np.where(rng.random(m) < 0.1, rng.uniform(-1e-6, 1e-6, m), 0.0)  # slightly outside
+    scale = 10.0 ** rng.choice([-12, -10, -9, -7, -5, -3, 0, 0, 0, 1], m)
+    step = rng.choice([-1.0, 1.0], m) * rng.uniform(0.5, 2, m) * scale
+    step[rng.random(m) < 0.1] = 0.0
+    for j in range(1, m):
+        if rng.random() < 0.3:  # the ratio of an earlier row, copied or scaled by 2
+            i = int(rng.integers(0, j))
+            f = float(rng.choice([1.0, 2.0]))
+            xb[j], lob[j], hib[j], step[j] = f * xb[i], f * lob[i], f * hib[i], f * step[i]
+    basis = rng.permutation(m + int(rng.integers(0, 8)))[:m]
+    return step, xb, lob, hib, basis
+
+
+def test_ratio_test_matches_the_per_row_loop():
+    rng = np.random.default_rng(31)
+    seen = collections.Counter()
+    for _ in range(2500):
+        step, xb, lob, hib, basis = _ratio_test_input(rng)
+        cols = int(basis.max()) + 1
+        lp = BoundedSimplex.__new__(BoundedSimplex)
+        lp.basis, lp.xval, lp.lo, lp.hi = basis, np.zeros(cols), np.zeros(cols), np.zeros(cols)
+        lp.xval[basis], lp.lo[basis], lp.hi[basis] = xb, lob, hib
+        for bland in (False, True):
+            got = lp._ratio_test(step, bland)
+            want = _loop_ratio_test(step, xb, lob, hib, basis, bland)
+            assert got == want, (step, xb, lob, hib, basis, bland)
+            assert type(got[0]) is int
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.maximum(np.where(step > 0, xb - lob, hib - xb) / np.abs(step), 0.0)
+        usable = (np.abs(step) > _PIVOT_TOL) & np.isfinite(ratio)
+        p = want[0]
+        seen["no blocking row"] += p < 0
+        seen["infinite bound skipped"] += bool(((np.abs(step) > _PIVOT_TOL) & ~np.isfinite(ratio)).any())
+        seen["tie"] += bool(usable.any() and np.count_nonzero(ratio[usable] == ratio[usable].min()) > 1)
+        seen["bland differs"] += got[0] != lp._ratio_test(step, False)[0]
+        seen["entry below the pivot tolerance"] += bool(((step != 0) & (np.abs(step) <= _PIVOT_TOL)).any())
+        seen["small pivot taken"] += p >= 0 and abs(step[p]) < _SMALL_PIVOT
+        seen["second pass moved"] += p >= 0 and ratio[p] > ratio[usable].min() + 1e-9
+    assert min(seen.values()) >= 20 and len(seen) == 7, seen

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from milpbench.config import Configuration, empty_store
+from milpbench.config import empty_store
 from milpbench.runner import BackendKind, BackendSpec, DatasetSpec, run_suite
 from milpbench.solver import ReferenceSolverOptions, Solution, branch_and_bound
 from milpbench.validate import (
