@@ -33,6 +33,8 @@ from .runner import (
     BackendSpec,
     DatasetMismatch,
     ObjectiveKind,
+    PROTOCOL_SHIFT,
+    RunStatus,
     _host,
     load_dataset,
     read_log,
@@ -42,7 +44,7 @@ from .runner import (
 from .scores import attach_scaled, distribution, summarize, write_summary_csv, write_summary_json
 from .solution_io import read_solution, write_solution, write_status
 from .solver import Solution, branch_and_bound
-from .validate import check_feasibility, compare_incumbent, load_registry
+from .validate import judge_claim, load_registry
 
 STORE_ENV = "MILPBENCH_STORE"
 
@@ -165,7 +167,7 @@ def _cmd_bench_run(args) -> int:
         work_dir=args.workdir,
         parallel=args.parallel,
     )
-    solved = sum(1 for r in log.records if r.status.value in ("optimal", "infeasible"))
+    solved = sum(1 for r in log.records if r.status in (RunStatus.OPTIMAL, RunStatus.INFEASIBLE))
     print(f"{len(log.records)} records written to {args.out} ({solved} finished in limit)")
     return 0
 
@@ -175,7 +177,7 @@ def _cmd_bench_resume(args) -> int:
     store = _load_store_arg(args.store)
     partial = read_log(args.log)
     backend = BackendSpec(kind=BackendKind.BUILTIN)
-    before = len([r for r in partial.records if r.status.value != "error"])
+    before = len([r for r in partial.records if r.status is not RunStatus.ERROR])
     log = resume_suite(ds, backend, store, partial, log_path=args.log, work_dir=args.workdir)
     print(f"resumed {args.log}: {before} kept, {len(log.records) - before} executed")
     return 0
@@ -212,7 +214,7 @@ def _cmd_bench_report(args) -> int:
     )
     meta = {
         "time_limit_s": baseline.dataset.time_limit_s,
-        "shift": baseline.protocol.get("shift", 10.0),
+        "shift": baseline.protocol.get("shift", PROTOCOL_SHIFT),
         "host": _host(),
     }
     print(table, end="")
@@ -224,19 +226,20 @@ def _cmd_bench_report(args) -> int:
 def _cmd_validate(args) -> int:
     inst = load_instance(args.instance)
     values, file_obj = read_solution(args.solution)
-    report = check_feasibility(inst, Solution(values, file_obj if file_obj is not None else 0.0))
+    registry = load_registry(args.registry)
+    claim = Solution(values, file_obj if file_obj is not None else 0.0)
+    judged = judge_claim(inst.name, inst, claim, registry)
+    report = judged.report
     print(f"instance                 {inst.name}")
     print(f"max_row_violation        {report.max_row_violation!r}")
     print(f"max_bound_violation      {report.max_bound_violation!r}")
     print(f"max_integrality_violation {report.max_integrality_violation!r}")
     print(f"objective_recomputed     {report.objective_recomputed!r}")
     print(f"feasible                 {report.feasible}")
-    registry = load_registry(args.registry)
     entry = registry.get(inst.name)
     if entry is not None:
-        verdict = compare_incumbent(report.objective_recomputed, entry)
         print(f"previous_best            {entry.objective!r} ({entry.sense})")
-        print(f"verdict                  {verdict.value}")
+    print(f"verdict                  {judged.verdict.value}")
     return 0
 
 

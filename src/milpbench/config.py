@@ -194,6 +194,18 @@ def _check_value(p: ParamDef, value, domain: Optional[dict]) -> Union[int, float
     return value
 
 
+def _parse_assignments(raw: dict, owner: str, domains: dict[int, dict]) -> dict[int, Union[int, float, str]]:
+    """Resolve each key by index or name and check its value; a parameter
+    assigned twice, under either key, is rejected."""
+    assignments: dict[int, Union[int, float, str]] = {}
+    for key, value in raw.items():
+        p = _resolve_param(key)
+        if p.index in assignments:
+            raise ConfigError(f"{owner} assigns {p.name} twice")
+        assignments[p.index] = _check_value(p, value, domains.get(p.index))
+    return assignments
+
+
 def load_store(source: Union[str, IO[str]]) -> ConfigStore:
     """Load and fully validate a JSON configuration store.
 
@@ -223,13 +235,7 @@ def load_store(source: Union[str, IO[str]]) -> ConfigStore:
     for label, raw in raw_configs.items():
         if not isinstance(raw, dict):
             raise ConfigError(f"config {label!r} must be an object of parameter assignments")
-        assignments: dict[int, Union[int, float, str]] = {}
-        for key, value in raw.items():
-            p = _resolve_param(key)
-            if p.index in assignments:
-                raise ConfigError(f"config {label!r} assigns {p.name} twice")
-            assignments[p.index] = _check_value(p, value, domains.get(p.index))
-        configs[label] = Configuration(assignments, label)
+        configs[label] = Configuration(_parse_assignments(raw, f"config {label!r}", domains), label)
 
     default_label = doc.get("default")
     if not isinstance(default_label, str) or default_label not in configs:
@@ -300,82 +306,58 @@ def merge(base: Configuration, override: Configuration) -> Configuration:
     return Configuration(merged, override.label)
 
 
-# indices the reference solver honors
-_IDX_DIVE = 4
-_IDX_COVERS = 14
+# indices the reference solver honors; the four on/off parameters are on for
+# positive values
+_TOGGLES = {
+    4: "diving",
+    14: "cover_cuts",
+    24: "presolve_coeff_reduce",
+    36: "presolve_bound_tighten",
+}
 _IDX_GOMORY = 15
 _IDX_VARSEL = 19
-_IDX_COEFFREDUCE = 24
 _IDX_THREADS = 34
-_IDX_BOUNDSTRENGTH = 36
 _IDX_NODESEL = 37
 _IDX_MIPGAP = 46
 
 
 def map_to_reference(
     cfg: Configuration,
-    time_limit_s: float = 3600.0,
-    node_limit: Optional[int] = None,
+    time_limit_s: float = ReferenceSolverOptions.time_limit_s,
+    node_limit: Optional[int] = ReferenceSolverOptions.node_limit,
 ) -> ReferenceSolverOptions:
     """Translate the supported parameter subset onto reference-solver options.
 
     Conventions (an analogy, not an emulation): node selection 0 means
     depth-first and anything else best-bound; variable selection 2/3/4 means
     pseudocost and anything else most-fractional; Gomory values clamp to a
-    nonnegative round count; the three preprocessing/cut/dive toggles are on
-    for positive values; threads are recorded but inert.  Every other index
-    lands in ``ignored``.
+    nonnegative round count; threads are recorded but inert.  Every other
+    index lands in ``ignored``, and a field no assignment sets keeps its
+    :class:`ReferenceSolverOptions` default.
     """
-    node_strategy = NodeStrategy.BEST_BOUND
-    branch_rule = BranchRule.MOST_FRACTIONAL
-    gomory_rounds = 0
-    cover = False
-    bound_tighten = False
-    coeff_reduce = False
-    diving = False
-    rel_gap = 0.0
-    threads = 1
+    opts: dict[str, object] = {}
     ignored: list[int] = []
-
     for idx, value in sorted(cfg.assignments.items()):
-        if idx == _IDX_NODESEL:
+        if idx in _TOGGLES:
+            opts[_TOGGLES[idx]] = value > 0
+        elif idx == _IDX_NODESEL:
             chosen = _as_choice(value, {"depth_first": 0, "best_bound": 1})
-            node_strategy = NodeStrategy.DEPTH_FIRST if chosen == 0 else NodeStrategy.BEST_BOUND
+            opts["node_strategy"] = NodeStrategy.DEPTH_FIRST if chosen == 0 else NodeStrategy.BEST_BOUND
         elif idx == _IDX_VARSEL:
             chosen = _as_choice(value, {"most_fractional": 0, "pseudocost": 2})
-            branch_rule = BranchRule.PSEUDOCOST if chosen in (2, 3, 4) else BranchRule.MOST_FRACTIONAL
+            opts["branch_rule"] = BranchRule.PSEUDOCOST if chosen in (2, 3, 4) else BranchRule.MOST_FRACTIONAL
         elif idx == _IDX_GOMORY:
-            gomory_rounds = max(0, int(value))
-        elif idx == _IDX_COVERS:
-            cover = value > 0
-        elif idx == _IDX_BOUNDSTRENGTH:
-            bound_tighten = value > 0
-        elif idx == _IDX_COEFFREDUCE:
-            coeff_reduce = value > 0
-        elif idx == _IDX_DIVE:
-            diving = value > 0
+            opts["gomory_rounds"] = max(0, int(value))
         elif idx == _IDX_MIPGAP:
             if value < 0 or not math.isfinite(value):
                 raise ConfigError(f"gap tolerance must be a finite nonnegative real, got {value}")
-            rel_gap = float(value)
+            opts["rel_gap"] = float(value)
         elif idx == _IDX_THREADS:
-            threads = max(1, int(value))
+            opts["threads_recorded"] = max(1, int(value))
         else:
             ignored.append(idx)
-
     return ReferenceSolverOptions(
-        node_strategy=node_strategy,
-        branch_rule=branch_rule,
-        gomory_rounds=gomory_rounds,
-        cover_cuts=cover,
-        presolve_bound_tighten=bound_tighten,
-        presolve_coeff_reduce=coeff_reduce,
-        diving=diving,
-        rel_gap=rel_gap,
-        time_limit_s=time_limit_s,
-        node_limit=node_limit,
-        threads_recorded=threads,
-        ignored=tuple(ignored),
+        time_limit_s=time_limit_s, node_limit=node_limit, ignored=tuple(ignored), **opts
     )
 
 
@@ -407,8 +389,4 @@ def load_configuration(text: str) -> Configuration:
     if "assignments" in doc and isinstance(doc["assignments"], dict):
         label = str(doc.get("label", label))
         raw = doc["assignments"]
-    assignments: dict[int, Union[int, float, str]] = {}
-    for key, value in raw.items():
-        p = _resolve_param(key)
-        assignments[p.index] = _check_value(p, value, None)
-    return Configuration(assignments, label)
+    return Configuration(_parse_assignments(raw, f"configuration {label!r}", {}), label)

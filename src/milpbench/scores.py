@@ -16,9 +16,9 @@ from pathlib import Path
 from typing import Iterable, Optional, Sequence, Union
 
 from .mps import instance_stem
-from .runner import DatasetSpec, ObjectiveKind, RunLog, RunStatus
+from .runner import PROTOCOL_SHIFT, DatasetSpec, ObjectiveKind, RunLog, RunRecord, RunStatus
 
-DEFAULT_SHIFT = 10.0
+_AT_LIMIT = (RunStatus.TIME_LIMIT, RunStatus.ERROR)
 
 
 @dataclass(frozen=True)
@@ -35,7 +35,7 @@ class DistributionSeries:
     points: tuple[tuple[int, float, float], ...]  # (rank, baseline_s, adapted_s)
 
 
-def shifted_geomean(times: Sequence[float], shift: float = DEFAULT_SHIFT) -> float:
+def shifted_geomean(times: Sequence[float], shift: float = PROTOCOL_SHIFT) -> float:
     if len(times) == 0:
         raise ValueError("shifted_geomean needs at least one value")
     if shift < 0:
@@ -56,36 +56,30 @@ def scale(unscal_values: dict[str, float], reference_label: str) -> dict[str, fl
     return {label: v / ref for label, v in unscal_values.items()}
 
 
-def _timing_vector(log: RunLog, limit_s: float) -> list[float]:
-    times = []
-    for r in log.records:
-        if r.status in (RunStatus.TIME_LIMIT, RunStatus.ERROR):
-            times.append(limit_s)
-        else:
-            times.append(min(r.wall_time_s, limit_s * 1.05))
-    return times
+def _scored_time(rec: RunRecord, limit_s: float) -> float:
+    """A timeout or error counts at the limit; any other run at its wall
+    time, capped at 1.05x the limit."""
+    return limit_s if rec.status in _AT_LIMIT else min(rec.wall_time_s, limit_s * 1.05)
 
 
 def _check_complete(log: RunLog, ds: DatasetSpec) -> None:
-    stems = [instance_stem(p) for p in ds.instance_paths]
-    have = {r.instance_name for r in log.records}
-    missing = [s for s in stems if s not in have]
-    if missing and len(log.records) < len(ds.instance_paths):
-        raise ValueError(f"log incomplete; missing instances: {', '.join(missing)}")
     if len(log.records) < len(ds.instance_paths):
+        have = {r.instance_name for r in log.records}
+        missing = [s for s in map(instance_stem, ds.instance_paths) if s not in have]
         raise ValueError(
-            f"log incomplete: {len(log.records)} records for {len(ds.instance_paths)} instances"
+            f"log incomplete: {len(log.records)} records for {len(ds.instance_paths)} instances;"
+            f" missing instances: {', '.join(missing)}"
         )
 
 
-def summarize(log: RunLog, ds: DatasetSpec, shift: float = DEFAULT_SHIFT) -> BenchmarkSummary:
+def summarize(log: RunLog, ds: DatasetSpec, shift: float = PROTOCOL_SHIFT) -> BenchmarkSummary:
     """Solved (or detected) count plus the unscaled shifted geometric mean."""
     _check_complete(log, ds)
     if ds.objective_kind is ObjectiveKind.DETECT_INFEASIBLE:
         solved = sum(1 for r in log.records if r.status is RunStatus.INFEASIBLE)
     else:
         solved = sum(1 for r in log.records if r.status is RunStatus.OPTIMAL)
-    unscal = shifted_geomean(_timing_vector(log, ds.time_limit_s), shift)
+    unscal = shifted_geomean([_scored_time(r, ds.time_limit_s) for r in log.records], shift)
     return BenchmarkSummary(
         solver_label=log.solver_label,
         unscal=unscal,
@@ -109,16 +103,10 @@ def distribution(series_baseline: RunLog, series_adapted: RunLog) -> Distributio
         raise ValueError(f"instance sets differ (baseline-only {only_b}, adapted-only {only_a})")
     limit_b = series_baseline.dataset.time_limit_s
     limit_a = series_adapted.dataset.time_limit_s
-
-    def effective(rec, limit):
-        hit = rec.status in (RunStatus.TIME_LIMIT, RunStatus.ERROR)
-        return (limit if hit else min(rec.wall_time_s, limit * 1.05)), hit
-
     keyed = []
     for name, rec in base.items():
-        t_b, hit = effective(rec, limit_b)
-        t_a, _ = effective(adapt[name], limit_a)
-        keyed.append(((1 if hit else 0, t_b, name), t_b, t_a))
+        t_b = _scored_time(rec, limit_b)
+        keyed.append(((rec.status in _AT_LIMIT, t_b, name), t_b, _scored_time(adapt[name], limit_a)))
     keyed.sort(key=lambda k: k[0])
     points = tuple((rank, t_b, t_a) for rank, (_, t_b, t_a) in enumerate(keyed, start=1))
     return DistributionSeries(points)

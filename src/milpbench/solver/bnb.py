@@ -72,7 +72,6 @@ class _Node:
     ub: np.ndarray
     branch_var: int = -1
     branch_up: bool = False
-    parent_obj: float = math.nan
     parent_frac: float = math.nan
     warm: Optional[WarmStart] = None  # the parent LP's final basis
 
@@ -144,9 +143,9 @@ class _Search:
 
     def observe_pseudocost(self, node: _Node, child_obj: float) -> None:
         j = node.branch_var
-        if j < 0 or not math.isfinite(node.parent_obj):
+        if j < 0 or not math.isfinite(node.bound_est):
             return
-        degrade = max(0.0, child_obj - node.parent_obj)
+        degrade = max(0.0, child_obj - node.bound_est)
         if node.branch_up:
             unit = degrade / max(1.0 - node.parent_frac, 1e-6)
             k = self.pc_up_count[j]
@@ -180,13 +179,9 @@ def branch_and_bound(
     def finish(status: SolveStatus, internal_bound: float) -> SolveOutcome:
         sol = None
         if incumbent_obj is not None and x_inc is not None:
-            user_obj = form.user_objective(incumbent_obj + form.obj_constant)
-            sol = Solution({names[j]: float(x_inc[j]) for j in range(n)}, user_obj)
+            sol = Solution({names[j]: float(x_inc[j]) for j in range(n)}, form.user_objective(incumbent_obj))
             internal_bound = min(internal_bound, incumbent_obj)
-        if math.isfinite(internal_bound):
-            user_bound = form.user_objective(internal_bound + form.obj_constant)
-        else:
-            user_bound = -internal_bound if form.flipped else internal_bound
+        user_bound = form.user_objective(internal_bound)
         return SolveOutcome(
             status=status,
             incumbent=sol,
@@ -308,9 +303,9 @@ def branch_and_bound(
         cand = search.fractional(x_frac)
         j = search.pick_branch_var(x_frac, cand)
         frac = x_frac[j] - math.floor(x_frac[j])
-        dn = _Node(parent_obj, depth, next_id, lb.copy(), ub.copy(), j, False, parent_obj, frac, warm)
+        dn = _Node(parent_obj, depth, next_id, lb.copy(), ub.copy(), j, False, frac, warm)
         dn.ub[j] = math.floor(x_frac[j])
-        up = _Node(parent_obj, depth, next_id + 1, lb.copy(), ub.copy(), j, True, parent_obj, frac, warm)
+        up = _Node(parent_obj, depth, next_id + 1, lb.copy(), ub.copy(), j, True, frac, warm)
         up.lb[j] = math.ceil(x_frac[j])
         next_id += 2
         push(up)

@@ -390,5 +390,5 @@ def solve_lp(inst: Instance) -> LpResult:
     result = BoundedSimplex(form).solve()
     if result.status is LpStatus.OPTIMAL:
         # report in the user's orientation, constant included
-        result.objective = form.user_objective(result.objective + form.obj_constant)
+        result.objective = form.user_objective(result.objective)
     return result

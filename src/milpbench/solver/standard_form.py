@@ -38,8 +38,10 @@ class StandardForm:
         return self.A.shape[0]
 
     def user_objective(self, internal_value: float) -> float:
-        """Map an internal (minimization) objective back to the user sense."""
-        return -internal_value if self.flipped else internal_value
+        """Map an internal (minimization) objective back to the user sense,
+        constant included."""
+        value = internal_value + self.obj_constant
+        return -value if self.flipped else value
 
 
 def to_standard_form(inst: Instance) -> StandardForm:

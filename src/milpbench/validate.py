@@ -152,6 +152,18 @@ class AuditEntry:
     note: str = ""
 
 
+def judge_claim(name: str, inst: Instance, sol: Solution, registry: BestKnownRegistry) -> AuditEntry:
+    """The verdict on one claimed solution: the feasibility gate first, then
+    the registry entry under ``name`` (none gives "unknown")."""
+    report = check_feasibility(inst, sol)
+    if not report.feasible:
+        return AuditEntry(name, Verdict.INFEASIBLE, report, "feasibility gate failed")
+    entry = registry.get(name)
+    if entry is None:
+        return AuditEntry(name, Verdict.UNKNOWN, report, "no registry entry")
+    return AuditEntry(name, compare_incumbent(report.objective_recomputed, entry), report)
+
+
 def audit_log_incumbents(
     log: RunLog,
     instances: dict[str, Union[str, Path]],
@@ -180,14 +192,6 @@ def audit_log_incumbents(
         except (OSError, ValueError, MpsParseError) as exc:
             out.append(AuditEntry(name, Verdict.UNVERIFIABLE, None, f"unreadable: {exc}"))
             continue
-        report = check_feasibility(inst, Solution(values, file_obj if file_obj is not None else 0.0))
-        if not report.feasible:
-            out.append(AuditEntry(name, Verdict.INFEASIBLE, report, "feasibility gate failed"))
-            continue
-        entry = registry.get(name)
-        if entry is None:
-            out.append(AuditEntry(name, Verdict.UNKNOWN, report, "no registry entry"))
-            continue
-        verdict = compare_incumbent(report.objective_recomputed, entry)
-        out.append(AuditEntry(name, verdict, report))
+        claim = Solution(values, file_obj if file_obj is not None else 0.0)
+        out.append(judge_claim(name, inst, claim, registry))
     return out

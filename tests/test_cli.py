@@ -1,6 +1,10 @@
 import json
 
+import pytest
+
 from milpbench.cli import cli_dispatch
+from milpbench.runner import DatasetSpec, RunLog, RunRecord, RunStatus
+from milpbench.validate import audit_log_incumbents, load_registry
 
 from _helpers import (
     chain_instance,
@@ -118,16 +122,47 @@ def test_validate_subcommand_verdict_is_data(tmp_path, capsys):
     assert "max_row_violation        1.0" in out
 
 
+# claimed solutions of knap2 (min -x0 - 2 x1, x0 + x1 <= 1), by the verdict
+# each gets against a registry best of -1
+CLAIMS = {
+    "better": "x0 0.0\nx1 1.0\n=obj= -2.0\n",
+    "tied": "x0 1.0\nx1 0.0\n=obj= -1.0\n",
+    "worse": "x0 0.0\nx1 0.0\n=obj= 0.0\n",
+    "infeasible": "x0 1.0\nx1 1.0\n=obj= -3.0\n",  # breaks the row, yet "beats" -1
+}
+
+
 def test_validate_with_registry(tmp_path, capsys):
     mps = write_instance(tmp_path, knapsack_2var())
-    sol = tmp_path / "good.sol"
-    sol.write_text("x0 0.0\nx1 1.0\n=obj= -2.0\n")
     reg = tmp_path / "registry.json"
     reg.write_text(json.dumps({"knap2": {"objective": -1.0, "sense": "min"}}))
+    for verdict in ("better", "infeasible"):
+        sol = tmp_path / f"{verdict}.sol"
+        sol.write_text(CLAIMS[verdict])
+        rc = cli_dispatch(["validate", "--instance", mps, "--solution", str(sol), "--registry", str(reg)])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert f"verdict                  {verdict}\n" in out
+
+
+@pytest.mark.parametrize(
+    "registry", [{"knap2": {"objective": -1.0, "sense": "min"}}, {}], ids=["entry", "no_entry"]
+)
+@pytest.mark.parametrize("claim", sorted(CLAIMS))
+def test_validate_and_audit_give_one_verdict(tmp_path, capsys, claim, registry):
+    mps = write_instance(tmp_path, knapsack_2var())
+    sol = tmp_path / "claimed.sol"
+    sol.write_text(CLAIMS[claim])
+    reg = tmp_path / "registry.json"
+    reg.write_text(json.dumps(registry))
+    record = RunRecord("knap2", "s", "default", RunStatus.OPTIMAL, 0.1, solution_path=str(sol))
+    log = RunLog(DatasetSpec("custom", (mps,), 30.0), "s", False, [record])
+    (audited,) = audit_log_incumbents(log, {"knap2": mps}, load_registry(str(reg)))
     rc = cli_dispatch(["validate", "--instance", mps, "--solution", str(sol), "--registry", str(reg)])
-    out = capsys.readouterr().out
     assert rc == 0
-    assert "verdict                  better" in out
+    (line,) = [line for line in capsys.readouterr().out.splitlines() if line.startswith("verdict")]
+    assert line.split()[1] == audited.verdict.value
+    assert audited.verdict.value == (claim if registry or claim == "infeasible" else "unknown")
 
 
 def test_config_show_by_instance_hit(tmp_path, capsys):

@@ -15,7 +15,7 @@ from milpbench.config import (
     param_by_index,
 )
 from milpbench.instance import extract_features
-from milpbench.solver import BranchRule, NodeStrategy
+from milpbench.solver import BranchRule, NodeStrategy, ReferenceSolverOptions
 
 from _helpers import knapsack_2var, random_binary_instance
 
@@ -199,6 +199,7 @@ def test_map_threads_recorded_inert():
     opts = map_to_reference(Configuration({34: 8}, "t8"))
     assert opts.threads_recorded == 8
     base = map_to_reference(Configuration({}, "plain"))
+    assert base == ReferenceSolverOptions()  # no assignment keeps every solver default
     assert (
         opts.node_strategy,
         opts.branch_rule,
@@ -244,6 +245,19 @@ def test_load_configuration_bare_and_wrapped():
     wrapped = load_configuration('{"label": "x", "assignments": {"15": 2}}')
     assert wrapped.label == "x"
     assert wrapped.assignments == {15: 2}
+
+
+@pytest.mark.parametrize(
+    "load",
+    [
+        lambda raw: make_store({"configs": {"c": raw}, "default": "c"}),
+        lambda raw: load_configuration(json.dumps(raw)),
+    ],
+    ids=["store", "configuration"],
+)
+def test_parameter_assigned_by_index_and_name_is_rejected(load):
+    with pytest.raises(ConfigError, match="CPXPARAM_MIP_Cuts_Gomory twice"):
+        load({"15": 1, "CPXPARAM_MIP_Cuts_Gomory": 3})
 
 
 def test_store_accepts_strategy_names_for_enum_params():
