@@ -186,11 +186,15 @@ def _cmd_bench_resume(args) -> int:
 def _cmd_bench_report(args) -> int:
     baseline = read_log(args.baseline)
     adapted = read_log(args.adapted)
+    shift = baseline.protocol.get("shift", PROTOCOL_SHIFT)
+    other = adapted.protocol.get("shift", PROTOCOL_SHIFT)
+    if shift != other:
+        raise ValueError(f"the log headers give different shifts: {shift} (baseline), {other} (adapted)")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    s_base = summarize(baseline, baseline.dataset)
-    s_adap = summarize(adapted, adapted.dataset)
+    s_base = summarize(baseline, baseline.dataset, shift)
+    s_adap = summarize(adapted, adapted.dataset, shift)
     try:
         summaries = attach_scaled([s_base, s_adap], s_base.solver_label)
     except ValueError:  # a zero reference mean leaves the scaled row empty
@@ -214,7 +218,7 @@ def _cmd_bench_report(args) -> int:
     )
     meta = {
         "time_limit_s": baseline.dataset.time_limit_s,
-        "shift": baseline.protocol.get("shift", PROTOCOL_SHIFT),
+        "shift": shift,
         "host": _host(),
     }
     print(table, end="")

@@ -316,23 +316,20 @@ _TOGGLES = {
 }
 _IDX_GOMORY = 15
 _IDX_VARSEL = 19
-_IDX_THREADS = 34
 _IDX_NODESEL = 37
 _IDX_MIPGAP = 46
 
 
 def map_to_reference(
-    cfg: Configuration,
-    time_limit_s: float = ReferenceSolverOptions.time_limit_s,
-    node_limit: Optional[int] = ReferenceSolverOptions.node_limit,
+    cfg: Configuration, time_limit_s: float = ReferenceSolverOptions.time_limit_s
 ) -> ReferenceSolverOptions:
     """Translate the supported parameter subset onto reference-solver options.
 
     Conventions (an analogy, not an emulation): node selection 0 means
     depth-first and anything else best-bound; variable selection 2/3/4 means
     pseudocost and anything else most-fractional; Gomory values clamp to a
-    nonnegative round count; threads are recorded but inert.  Every other
-    index lands in ``ignored``, and a field no assignment sets keeps its
+    nonnegative round count.  Every other index, threads included, lands in
+    ``ignored``, and a field no assignment sets keeps its
     :class:`ReferenceSolverOptions` default.
     """
     opts: dict[str, object] = {}
@@ -352,13 +349,9 @@ def map_to_reference(
             if value < 0 or not math.isfinite(value):
                 raise ConfigError(f"gap tolerance must be a finite nonnegative real, got {value}")
             opts["rel_gap"] = float(value)
-        elif idx == _IDX_THREADS:
-            opts["threads_recorded"] = max(1, int(value))
         else:
             ignored.append(idx)
-    return ReferenceSolverOptions(
-        time_limit_s=time_limit_s, node_limit=node_limit, ignored=tuple(ignored), **opts
-    )
+    return ReferenceSolverOptions(time_limit_s=time_limit_s, ignored=tuple(ignored), **opts)
 
 
 def _as_choice(value, names: dict[str, int]) -> int:

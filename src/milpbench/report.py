@@ -64,17 +64,6 @@ def render_table(
     return "\n".join(lines) + "\n"
 
 
-def parse_table(text: str) -> dict[str, dict[str, str]]:
-    """Inverse of render_table for round-trip checks: row -> solver -> cell."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    headers = lines[0].split()
-    out: dict[str, dict[str, str]] = {}
-    for line in lines[1:]:
-        cells = line.split()
-        out[cells[0]] = {h.rstrip("*"): c for h, c in zip(headers, cells[1:])}
-    return out
-
-
 def _y_of(t: float, lo_exp: float, hi_exp: float) -> float:
     t = max(t, 10.0 ** lo_exp)
     frac = (math.log10(t) - lo_exp) / (hi_exp - lo_exp)

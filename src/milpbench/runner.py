@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, asdict, replace
 from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
-from typing import IO, Callable, Optional, Union
+from typing import Callable, Optional, Union
 
 from .config import ConfigStore, Configuration, adapt, configuration_to_json, map_to_reference
 from .instance import Instance, extract_features
@@ -51,11 +51,9 @@ class ObjectiveKind(Enum):
     DETECT_INFEASIBLE = "detect_infeasible"
 
 
-class RunStatus(Enum):
-    OPTIMAL = "optimal"
-    INFEASIBLE = "infeasible"
-    TIME_LIMIT = "time_limit"
-    ERROR = "error"
+# a run record carries the solver's own status; an external solver reports
+# one of the same four values
+RunStatus = SolveStatus
 
 
 @dataclass(frozen=True)
@@ -91,20 +89,13 @@ class DatasetSpec:
         )
 
 
-def load_dataset(source: Union[str, IO[str], Path]) -> DatasetSpec:
-    """Dataset file: JSON with name, instances, optional limit and kind."""
-    if isinstance(source, str) and source.lstrip().startswith("{"):
-        text = source
-        base = Path(".")
-    elif isinstance(source, (str, Path)):
-        text = Path(source).read_text()
-        base = Path(source).parent
-    else:
-        text = source.read()
-        base = Path(".")
-    doc = json.loads(text)
+def load_dataset(path: PathLike) -> DatasetSpec:
+    """Dataset file: JSON with name, instances, optional limit and kind;
+    relative instance paths resolve against the file's directory."""
+    doc = json.loads(Path(path).read_text())
+    base = Path(path).parent
     name = doc.get("name", "custom")
-    paths = tuple(str((base / p)) if not Path(p).is_absolute() else p for p in doc["instances"])
+    paths = tuple(str(base / p) if not Path(p).is_absolute() else p for p in doc["instances"])
     limit = float(doc.get("time_limit_s", DATASET_LIMITS.get(name, 60.0)))
     kind = ObjectiveKind(doc.get("objective_kind", "optimize"))
     return DatasetSpec(name, paths, limit, kind)
@@ -159,10 +150,6 @@ class RunRecord:
         return cls(**d)
 
 
-def _log_key(record: RunRecord) -> tuple[str, str]:
-    return record.instance_name, record.solver_label
-
-
 @dataclass
 class RunLog:
     dataset: DatasetSpec
@@ -175,30 +162,6 @@ class RunLog:
             "shift": PROTOCOL_SHIFT,
         }
     )
-
-    # (instance, solver) -> first position in ``records``, for the list and
-    # length in ``_indexed``; rebuilt when ``records`` changed other than by upsert
-    _index: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _indexed: tuple = field(default=(None, 0), init=False, repr=False, compare=False)
-
-    def upsert(self, record: RunRecord) -> None:
-        """Replace the record of the same (instance, solver) in place, or append."""
-        key = _log_key(record)
-        i = self._index.get(key)
-        seen, length = self._indexed
-        if seen is not self.records or length != len(self.records) or (
-            i is not None and _log_key(self.records[i]) != key
-        ):
-            self._index = {}
-            for j, old in enumerate(self.records):
-                self._index.setdefault(_log_key(old), j)
-            i = self._index.get(key)
-        if i is None:
-            self._index[key] = len(self.records)
-            self.records.append(record)
-        else:
-            self.records[i] = record
-        self._indexed = (self.records, len(self.records))
 
     def by_instance(self) -> dict[str, RunRecord]:
         return {r.instance_name: r for r in self.records}
@@ -243,7 +206,8 @@ class _LogWriter:
 
 
 def read_log(path: PathLike) -> RunLog:
-    """Load a run log; a torn trailing line (crash) is ignored."""
+    """Load a run log; a torn trailing line (crash) is ignored, and a later
+    record of an (instance, solver) pair replaces the earlier one in its place."""
     lines = Path(path).read_text().splitlines()
     if not lines:
         raise ValueError(f"empty run log: {path}")
@@ -259,6 +223,7 @@ def read_log(path: PathLike) -> RunLog:
         adapt_enabled=bool(header.get("adapt_enabled", False)),
         protocol=header.get("protocol", {}),
     )
+    merged: dict[tuple[str, str], RunRecord] = {}
     for line in lines[1:]:
         if not line.strip():
             continue
@@ -267,7 +232,9 @@ def read_log(path: PathLike) -> RunLog:
         except json.JSONDecodeError:
             continue  # torn line after a crash; completed records stand
         if doc.get("kind") == "record":
-            log.upsert(RunRecord.from_dict(doc))
+            record = RunRecord.from_dict(doc)
+            merged[record.instance_name, record.solver_label] = record
+    log.records = list(merged.values())
     return log
 
 
@@ -349,24 +316,16 @@ def _run_builtin(
     outcome = branch_and_bound(inst, opts)
     wall = time.perf_counter() - t0
 
-    status = {
-        SolveStatus.OPTIMAL: RunStatus.OPTIMAL,
-        SolveStatus.INFEASIBLE: RunStatus.INFEASIBLE,
-        SolveStatus.TIME_LIMIT: RunStatus.TIME_LIMIT,
-        SolveStatus.NODE_LIMIT: RunStatus.TIME_LIMIT,  # resource family
-        SolveStatus.ERROR: RunStatus.ERROR,
-    }[outcome.status]
-
     sol_path = None
     target = _solution_path(backend, inst, cfg, work_dir)
     if target is not None:
         if outcome.incumbent is not None:
             write_solution(target, outcome.incumbent.values, outcome.incumbent.objective)
             sol_path = str(target)
-        write_status(target, status.value)
+        write_status(target, outcome.status.value)
 
     return record(
-        status,
+        outcome.status,
         wall,
         objective=outcome.incumbent.objective if outcome.incumbent else None,
         best_bound=outcome.best_bound if math.isfinite(outcome.best_bound) else None,
@@ -455,8 +414,11 @@ def _job_for_path(args) -> Optional[RunRecord]:
 def _run_paths(
     log: RunLog, writer: _LogWriter, backend, store, work_dir, done=frozenset(), parallel=1
 ) -> RunLog:
-    """Run each dataset path of ``log`` not in ``done``; upsert and write every record, then close."""
+    """Run each dataset path of ``log`` not in ``done`` and write every record,
+    then close.  A new record replaces the record of its (instance, solver)
+    pair in place, or is appended."""
     ds = log.dataset
+    merged = {(r.instance_name, r.solver_label): r for r in log.records}
     jobs = [
         (p, backend, store, log.adapt_enabled, ds.time_limit_s, log.solver_label, work_dir, done)
         for p in ds.instance_paths
@@ -465,10 +427,11 @@ def _run_paths(
         with ProcessPoolExecutor(max_workers=parallel) if parallel > 1 else nullcontext() as pool:
             for record in (pool.map if pool else map)(_job_for_path, jobs):
                 if record is not None:
-                    log.upsert(record)
+                    merged[record.instance_name, record.solver_label] = record
                     writer.write(record)
     finally:
         writer.close()
+    log.records = list(merged.values())
     return log
 
 

@@ -29,10 +29,11 @@ _COVER_ROUNDS = 5
 
 
 class SolveStatus(Enum):
+    """How a solve ended; a run record carries it as is (``runner.RunStatus``)."""
+
     OPTIMAL = "optimal"
     INFEASIBLE = "infeasible"
     TIME_LIMIT = "time_limit"
-    NODE_LIMIT = "node_limit"
     ERROR = "error"
 
 
@@ -113,17 +114,14 @@ class _Search:
         self.splx = BoundedSimplex(self.form)
 
     def rows_ok(self, x: np.ndarray, tol: float = _INT_TOL) -> bool:
+        """Each row side holds up to ``tol`` times ``max(1, |side|)``, the
+        scaling that ``validate.check_feasibility`` applies."""
         A, rlo, rup = self.form.A, self.form.rlo, self.form.rup
         if not A.shape[0]:
             return True
         act = A @ x
-        scale = np.ones(A.shape[0])
-        finite_lo = np.isfinite(rlo)
-        finite_hi = np.isfinite(rup)
-        scale[finite_lo] = np.maximum(scale[finite_lo], np.abs(rlo[finite_lo]))
-        scale[finite_hi] = np.maximum(scale[finite_hi], np.abs(rup[finite_hi]))
-        lo_ok = ~finite_lo | (act >= rlo - tol * scale)
-        hi_ok = ~finite_hi | (act <= rup + tol * scale)
+        lo_ok = act >= rlo - tol * np.maximum(1.0, np.abs(rlo))  # -inf: always holds
+        hi_ok = act <= rup + tol * np.maximum(1.0, np.abs(rup))
         return bool(np.all(lo_ok & hi_ok))
 
     def fractional(self, x: np.ndarray) -> np.ndarray:
@@ -323,13 +321,9 @@ def branch_and_bound(
         if clock() >= deadline:
             limit_status = SolveStatus.TIME_LIMIT
             break
-        if opts.node_limit is not None and search.nodes >= opts.node_limit:
-            limit_status = SolveStatus.NODE_LIMIT
-            break
         if incumbent_obj is not None:
             bound_now = min(open_bound(), incumbent_obj)
-            threshold = max(opts.rel_gap, opts.abs_gap / max(1e-10, abs(incumbent_obj)))
-            if compute_gap(incumbent_obj, bound_now) <= threshold:
+            if compute_gap(incumbent_obj, bound_now) <= opts.rel_gap:
                 break
 
         node = heapq.heappop(open_nodes)[1]

@@ -18,15 +18,14 @@ _COEF_DROP = 1e-11
 _DYNAMISM_MAX = 1e7
 _RHS_RELAX = 1e-9
 _COVER_TOL = 1e-6
+_MAX_CUTS = 16           # per separator and round
 
 
 def _relax(rhs: float) -> float:
     return rhs - _RHS_RELAX * max(1.0, abs(rhs))
 
 
-def gomory_cuts(
-    splx: BoundedSimplex, is_int: np.ndarray, max_cuts: int = 16
-) -> list[tuple[np.ndarray, float]]:
+def gomory_cuts(splx: BoundedSimplex, is_int: np.ndarray) -> list[tuple[np.ndarray, float]]:
     """Derive GMI cuts from fractional basic integer variables of the final
     tableau of ``splx``'s last solve, which must have ended OPTIMAL.
 
@@ -49,7 +48,7 @@ def gomory_cuts(
             fractional.append((abs(f0 - 0.5), p, f0))
     fractional.sort()
 
-    for _, p, f0 in fractional[:max_cuts]:
+    for _, p, f0 in fractional[:_MAX_CUTS]:
         tab = splx.tableau_row(p)
         g = np.zeros(n + m)  # over structural + activity columns
         rhs = f0
@@ -102,7 +101,6 @@ def cover_cuts(
     ub: np.ndarray,
     is_int: np.ndarray,
     xstar: np.ndarray,
-    max_cuts: int = 16,
 ) -> list[tuple[np.ndarray, float]]:
     """Separate minimal cover cuts from knapsack relaxations of the rows.
 
@@ -127,7 +125,7 @@ def cover_cuts(
             sides.append((-A[i], float(-rlo[i])))
 
     for a_row, b in sides:
-        if len(cuts) >= max_cuts:
+        if len(cuts) >= _MAX_CUTS:
             break
         support = np.flatnonzero(a_row)
         flip = a_row[support] < 0

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
 
 
 class NodeStrategy(Enum):
@@ -31,22 +30,13 @@ class ReferenceSolverOptions:
     presolve_coeff_reduce: bool = False
     diving: bool = False
     rel_gap: float = 0.0
-    abs_gap: float = 0.0
     time_limit_s: float = 3600.0
-    node_limit: Optional[int] = None
-    threads_recorded: int = 1
     ignored: tuple[int, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
         if self.rel_gap < 0:
             raise ValueError("rel_gap must be nonnegative")
-        if self.abs_gap < 0:
-            raise ValueError("abs_gap must be nonnegative")
         if self.time_limit_s <= 0:
             raise ValueError("time_limit_s must be positive")
         if self.gomory_rounds < 0:
             raise ValueError("gomory_rounds must be nonnegative")
-        if self.node_limit is not None and self.node_limit <= 0:
-            raise ValueError("node_limit must be positive")
-        if self.threads_recorded < 1:
-            raise ValueError("threads_recorded must be positive")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
 from pathlib import Path
-from typing import IO, Optional, Union
+from typing import Optional, Union
 
 from .instance import Instance
 from .runner import RunLog
@@ -62,16 +62,13 @@ class BestKnownRegistry:
         return self.entries.get(name)
 
 
-def load_registry(source: Union[str, Path, IO[str], None] = None) -> BestKnownRegistry:
-    """Load a registry JSON map; None loads the shipped best-known fixture."""
-    if source is None:
+def load_registry(path: Union[str, Path, None] = None) -> BestKnownRegistry:
+    """Load a registry JSON map from ``path``; None loads the shipped
+    best-known fixture."""
+    if path is None:
         text = resources.files("milpbench").joinpath("data/best_known.json").read_text()
-    elif isinstance(source, str) and source.lstrip().startswith("{"):
-        text = source
-    elif isinstance(source, (str, Path)):
-        text = Path(source).read_text()
     else:
-        text = source.read()
+        text = Path(path).read_text()
     doc = json.loads(text)
     entries = {}
     for name, raw in doc.items():

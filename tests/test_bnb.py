@@ -1,3 +1,4 @@
+import itertools
 import math
 import time
 
@@ -81,10 +82,16 @@ def test_time_limit_contract_on_hard_instance():
     assert elapsed < 5.0
 
 
-def test_node_limit_status():
+def _counting_clock():
+    """A clock that advances one unit per reading: the search reads it once
+    per open node, so a time limit of N units is a budget of about N nodes."""
+    return itertools.count().__next__
+
+
+def test_injected_clock_budget_ends_at_time_limit():
     inst = market_split_instance(seed=3, n=20, m=3)
-    out = branch_and_bound(inst, ReferenceSolverOptions(node_limit=5))
-    assert out.status is SolveStatus.NODE_LIMIT
+    out = branch_and_bound(inst, ReferenceSolverOptions(time_limit_s=5), clock=_counting_clock())
+    assert out.status is SolveStatus.TIME_LIMIT
     assert out.nodes <= 5
 
 
@@ -147,12 +154,15 @@ def test_determinism_nodes_incumbent_ticks():
 def test_bound_monotone_in_node_budget():
     inst = market_split_instance(seed=11, n=18, m=3)
     prev = -math.inf
+    stopped = 0
     for limit in (1, 2, 4, 8, 16, 32, 64):
-        out = branch_and_bound(inst, ReferenceSolverOptions(node_limit=limit))
-        if out.status is not SolveStatus.NODE_LIMIT:
+        out = branch_and_bound(inst, ReferenceSolverOptions(time_limit_s=limit), clock=_counting_clock())
+        if out.status is not SolveStatus.TIME_LIMIT:
             break  # solved within the budget; bound settles at the optimum
         assert out.best_bound >= prev - 1e-9
         prev = out.best_bound
+        stopped += 1
+    assert stopped >= 3  # the budgets did cut the search short
 
 
 def test_incumbents_pass_independent_feasibility_check():
@@ -170,6 +180,23 @@ def test_incumbents_pass_independent_feasibility_check():
     assert checked > 10
 
 
+def test_incumbent_meets_each_row_side_at_its_own_scale():
+    # 0 <= 1000x - 1000y <= 1000: with both sides scaled by 1000, the point
+    # (1, 1.0000005) passed the solver's row check at -0.9990005, though its
+    # lower side is broken by 5e-4 and the audit rejects it
+    inst = Instance(
+        "scaled_sides",
+        Sense.MINIMIZE,
+        (Variable("x", 0.0, 10.0, VarKind.INTEGER), Variable("y", 0.0, 1.0000005, VarKind.CONTINUOUS)),
+        (make_row("r", [(0, 1000.0), (1, -1000.0)], Relation.RANGE, 1000.0, range_width=1000.0),),
+        objective=((0, 0.001), (1, -1.0)),
+    )
+    out = branch_and_bound(inst, ReferenceSolverOptions())
+    assert out.status is SolveStatus.OPTIMAL
+    assert check_feasibility(inst, out.incumbent).feasible
+    assert out.incumbent.objective == pytest.approx(-0.999, abs=1e-9)
+
+
 def test_gap_formula():
     assert compute_gap(10.0, 10.0) == 0.0
     assert compute_gap(10.0, 9.0) == pytest.approx(0.1, abs=1e-15)
@@ -185,16 +212,6 @@ def test_rel_gap_early_stop():
     assert loose.nodes <= exact.nodes
     # the true optimum is n-1 = 11; the loose run may stop with the weaker bound
     assert exact.incumbent.objective == pytest.approx(-11.0, abs=1e-9)
-
-
-def test_abs_gap_early_stop():
-    inst = chain_instance(12)
-    exact = branch_and_bound(inst, ReferenceSolverOptions())
-    loose = branch_and_bound(inst, ReferenceSolverOptions(abs_gap=1.0))
-    assert loose.status is SolveStatus.OPTIMAL
-    assert loose.incumbent.objective == pytest.approx(-11.0, abs=1e-9)
-    assert abs(loose.incumbent.objective - loose.best_bound) <= 1.0 + 1e-9
-    assert loose.nodes < exact.nodes
 
 
 def test_chain_instance_gomory_collapses_tree():

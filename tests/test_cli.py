@@ -4,6 +4,7 @@ import pytest
 
 from milpbench.cli import cli_dispatch
 from milpbench.runner import DatasetSpec, RunLog, RunRecord, RunStatus
+from milpbench.scores import shifted_geomean
 from milpbench.validate import audit_log_incumbents, load_registry
 
 from _helpers import (
@@ -47,6 +48,15 @@ def test_solve_with_config_file(tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "ignored    CPXPARAM_MIP_Cuts_RLT" in out
+
+
+def test_solve_lists_threads_as_ignored(tmp_path, capsys):
+    mps = write_instance(tmp_path, knapsack_2var())
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"CPXPARAM_Threads": 4}))
+    rc = cli_dispatch(["solve", mps, "--config", str(cfg)])
+    assert rc == 0
+    assert "ignored    CPXPARAM_Threads\n" in capsys.readouterr().out
 
 
 def test_unknown_flag_exits_one(tmp_path, capsys):
@@ -95,6 +105,38 @@ def test_bench_run_and_report_round_trip(tmp_path, capsys):
     assert (report_dir / "summary.txt").exists()
     assert (report_dir / "distribution.svg").exists()
     assert "unscal" in out and "solved" in out
+
+
+def _write_log(path, label, shift, runs):
+    """A run log over ``runs`` = [(instance, status, wall)] whose header gives ``shift``."""
+    ds = DatasetSpec("custom", tuple(f"{name}.mps" for name, _, _ in runs), 30.0)
+    header = {
+        "kind": "header",
+        "dataset": ds.to_dict(),
+        "protocol": {"gap_tolerance": 0.0, "shift": shift, "time_limit_s": 30.0},
+        "solver_label": label,
+    }
+    records = [RunRecord(name, label, "default", status, wall).to_dict() for name, status, wall in runs]
+    path.write_text("".join(json.dumps(doc) + "\n" for doc in [header, *records]))
+    return str(path)
+
+
+def test_bench_report_scores_with_the_header_shift(tmp_path, capsys):
+    base_runs = [("a", RunStatus.OPTIMAL, 0.5), ("b", RunStatus.OPTIMAL, 2.0), ("c", RunStatus.TIME_LIMIT, 31.0)]
+    adap_runs = [("a", RunStatus.OPTIMAL, 0.25), ("b", RunStatus.OPTIMAL, 1.0), ("c", RunStatus.OPTIMAL, 4.0)]
+    base = _write_log(tmp_path / "base.jsonl", "base", 1.0, base_runs)
+    adap = _write_log(tmp_path / "adap.jsonl", "adap", 1.0, adap_runs)
+    rc = cli_dispatch(["bench", "report", "--baseline", base, "--adapted", adap, "--out", str(tmp_path / "rep")])
+    assert rc == 0
+    assert '"shift": 1.0' in capsys.readouterr().out
+    summary = json.loads((tmp_path / "rep" / "summary.json").read_text())
+    assert [s["unscal"] for s in summary] == [shifted_geomean([0.5, 2.0, 30.0], 1.0), shifted_geomean([0.25, 1.0, 4.0], 1.0)]
+
+    other = _write_log(tmp_path / "other.jsonl", "adap", 10.0, adap_runs)
+    rc = cli_dispatch(["bench", "report", "--baseline", base, "--adapted", other, "--out", str(tmp_path / "rep2")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "rep2").exists()
 
 
 def test_bench_resume_cli(tmp_path, capsys):

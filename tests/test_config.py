@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -196,23 +197,24 @@ def test_map_gap_tolerance_zero():
 
 
 def test_map_threads_recorded_inert():
+    # the solver is single-threaded: threads are recorded in ``ignored`` only
     opts = map_to_reference(Configuration({34: 8}, "t8"))
-    assert opts.threads_recorded == 8
-    base = map_to_reference(Configuration({}, "plain"))
-    assert base == ReferenceSolverOptions()  # no assignment keeps every solver default
-    assert (
-        opts.node_strategy,
-        opts.branch_rule,
-        opts.gomory_rounds,
-        opts.cover_cuts,
-        opts.diving,
-    ) == (
-        base.node_strategy,
-        base.branch_rule,
-        base.gomory_rounds,
-        base.cover_cuts,
-        base.diving,
-    )
+    assert opts == ReferenceSolverOptions(ignored=(34,))
+    assert map_to_reference(Configuration({}, "plain")) == ReferenceSolverOptions()
+
+
+# a non-default value for each index the solver honours
+SUPPORTED = {4: 1, 14: 1, 15: 2, 19: 2, 24: 1, 36: 1, 37: 0, 46: 0.1}
+
+
+def test_every_option_field_has_a_parameter_that_sets_it():
+    opts = map_to_reference(Configuration(SUPPORTED, "all"))
+    default = ReferenceSolverOptions()
+    unset = [f.name for f in dataclasses.fields(opts) if getattr(opts, f.name) == getattr(default, f.name)]
+    assert unset == ["time_limit_s", "ignored"]
+    for p in PARAMETER_REGISTRY:
+        if p.index not in SUPPORTED:
+            assert map_to_reference(Configuration({p.index: 1}, "one")).ignored == (p.index,)
 
 
 def test_map_unsupported_index_lands_in_ignored():

@@ -169,15 +169,16 @@ def _knapsack_10x3(rng: np.random.Generator) -> Instance:
 def test_gomory_and_cover_knapsacks_reach_the_enumerated_optimum(seed):
     # Seeds 22 and 26 each hold a knapsack whose node LPs, after the cuts,
     # pivoted on a tiny element and returned x_j > 1 on a binary, so the
-    # search re-branched on one node until the node limit; raising the pivot
-    # tolerance to 1e-6 instead did the same to seed 34 after a pivot of
+    # search re-branched on one node until its budget ran out; raising the
+    # pivot tolerance to 1e-6 instead did the same to seed 34 after a pivot of
     # 3.05e-6.  Seed 33 holds one where a cover of a Gomory row cut off the
-    # optimum (120 instead of 121).
+    # optimum (120 instead of 121).  The budget is 300 readings of a clock
+    # that advances one unit per reading, one per open node.
     rng = np.random.default_rng(seed)
-    opts = ReferenceSolverOptions(gomory_rounds=2, cover_cuts=True, node_limit=300)
+    opts = ReferenceSolverOptions(gomory_rounds=2, cover_cuts=True, time_limit_s=300)
     for _ in range(25):
         inst = _knapsack_10x3(rng)
         _, want = enumerate_binary_optimum(inst)
-        out = branch_and_bound(inst, opts)
+        out = branch_and_bound(inst, opts, clock=itertools.count().__next__)
         assert out.status.value == "optimal"
         assert out.incumbent.objective == pytest.approx(want, abs=1e-6)

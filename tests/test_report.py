@@ -2,8 +2,19 @@ import re
 
 import pytest
 
-from milpbench.report import emit_distribution_svg, format_sig3, parse_table, render_table
+from milpbench.report import emit_distribution_svg, format_sig3, render_table
 from milpbench.scores import BenchmarkSummary, DistributionSeries
+
+
+def parse_table(text: str) -> dict[str, dict[str, str]]:
+    """Inverse of render_table for round-trip checks: row -> solver -> cell."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    headers = lines[0].split()
+    out: dict[str, dict[str, str]] = {}
+    for line in lines[1:]:
+        cells = line.split()
+        out[cells[0]] = {h.rstrip("*"): c for h, c in zip(headers, cells[1:])}
+    return out
 
 
 def _summary(label, unscal, scaled, solved, n=240):

@@ -6,7 +6,6 @@ from pathlib import Path
 import pytest
 
 from milpbench.config import Configuration, empty_store, load_store
-from milpbench import runner
 from milpbench.mps import write_mps
 from milpbench.runner import (
     BackendKind,
@@ -14,7 +13,6 @@ from milpbench.runner import (
     DatasetMismatch,
     DatasetSpec,
     ObjectiveKind,
-    RunLog,
     RunRecord,
     RunStatus,
     grace_seconds,
@@ -272,6 +270,7 @@ def test_resume_reruns_error_records(tmp_path):
     assert len(resumed.records) == 3
     fixed = resumed.by_instance()["tiny1"]
     assert fixed.status is RunStatus.OPTIMAL
+    assert [r.instance_name for r in resumed.records] == ["tiny0", "tiny1", "tiny2"]  # replaced in place
 
 
 def test_resume_dataset_mismatch(tmp_path):
@@ -328,6 +327,8 @@ def test_dataset_file_loader(tmp_path):
     ds = load_dataset(ds_path)
     assert ds.time_limit_s == 12.5
     assert ds.instance_paths == (p1,)
+    ds_path.write_text(json.dumps(dict(doc, instances=["sub/x.mps"])))
+    assert load_dataset(str(ds_path)).instance_paths == (str(tmp_path / "sub" / "x.mps"),)
 
 
 def test_suite_determinism_builtin(tmp_path):
@@ -412,33 +413,24 @@ def _record(name, label="s", objective=0.0):
     return RunRecord(name, label, "default", RunStatus.OPTIMAL, 1.0, objective=objective)
 
 
-def _empty_log():
-    return RunLog(dataset=DatasetSpec("d", (), 10.0), solver_label="s", adapt_enabled=False)
-
-
-def test_upsert_replaces_in_place_and_keeps_first_insertion_order():
-    log = _empty_log()
-    for name in ("a", "b", "c"):
-        log.upsert(_record(name))
-    log.upsert(_record("b", objective=2.0))
-    log.upsert(_record("b", label="other"))
-    log.records.append(_record("d"))  # grown directly, then upserted into
-    log.upsert(_record("d", objective=4.0))
-    assert [(r.instance_name, r.solver_label, r.objective) for r in log.records] == [
+def test_read_log_replaces_in_place_and_keeps_first_insertion_order(tmp_path):
+    header = {"kind": "header", "dataset": DatasetSpec("d", (), 10.0).to_dict(), "solver_label": "s"}
+    records = [
+        _record("a"),
+        _record("b"),
+        _record("c"),
+        _record("b", objective=2.0),
+        _record("b", label="other"),
+        _record("d"),
+        _record("d", objective=4.0),
+    ]
+    out = tmp_path / "run.jsonl"
+    lines = [json.dumps(header)] + [json.dumps(r.to_dict()) for r in records]
+    out.write_text("\n".join(lines) + '\n{"kind": "record", "instance_na')  # torn tail
+    assert [(r.instance_name, r.solver_label, r.objective) for r in read_log(out).records] == [
         ("a", "s", 0.0),
         ("b", "s", 2.0),
         ("c", "s", 0.0),
         ("b", "other", 0.0),
         ("d", "s", 4.0),
     ]
-
-
-def test_upsert_looks_up_a_record_in_constant_time(monkeypatch):
-    keys = []
-    real = runner._log_key
-    monkeypatch.setattr(runner, "_log_key", lambda r: keys.append(r) or real(r))
-    log = _empty_log()
-    for k in range(2000):
-        log.upsert(_record(f"x{k % 1500}"))
-    assert len(log.records) == 1500
-    assert len(keys) <= 3 * 2000  # a scan per upsert would take about 2.6 million

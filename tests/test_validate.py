@@ -118,7 +118,9 @@ def test_shipped_registry_covers_the_incumbent_table():
 def test_audit_classifies_better_infeasible_and_skipped(tmp_path):
     inst = knapsack_2var()
     path = write_instance(tmp_path, inst)
-    registry = load_registry(json.dumps({"knap2": {"objective": -1.0, "sense": "min"}}))
+    registry_path = tmp_path / "registry.json"
+    registry_path.write_text(json.dumps({"knap2": {"objective": -1.0, "sense": "min"}}))
+    registry = load_registry(registry_path)
 
     backend = BackendSpec(kind=BackendKind.BUILTIN, solution_path_template="{instance}.sol")
     ds = DatasetSpec("custom", (path,), 30.0)
