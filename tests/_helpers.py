@@ -115,6 +115,13 @@ def empty_cover_instance(k: int = 5, n: int = 3, name: Optional[str] = None) -> 
     )
 
 
+def counting_clock():
+    """A clock for ``branch_and_bound(clock=...)`` that advances one unit per
+    reading: the search reads it once per open node, so a time limit of N
+    units is a budget of about N nodes, whatever the host's speed."""
+    return itertools.count().__next__
+
+
 # ---- independent oracles ---------------------------------------------------
 
 

@@ -1,4 +1,3 @@
-import itertools
 import math
 import time
 
@@ -22,6 +21,7 @@ from _helpers import (
     binary_instance,
     chain_instance,
     contradictory_bounds_instance,
+    counting_clock,
     enumerate_binary_optimum,
     enumerate_box_integer_optimum,
     knapsack_2var,
@@ -82,15 +82,9 @@ def test_time_limit_contract_on_hard_instance():
     assert elapsed < 5.0
 
 
-def _counting_clock():
-    """A clock that advances one unit per reading: the search reads it once
-    per open node, so a time limit of N units is a budget of about N nodes."""
-    return itertools.count().__next__
-
-
 def test_injected_clock_budget_ends_at_time_limit():
     inst = market_split_instance(seed=3, n=20, m=3)
-    out = branch_and_bound(inst, ReferenceSolverOptions(time_limit_s=5), clock=_counting_clock())
+    out = branch_and_bound(inst, ReferenceSolverOptions(time_limit_s=5), clock=counting_clock())
     assert out.status is SolveStatus.TIME_LIMIT
     assert out.nodes <= 5
 
@@ -156,7 +150,7 @@ def test_bound_monotone_in_node_budget():
     prev = -math.inf
     stopped = 0
     for limit in (1, 2, 4, 8, 16, 32, 64):
-        out = branch_and_bound(inst, ReferenceSolverOptions(time_limit_s=limit), clock=_counting_clock())
+        out = branch_and_bound(inst, ReferenceSolverOptions(time_limit_s=limit), clock=counting_clock())
         if out.status is not SolveStatus.TIME_LIMIT:
             break  # solved within the budget; bound settles at the optimum
         assert out.best_bound >= prev - 1e-9

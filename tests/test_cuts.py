@@ -10,7 +10,7 @@ from milpbench.solver.cuts import cover_cuts, gomory_cuts
 from milpbench.solver.simplex import BoundedSimplex, LpStatus
 from milpbench.solver.standard_form import to_standard_form
 
-from _helpers import enumerate_binary_optimum, random_binary_instance
+from _helpers import counting_clock, enumerate_binary_optimum, random_binary_instance
 
 
 def _gomory_for(inst: Instance):
@@ -172,13 +172,13 @@ def test_gomory_and_cover_knapsacks_reach_the_enumerated_optimum(seed):
     # search re-branched on one node until its budget ran out; raising the
     # pivot tolerance to 1e-6 instead did the same to seed 34 after a pivot of
     # 3.05e-6.  Seed 33 holds one where a cover of a Gomory row cut off the
-    # optimum (120 instead of 121).  The budget is 300 readings of a clock
-    # that advances one unit per reading, one per open node.
+    # optimum (120 instead of 121).  The clock bounds the search at about 300
+    # nodes.
     rng = np.random.default_rng(seed)
     opts = ReferenceSolverOptions(gomory_rounds=2, cover_cuts=True, time_limit_s=300)
     for _ in range(25):
         inst = _knapsack_10x3(rng)
         _, want = enumerate_binary_optimum(inst)
-        out = branch_and_bound(inst, opts, clock=itertools.count().__next__)
+        out = branch_and_bound(inst, opts, clock=counting_clock())
         assert out.status.value == "optimal"
         assert out.incumbent.objective == pytest.approx(want, abs=1e-6)
