@@ -21,7 +21,7 @@ from ..instance import Instance
 from .cuts import cover_cuts, gomory_cuts
 from .options import BranchRule, NodeStrategy, ReferenceSolverOptions
 from .presolve import presolve
-from .simplex import BoundedSimplex, LpResult, LpStatus, SimplexBreakdown, WarmStart
+from .simplex import BASIC, BoundedSimplex, LpResult, LpStatus, SimplexBreakdown, WarmStart
 from .standard_form import StandardForm, to_standard_form
 
 _INT_TOL = 1e-6
@@ -101,10 +101,13 @@ class _Search:
         finally:
             self.ticks += self.splx.iterations
 
-    def add_cut_rows(self, cuts: list[tuple[np.ndarray, float]]) -> None:
+    def add_cut_rows(self, cuts: list[tuple[np.ndarray, float]], warm: WarmStart) -> WarmStart:
         """Append one round's cuts ``g x >= rhs``; the LP object is rebuilt
-        for the new rows."""
-        f = self.form
+        for the new rows.  Returns ``warm``, the last LP's basis, with each
+        cut's row column added as basic: the cuts are violated there, so the
+        new LP starts primal infeasible and dual feasible."""
+        f, (basis, status) = self.form, warm
+        new_rows = np.arange(f.n + f.m, f.n + f.m + len(cuts))
         self.form = replace(
             f,
             A=np.vstack([f.A] + [g[np.newaxis, :] for g, _ in cuts]),
@@ -112,6 +115,7 @@ class _Search:
             rup=np.concatenate([f.rup, np.full(len(cuts), np.inf)]),
         )
         self.splx = BoundedSimplex(self.form)
+        return np.concatenate([basis, new_rows]), np.concatenate([status, np.full(len(cuts), BASIC, np.int8)])
 
     def rows_ok(self, x: np.ndarray, tol: float = _INT_TOL) -> bool:
         """Each row side holds up to ``tol`` times ``max(1, |side|)``, the
@@ -232,7 +236,7 @@ def branch_and_bound(
 
         max_rounds = max(opts.gomory_rounds, _COVER_ROUNDS if opts.cover_cuts else 0)
         for rnd in range(max_rounds):
-            if search.fractional(res.point).size == 0:
+            if search.fractional(res.point).size == 0 or clock() >= deadline:
                 break
             cuts: list[tuple[np.ndarray, float]] = []
             if rnd < opts.gomory_rounds:
@@ -242,8 +246,7 @@ def branch_and_bound(
                 cuts.extend(cover_cuts(rows.A, rows.rlo, rows.rup, root_lb, root_ub, form.is_int, res.point))
             if not cuts:
                 break
-            search.add_cut_rows(cuts)
-            res = search.lp(root_lb, root_ub)
+            res = search.lp(root_lb, root_ub, search.add_cut_rows(cuts, res.warm))
             if res.status is LpStatus.INFEASIBLE:
                 return finish(SolveStatus.INFEASIBLE, math.inf)
             if res.status is LpStatus.UNBOUNDED:

@@ -1,5 +1,6 @@
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from milpbench.solver import (
     compute_gap,
 )
 from milpbench.solver import bnb
-from milpbench.solver.simplex import BoundedSimplex, SimplexBreakdown
+from milpbench.solver.simplex import BoundedSimplex, SimplexBreakdown, solve_lp
 from milpbench.validate import check_feasibility
 
 from _helpers import (
@@ -360,10 +361,11 @@ def test_one_lp_object_per_row_set(monkeypatch):
 
 
 def test_first_tree_node_starts_from_the_root_basis_not_the_dive(monkeypatch):
-    # root and cut LPs start cold, the dive's first LP is the first warm one,
-    # and the first tree-node LP is the first solve after a node is made
-    calls, first_node = [], []
-    solve, node = BoundedSimplex.solve, bnb._Node
+    # the LP after the last cut round ends the root, the next solve is the
+    # dive's first LP, and the first tree-node LP is the first solve after a
+    # node is made
+    calls, cut_rounds, first_node = [], [], []
+    solve, add_cut_rows, node = BoundedSimplex.solve, bnb._Search.add_cut_rows, bnb._Node
 
     def spy(self, lb=None, ub=None, warm=None):
         res = solve(self, lb, ub, warm)
@@ -371,14 +373,30 @@ def test_first_tree_node_starts_from_the_root_basis_not_the_dive(monkeypatch):
         return res
 
     monkeypatch.setattr(BoundedSimplex, "solve", spy)
+    monkeypatch.setattr(bnb._Search, "add_cut_rows", lambda *a: cut_rounds.append(len(calls)) or add_cut_rows(*a))
     monkeypatch.setattr(bnb, "_Node", lambda *a: first_node.append(len(calls)) or node(*a))
     out = branch_and_bound(_two_row_knapsack(), _CUTS_AND_DIVE)
-    assert out.status is SolveStatus.OPTIMAL
-    dive = next(k for k, (warm, _) in enumerate(calls) if warm is not None)
+    assert out.status is SolveStatus.OPTIMAL and cut_rounds
+    dive = cut_rounds[-1] + 1
     tree = first_node[0]
     root_warm, dive_warm = calls[dive - 1][1].warm, calls[tree - 1][1].warm
+    assert calls[dive][0] is root_warm
     assert tree - dive >= 2 and not np.array_equal(root_warm[1], dive_warm[1])  # the dive moved the basis
     assert calls[tree][0] is root_warm
+
+
+def test_cut_rounds_stop_at_the_deadline(monkeypatch):
+    # the clock reads 0 at the start and 1 before the first cut round, when a
+    # limit of 1 has run out: no round is separated, and the root LP's bound stands
+    separated = []
+    gomory, cover = bnb.gomory_cuts, bnb.cover_cuts
+    monkeypatch.setattr(bnb, "gomory_cuts", lambda *a: separated.append("gomory") or gomory(*a))
+    monkeypatch.setattr(bnb, "cover_cuts", lambda *a: separated.append("cover") or cover(*a))
+    inst = _two_row_knapsack()
+    out = branch_and_bound(inst, replace(_CUTS_AND_DIVE, time_limit_s=1), clock=counting_clock())
+    assert separated == []
+    assert out.status is SolveStatus.TIME_LIMIT and out.incumbent is None
+    assert out.best_bound == pytest.approx(solve_lp(inst).objective, abs=1e-9)
 
 
 def _mixed_model(seed: int = 7):

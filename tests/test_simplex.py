@@ -6,18 +6,21 @@ import pytest
 from scipy.optimize import linprog
 
 from milpbench.instance import Instance, Relation, Sense, Variable, make_row
+from milpbench.solver import ReferenceSolverOptions, simplex
+from milpbench.solver.bnb import _Search
 from milpbench.solver.simplex import (
     _FEAS_TOL,
     _PIVOT_TOL,
     _SMALL_PIVOT,
     AT_LOWER,
+    BASIC,
     FREE,
     BoundedSimplex,
     LpStatus,
     SimplexBreakdown,
     solve_lp,
 )
-from milpbench.solver.standard_form import to_standard_form
+from milpbench.solver.standard_form import StandardForm, to_standard_form
 
 from _helpers import random_lp_instance
 
@@ -107,8 +110,11 @@ def _scipy_reference(inst: Instance):
     )
 
 
-def test_random_lps_match_reference_solver(monkeypatch):
-    # also counts, per outcome, the inputs whose slack start needed a cost shift
+@pytest.mark.parametrize("kernel_rows", [simplex._KERNEL_ROWS, 0], ids=["row_rule", "kernel"])
+def test_random_lps_match_reference_solver(monkeypatch, kernel_rows):
+    # also counts, per outcome, the inputs whose slack start needed a cost
+    # shift; a row rule of 0 sends every LP through the kernel and sparse eta path
+    monkeypatch.setattr(simplex, "_KERNEL_ROWS", kernel_rows)
     shifted, dual = [], BoundedSimplex._dual
 
     def spy(self, z, movable):
@@ -284,6 +290,68 @@ def test_warm_start_from_parent_basis_matches_cold_solve(monkeypatch):
     assert seen[LpStatus.OPTIMAL] > 100 and seen[LpStatus.INFEASIBLE] > 20
     assert [w for w in fallbacks if w is not None] == []  # every child was solved warm
     assert sum(cleanup) == 0  # the dual simplex ends at an optimal basis
+
+
+def test_warm_cut_lp_matches_a_slack_basis_solve(monkeypatch):
+    # cuts violated at an optimal vertex join its basis as basic row columns;
+    # the LP from that start and the same rows from the slack basis agree
+    _, fallbacks = _count_slack_starts(monkeypatch)
+    rng = np.random.default_rng(13)
+    seen = collections.Counter()
+    for _ in range(300):
+        form = to_standard_form(_bounded_lp(rng))
+        search = _Search(form, ReferenceSolverOptions())
+        res = search.lp(form.lb, form.ub)
+        if res.status is not LpStatus.OPTIMAL:
+            continue
+        cuts = []
+        for _ in range(int(rng.integers(1, 4))):
+            g = np.round(rng.uniform(-3, 3, form.n), 2)
+            cuts.append((g, float(g @ res.point) + float(rng.uniform(0.1, 2.0))))
+        basis, status = search.add_cut_rows(cuts, res.warm)
+        new_rows = np.arange(form.n + form.m, form.n + form.m + len(cuts))
+        assert np.array_equal(basis, np.concatenate([res.warm[0], new_rows]))
+        assert (status[new_rows] == BASIC).all() and np.array_equal(status[: form.n + form.m], res.warm[1])
+        fallbacks.clear()
+        got = search.splx.solve(warm=(basis, status))
+        assert fallbacks == []  # solved from the warm start
+        ref = search.splx.solve()
+        assert got.status is ref.status
+        seen[got.status] += 1
+        if got.status is LpStatus.OPTIMAL:
+            assert got.objective == pytest.approx(ref.objective, abs=1e-9 * max(1.0, abs(ref.objective)))
+    assert seen[LpStatus.OPTIMAL] > 50 and seen[LpStatus.INFEASIBLE] > 10
+
+
+def _rows_only(A):
+    """An LP over the rows A with zero costs and unit boxes."""
+    m, n = A.shape
+    return StandardForm(
+        name="k", c=np.zeros(n), A=A, rlo=np.zeros(m), rup=np.ones(m), lb=np.zeros(n), ub=np.ones(n),
+        is_int=np.zeros(n, bool), var_names=tuple(f"x{j}" for j in range(n)), obj_constant=0.0, flipped=False,
+    )
+
+
+@pytest.mark.parametrize("structural", [0, 4, 8])
+def test_kernel_refactorization_matches_the_dense_inverse(monkeypatch, structural):
+    monkeypatch.setattr(simplex, "_KERNEL_ROWS", 0)
+    rng = np.random.default_rng(5)
+    m, n = 8, 12
+    for _ in range(20):
+        lp = BoundedSimplex(_rows_only(rng.uniform(-2, 2, (m, n))))
+        picked = [rng.choice(n, structural, replace=False), n + rng.choice(m, m - structural, replace=False)]
+        lp.basis = rng.permutation(np.concatenate(picked))
+        np.testing.assert_allclose(lp._refactorize(), np.linalg.inv(lp.F[:, lp.basis]), rtol=1e-9, atol=1e-12)
+
+
+def test_singular_kernel_is_a_breakdown(monkeypatch):
+    monkeypatch.setattr(simplex, "_KERNEL_ROWS", 0)
+    A = np.random.default_rng(6).uniform(-2, 2, (4, 6))
+    A[:2, 0] = 0.0  # column 0 meets only rows 2 and 3, whose row columns are basic
+    lp = BoundedSimplex(_rows_only(A))
+    lp.basis = np.array([0, 1, 8, 9])
+    with pytest.raises(SimplexBreakdown):
+        lp._refactorize()
 
 
 def test_warm_start_falls_back_to_cold_when_it_does_not_apply(monkeypatch):
