@@ -74,7 +74,7 @@ class _Node:
     branch_var: int = -1
     branch_up: bool = False
     parent_frac: float = math.nan
-    warm: Optional[WarmStart] = None  # the parent LP's final basis
+    warm: Optional[WarmStart] = None  # the parent LP's final basis, and its factor, shared by both children
 
 
 class _Search:
@@ -105,7 +105,7 @@ class _Search:
         """Append one round's cuts ``g x >= rhs``; the LP object is rebuilt
         for the new rows.  Returns ``warm``, the last LP's basis, with each
         cut's row column added as basic: the cuts are violated there, so the
-        new LP starts primal infeasible and dual feasible."""
+        new LP starts primal infeasible and dual feasible, with no factor."""
         f, (basis, status) = self.form, warm
         new_rows = np.arange(f.n + f.m, f.n + f.m + len(cuts))
         self.form = replace(
@@ -169,7 +169,7 @@ def branch_and_bound(
     t0 = clock()
     deadline = t0 + opts.time_limit_s
 
-    pres = presolve(inst, opts)
+    pres = presolve(inst, opts, deadline, clock)
     form = to_standard_form(pres.instance)
     names = form.var_names
     n = form.n

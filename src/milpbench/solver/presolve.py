@@ -20,7 +20,9 @@ instance structurally untouched.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
+from typing import Callable
 
 from ..instance import INF, Instance, LinearRow, Relation, Variable
 from .options import ReferenceSolverOptions
@@ -193,8 +195,10 @@ def _reduce_row(row: LinearRow, lb, ub, is_int) -> tuple[LinearRow | None, bool]
     return LinearRow(row.name, out, row.relation, float(sign * rhs), None), True
 
 
-def presolve(inst: Instance, opts: ReferenceSolverOptions) -> PresolveResult:
-    """Apply the enabled reductions; identity when both toggles are off."""
+def presolve(inst: Instance, opts: ReferenceSolverOptions, deadline: float = math.inf,
+             clock: Callable[[], float] = time.monotonic) -> PresolveResult:
+    """Apply the enabled reductions; identity when both toggles are off.
+    No pass starts once ``clock()`` reaches ``deadline``; each leaves a valid reduction."""
     names = tuple(v.name for v in inst.variables)
     if not (opts.presolve_bound_tighten or opts.presolve_coeff_reduce):
         return PresolveResult(inst, BackMap(names, ()), False, 0)
@@ -208,6 +212,8 @@ def presolve(inst: Instance, opts: ReferenceSolverOptions) -> PresolveResult:
     infeasible = any(lo > up + _EPS for lo, up in zip(lb, ub))
 
     while not infeasible and passes < _MAX_PASSES:
+        if clock() >= deadline:
+            break
         passes += 1
         changed = False
         if opts.presolve_bound_tighten:

@@ -17,7 +17,12 @@ is dual phase 1 by cost modification (Koberstein, 2005).  A bounded dual
 simplex with steepest-edge pricing then reaches primal feasibility or proves
 the LP infeasible, and primal phase 2 under the true costs reaches the
 optimum or proves it unbounded.  Both phases move through one exchange step
-and stop at one iteration limit.
+and stop at one iteration limit.  Below ``_KERNEL_ROWS`` rows an OPTIMAL
+solve's warm start also carries its final factor, m^2 + 2(n+m) floats that
+both children of a node share; a child whose only moved bound is a basic
+column's starts from it as it is, with no refactorization, recomputation or
+cost shift, and its dual simplex from the one violated row.  The eta count
+travels too: ``B^-1`` is refactorized every ``_REFACTOR_EVERY`` updates on a path.
 
 A solve climbs one ladder of attempts: the warm start when it is given and
 fits, the slack basis when it is not or it broke down, and the slack basis
@@ -47,7 +52,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -66,8 +71,22 @@ _FEAS_TOL = 1e-7  # primal: how far a basic value may lie outside its bounds
 _OPT_TOL = 1e-9  # dual: how far a reduced cost may lie on its improving side
 _BOUND_TOL = 1e-6  # bnb's integrality tolerance: a fractional value is never out of bounds
 
-# a basis over the structural and row columns, and the status of each of them
-WarmStart = tuple[np.ndarray, np.ndarray]
+
+class WarmStart(tuple):
+    """``(basis, status)``: a basis over the structural and row columns and
+    the status of each of them, and the ``factor`` of an OPTIMAL solve."""
+
+    factor: Optional["_Factor"] = None
+
+
+class _Factor(NamedTuple):
+    """``B_inv`` after ``etas`` eta updates, column values and reduced costs, over ``form``."""
+
+    form: StandardForm
+    B_inv: np.ndarray
+    xval: np.ndarray
+    z: np.ndarray
+    etas: int
 
 
 class SimplexBreakdown(RuntimeError):
@@ -86,7 +105,7 @@ class LpResult:
     objective: Optional[float]
     point: np.ndarray
     iterations: int
-    warm: Optional[WarmStart]  # copies of the final basis and statuses; None when no basis was built
+    warm: Optional[WarmStart]  # copies of the final basis and statuses, and any factor; None when no basis was built
 
 
 class BoundedSimplex:
@@ -100,6 +119,11 @@ class BoundedSimplex:
         self.F = np.hstack([form.A, -np.eye(form.m)])
         self.cost = np.concatenate([form.c, np.zeros(form.m)])  # over the columns of F
         self._max_iter = 5000 + 200 * (self.m + self.F.shape[1])  # per phase; beyond it, a breakdown
+        self.lo = np.concatenate([form.lb, form.rlo])  # each solve writes its column bounds into these
+        self.hi = np.concatenate([form.ub, form.rup])
+        ones = np.ones(form.n)  # _bounds_violated's tolerance on each column's bounds
+        self._tol_lo = _BOUND_TOL * np.concatenate([ones, np.maximum(1.0, np.abs(form.rlo))])
+        self._tol_hi = _BOUND_TOL * np.concatenate([ones, np.maximum(1.0, np.abs(form.rup))])
 
     def solve(
         self,
@@ -111,14 +135,16 @@ class BoundedSimplex:
         None): from ``warm`` when it fits these rows, then from the slack
         basis, then from the slack basis under Bland's rule, each attempt
         taken when the one before did not fit or broke down.  A breakdown of
-        the last attempt reaches the caller.  Nothing of an earlier solve
-        carries over."""
+        the last attempt reaches the caller.  Of an earlier solve only
+        ``warm`` carries over, with any factor over these rows."""
         self.iterations = 0
-        self.lo = np.concatenate([self.form.lb if lb is None else lb, self.form.rlo])
-        self.hi = np.concatenate([self.form.ub if ub is None else ub, self.form.rup])
+        self.lo[: self.n] = self.form.lb if lb is None else lb
+        self.hi[: self.n] = self.form.ub if ub is None else ub
         self.basis = self.status = self.xval = self.B_inv = None
-        if np.any(self.lo > self.hi):
+        if (self.lo > self.hi).any():
             return LpResult(LpStatus.INFEASIBLE, None, np.zeros(self.n), 0, None)
+        factor = getattr(warm, "factor", None)
+        self._carried = warm if factor is not None and factor.form is self.form else None
         self._bland = False
         for start in (warm, None) if warm is not None else (None,):
             try:
@@ -143,26 +169,31 @@ class BoundedSimplex:
         """Start from a basis and the statuses of the structural and row
         columns: dual simplex to a primal feasible basis, then primal phase 2.
         None when they do not fit this LP, and the caller starts from the
-        slack basis."""
+        slack basis.  A warm start with a factor over these rows is not
+        checked again; the factor is used when the nonbasic values are its."""
         n, m = self.n, self.m
+        carried = self._carried
+        own = carried is not None and basis is carried[0] and status is carried[1]
         basis = np.array(basis, dtype=np.int64)
         status = np.array(status, dtype=np.int8)
-        if basis.shape != (m,) or status.shape != (n + m,) or (m and basis.max() >= n + m):
-            return None  # other rows
-        if np.count_nonzero(status == BASIC) != m or (status[basis] != BASIC).any():
-            return None
+        if not own and (basis.shape != (m,) or status.shape != (n + m,) or (m and basis.max() >= n + m)
+                        or np.count_nonzero(status == BASIC) != m or (status[basis] != BASIC).any()):
+            return None  # other rows, or no basis
         lo, hi = self.lo, self.hi
-        free = status == FREE
         xval = np.where(status == AT_UPPER, hi, np.where(status == AT_LOWER, lo, 0.0))
-        if not np.isfinite(xval).all() or np.isfinite(lo[free]).any() or np.isfinite(hi[free]).any():
-            return None  # a status points at an infinite bound
+        if (~np.isfinite(xval) | ((status == FREE) & (np.isfinite(lo) | np.isfinite(hi)))).any():
+            return None  # a status points at an infinite bound, or a free one at a finite bound
         self.basis, self.status, self.xval = basis, status, xval
-        self.B_inv = self._refactorize()
-        self._recompute_basics()
-
-        z = self._reduced_costs()
         movable = hi - lo > 0
-        z[self._eligible(z, movable)] = 0.0  # cost shifting: the dual phase starts dual feasible
+        factor = carried.factor if own else None
+        if factor is not None:
+            xval[basis] = factor.xval[basis]
+        if factor is not None and np.array_equal(xval, factor.xval):
+            self.B_inv, self._since_refactor, z = factor.B_inv.copy(), factor.etas, factor.z.copy()
+        else:
+            self._refresh()
+            z = self._reduced_costs()
+            z[self._eligible(z, movable)] = 0.0  # cost shifting: the dual phase starts dual feasible
         if not self._dual(z, movable):
             return self._result(LpStatus.INFEASIBLE)
         return self._phase_two()
@@ -175,24 +206,25 @@ class BoundedSimplex:
                 return self._result(LpStatus.UNBOUNDED)
             if not self._bounds_violated():
                 return self._result(LpStatus.OPTIMAL)
-            self.B_inv = self._refactorize()
-            self._recompute_basics()
+            self._refresh()
         raise SimplexBreakdown("basic values outside their bounds at the optimum")
 
     def _bounds_violated(self) -> bool:
         """Any basic value beyond its bounds by more than ``_BOUND_TOL``,
         absolute on structural columns (bnb's integrality tolerance) and
         relative to the bound on row columns."""
-        xb, lob, hib = self.xval[self.basis], self.lo[self.basis], self.hi[self.basis]
-        row = self.basis >= self.n
-        tol_lo = _BOUND_TOL * np.where(row, np.maximum(1.0, np.abs(lob)), 1.0)
-        tol_hi = _BOUND_TOL * np.where(row, np.maximum(1.0, np.abs(hib)), 1.0)
-        return bool(((xb < lob - tol_lo) | (xb > hib + tol_hi)).any())
+        b = self.basis
+        xb = self.xval[b]
+        return bool(((xb < self.lo[b] - self._tol_lo[b]) | (xb > self.hi[b] + self._tol_hi[b])).any())
 
     def _result(self, status: LpStatus) -> LpResult:
         point = self.xval[: self.n].copy()
+        warm = WarmStart((self.basis.copy(), self.status.copy()))
+        if status is LpStatus.OPTIMAL and self.m < _KERNEL_ROWS:
+            # shared: the next solve replaces these arrays before it changes them
+            warm.factor = _Factor(self.form, self.B_inv, self.xval, self.z, self._since_refactor)
         obj = float(self.form.c @ point) if status is LpStatus.OPTIMAL else None
-        return LpResult(status, obj, point, self.iterations, (self.basis.copy(), self.status.copy()))
+        return LpResult(status, obj, point, self.iterations, warm)
 
     # -- iteration machinery ------------------------------------------------
 
@@ -222,7 +254,10 @@ class BoundedSimplex:
         except np.linalg.LinAlgError:
             raise SimplexBreakdown("singular basis") from None
 
-    def _recompute_basics(self) -> None:
+    def _refresh(self) -> None:
+        """Refactorize ``B^-1`` and recompute the basic values from it."""
+        self.B_inv = self._refactorize()
+        self._since_refactor = 0
         nonbasic = (self.status != BASIC).nonzero()[0]
         rhs = -(self.F[:, nonbasic] @ self.xval[nonbasic]) if self.m else np.zeros(0)
         self.xval[self.basis] = self.B_inv @ rhs
@@ -243,7 +278,7 @@ class BoundedSimplex:
     def _pivot(self, p: int, q: int, d: np.ndarray) -> None:
         """Column q replaces the basic column at position p; ``d`` is
         ``B^-1 F[:, q]``.  Eta update, with a refactorization every
-        ``_REFACTOR_EVERY`` pivots."""
+        ``_REFACTOR_EVERY`` updates, carried factors' updates included."""
         self.basis[p] = q
         self.status[q] = BASIC
         if abs(d[p]) < _PIVOT_TOL:
@@ -251,16 +286,14 @@ class BoundedSimplex:
         else:
             r = self.B_inv[p, :] / d[p]
             if self.m < _KERNEL_ROWS:
-                self.B_inv -= np.outer(d, r)
+                self.B_inv -= d[:, np.newaxis] * r
             else:  # only the rows that d touches
                 nz = np.flatnonzero(d)
-                self.B_inv[nz] -= np.outer(d[nz], r)
+                self.B_inv[nz] -= d[nz, np.newaxis] * r
             self.B_inv[p, :] = r
         self._since_refactor += 1
         if self._since_refactor >= _REFACTOR_EVERY:
-            self.B_inv = self._refactorize()
-            self._recompute_basics()
-            self._since_refactor = 0
+            self._refresh()
 
     def _exchange(self, p: int, q: int, d: np.ndarray, theta: float, to_upper: bool) -> None:
         """Column q enters, moved by ``theta`` (the basic values by
@@ -302,16 +335,16 @@ class BoundedSimplex:
 
     def _iterate(self) -> bool:
         """Primal simplex under the true costs from a primal feasible basis:
-        True at an optimal basis, False on an improving ray, a breakdown at
-        the iteration limit."""
+        True at an optimal basis, its reduced costs left in ``z``; False on
+        an improving ray; a breakdown at the iteration limit."""
         degenerate_run = 0
         bland = self._bland
-        self._since_refactor = 0
         movable = self.hi - self.lo > 0  # fixed columns never enter
         for _ in range(self._max_iter):
             z = self._reduced_costs()
-            idx = np.flatnonzero(self._eligible(z, movable))
+            idx = self._eligible(z, movable).nonzero()[0]
             if idx.size == 0:
+                self.z = z
                 return True
             # |z| is the improvement rate for every eligible status
             q = int(idx[0] if bland else idx[np.abs(z[idx]).argmax()])
@@ -361,7 +394,6 @@ class BoundedSimplex:
         dirn = np.where(movable, at_lo * 1.0 - at_hi, 0.0)
         free = self.status == FREE
         span = self.hi - self.lo
-        self._since_refactor = 0
         for _ in range(self._max_iter):
             xb, lob, hib = self.xval[self.basis], self.lo[self.basis], self.hi[self.basis]
             viol = np.maximum(lob - xb, xb - hib)

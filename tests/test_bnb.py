@@ -425,9 +425,9 @@ _PIN_OPTIONS = {
 # the node order on purpose updates these and says so
 _TREE_PINS = {
     "chain": {"best_bound": (29, 28), "depth_first_pseudocost": (29, 28), "diving": (29, 29)},
-    "knapsack": {"best_bound": (17, 31), "depth_first_pseudocost": (17, 33), "diving": (17, 38)},
-    "market_split": {"best_bound": (303, 321), "depth_first_pseudocost": (375, 400), "diving": (303, 330)},
-    "mixed": {"best_bound": (7, 16), "depth_first_pseudocost": (15, 24), "diving": (5, 14)},
+    "knapsack": {"best_bound": (17, 31), "depth_first_pseudocost": (17, 33), "diving": (17, 37)},
+    "market_split": {"best_bound": (307, 324), "depth_first_pseudocost": (375, 400), "diving": (307, 333)},
+    "mixed": {"best_bound": (6, 14), "depth_first_pseudocost": (6, 14), "diving": (5, 14)},
 }
 
 

@@ -1,13 +1,14 @@
 import importlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from milpbench.instance import INF, Instance, Relation, Sense, Variable, VarKind, make_row
-from milpbench.solver import ReferenceSolverOptions, presolve
+from milpbench.solver import ReferenceSolverOptions, SolveStatus, bnb, branch_and_bound, presolve
 
-from _helpers import binary_instance
+from _helpers import binary_instance, counting_clock
 
 presolve_module = importlib.import_module("milpbench.solver.presolve")
 
@@ -293,3 +294,42 @@ def test_bound_pass_cost_is_linear_in_row_length(monkeypatch):
     assert presolve_module._tighten_bounds([row], lb, ub, is_int) == (True, False)
     assert ub == [float(n // 2)] * n
     assert len(calls) <= 2 * n
+
+
+def _creeping_pair():
+    """x <= y/2 and y <= x/2 over [0, 10]: each pass cuts both upper bounds
+    to a quarter, so bound tightening creeps toward 0 for 18 passes, the way
+    two continuous bounds converge on -5/7 in protocol's mix102."""
+    return Instance(
+        "creep",
+        Sense.MINIMIZE,
+        (Variable("x", 0.0, 10.0, VarKind.CONTINUOUS), Variable("y", 0.0, 10.0, VarKind.CONTINUOUS)),
+        (
+            make_row("a", [(0, 1.0), (1, -0.5)], Relation.LE, 0.0),
+            make_row("b", [(0, -0.5), (1, 1.0)], Relation.LE, 0.0),
+        ),
+        objective=((0, -1.0), (1, -1.0)),
+    )
+
+
+def test_presolve_stops_at_the_deadline(monkeypatch):
+    # the search reads the clock at 0 when it starts and presolve reads it
+    # at 1, 2 and 3 before its first three passes; at 4 a limit of 4 has run
+    # out, and presolve stops with the valid, looser bounds it has
+    inst = _creeping_pair()
+    full = presolve(inst, TIGHTEN)
+    assert full.passes == 18
+    seen = []
+    monkeypatch.setattr(bnb, "presolve", lambda *a: seen.append(presolve(*a)) or seen[-1])
+    out = branch_and_bound(inst, replace(TIGHTEN, time_limit_s=4), clock=counting_clock())
+    assert [res.passes for res in seen] == [3]
+    uppers = [v.upper for v in seen[0].instance.variables]
+    assert uppers == [10.0 / 4**3 * 2, 10.0 / 4**3]
+    assert all(up > v.upper for up, v in zip(uppers, full.instance.variables))
+    assert out.status is SolveStatus.OPTIMAL and out.incumbent.objective == pytest.approx(0.0, abs=1e-9)
+
+
+def test_disabled_presolve_reads_no_clock():
+    clock = counting_clock()
+    assert presolve(_creeping_pair(), OFF, 0.0, clock).passes == 0
+    assert clock() == 0  # the first reading

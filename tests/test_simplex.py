@@ -1,5 +1,6 @@
 import collections
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -321,6 +322,134 @@ def test_warm_cut_lp_matches_a_slack_basis_solve(monkeypatch):
         if got.status is LpStatus.OPTIMAL:
             assert got.objective == pytest.approx(ref.objective, abs=1e-9 * max(1.0, abs(ref.objective)))
     assert seen[LpStatus.OPTIMAL] > 50 and seen[LpStatus.INFEASIBLE] > 10
+
+
+def _children(res, lb, ub):
+    """The bounds of both children of each fractional basic structural
+    column of the OPTIMAL ``res``, solved under ``lb``/``ub``."""
+    for j in [b for b in res.warm[0] if b < lb.size]:
+        v = res.point[j]
+        if abs(v - round(v)) < 1e-6:
+            continue
+        for up in (False, True):
+            child_lb, child_ub = lb.copy(), ub.copy()
+            if up:
+                child_lb[j] = math.ceil(v)
+            else:
+                child_ub[j] = math.floor(v)
+            yield child_lb, child_ub
+
+
+def _count_refactorizations(monkeypatch):
+    """One entry per ``_refactorize`` call."""
+    calls, refactorize = [], BoundedSimplex._refactorize
+    monkeypatch.setattr(BoundedSimplex, "_refactorize", lambda self: calls.append(1) or refactorize(self))
+    return calls
+
+
+def test_child_from_the_carried_factor_matches_the_bare_basis(monkeypatch):
+    # both children of an optimal parent share its factor; each solved from
+    # it refactorizes nothing and agrees with the child solved from the
+    # parent's basis and statuses alone
+    refactorized = _count_refactorizations(monkeypatch)
+    rng = np.random.default_rng(17)
+    seen = collections.Counter()
+    for _ in range(400):
+        form = to_standard_form(_bounded_lp(rng))
+        lp = BoundedSimplex(form)
+        res = lp.solve()
+        if res.status is not LpStatus.OPTIMAL:
+            continue
+        assert res.warm.factor is not None and res.warm.factor.form is form
+        for lb, ub in _children(res, form.lb, form.ub):
+            refactorized.clear()
+            got = lp.solve(lb, ub, warm=res.warm)
+            assert refactorized == []
+            ref = lp.solve(lb, ub, warm=tuple(res.warm))
+            assert len(refactorized) >= 1  # a bare basis is factored afresh
+            assert got.status is ref.status
+            seen[got.status] += 1
+            if got.status is LpStatus.OPTIMAL:
+                assert got.objective == pytest.approx(ref.objective, rel=1e-9, abs=1e-9)
+                assert got.point == pytest.approx(ref.point, rel=1e-9, abs=1e-9)
+    assert seen[LpStatus.OPTIMAL] > 100 and seen[LpStatus.INFEASIBLE] > 20
+
+
+def test_carried_eta_count_refactorizes_on_schedule(monkeypatch):
+    # down chains of children, each started from its parent's factor, B^-1
+    # is refactorized exactly when the eta updates since the last
+    # refactorization reach _REFACTOR_EVERY, counted across the solves
+    monkeypatch.setattr(simplex, "_REFACTOR_EVERY", 3)
+    refactorized = _count_refactorizations(monkeypatch)
+    pivots, pivot = [], BoundedSimplex._pivot
+    monkeypatch.setattr(BoundedSimplex, "_pivot", lambda self, *a: pivots.append(1) or pivot(self, *a))
+    rng = np.random.default_rng(19)
+    longest = carried_refactorizations = 0
+    for _ in range(300):
+        form = to_standard_form(_bounded_lp(rng))
+        lp = BoundedSimplex(form)
+        res, lb, ub, updates = lp.solve(), form.lb, form.ub, 0
+        while res.status is LpStatus.OPTIMAL:
+            etas, deeper = res.warm.factor.etas, None
+            for child_lb, child_ub in _children(res, lb, ub):
+                pivots.clear(), refactorized.clear()
+                child = lp.solve(child_lb, child_ub, res.warm)
+                assert len(refactorized) == (etas + len(pivots)) // 3
+                carried_refactorizations += len(refactorized)
+                if child.status is LpStatus.OPTIMAL:
+                    assert child.warm.factor.etas == (etas + len(pivots)) % 3
+                    deeper = deeper or (child, child_lb, child_ub, len(pivots))
+            if deeper is None:
+                break
+            res, lb, ub, pivoted = deeper
+            updates += pivoted
+        longest = max(longest, updates)
+    assert longest > 10 and carried_refactorizations > 100
+
+
+def test_no_factor_for_cut_rows_other_rows_or_a_moved_nonbasic_bound(monkeypatch):
+    # the warm start of a cut LP has new rows and no factor; a factor made
+    # over other rows of the same shape, or under another bound of a
+    # nonbasic column, is never used: those solves refactorize and match
+    # the solve from the bare basis and statuses
+    refactorized = _count_refactorizations(monkeypatch)
+    rng = np.random.default_rng(23)
+    seen = collections.Counter()
+
+    def matches_the_bare_basis(lp, lb, ub, warm):
+        refactorized.clear()
+        got = lp.solve(lb, ub, warm=warm)
+        assert refactorized
+        ref = lp.solve(lb, ub, warm=tuple(warm))
+        assert (got.status, got.objective, got.iterations) == (ref.status, ref.objective, ref.iterations)
+        assert np.array_equal(got.point, ref.point)
+
+    for _ in range(200):
+        form = to_standard_form(_bounded_lp(rng))
+        search = _Search(form, ReferenceSolverOptions())
+        res = search.lp(form.lb, form.ub)
+        if res.status is not LpStatus.OPTIMAL:
+            continue
+        g = np.round(rng.uniform(-3, 3, form.n), 2)
+        warm = search.add_cut_rows([(g, float(g @ res.point) + 1.0)], res.warm)
+        assert getattr(warm, "factor", None) is None
+        refactorized.clear()
+        search.splx.solve(warm=warm)
+        assert refactorized
+        seen["cut rows"] += 1
+
+        other = BoundedSimplex(replace(form, A=form.A * 2.0, c=-form.c))  # the same shapes
+        for lb, ub in _children(res, form.lb, form.ub):
+            matches_the_bare_basis(other, lb, ub, res.warm)
+            seen["other rows"] += 1
+
+        at_lower = [j for j in range(form.n) if res.warm[1][j] == AT_LOWER and form.ub[j] > form.lb[j]]
+        for j in at_lower[:1]:
+            lb = form.lb.copy()
+            lb[j] += 1.0
+            matches_the_bare_basis(BoundedSimplex(form), lb, form.ub, res.warm)
+            seen["moved nonbasic bound"] += 1
+    assert min(seen.values()) > 50, seen
 
 
 def _rows_only(A):
