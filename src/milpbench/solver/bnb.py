@@ -256,8 +256,9 @@ def branch_and_bound(
 
     # the dive and completion LPs reuse search.splx: keep the root's basis for the tree
     root_obj, root_x, root_warm = res.objective, res.point, res.warm
+    root_cand = search.fractional(root_x)
 
-    if opts.diving and search.fractional(root_x).size:
+    if opts.diving and root_cand.size:
         lbd, ubd = root_lb.copy(), root_ub.copy()
         xd, warm = root_x, root_warm
         for _ in range(2 * max(1, search.int_idx.size)):
@@ -299,9 +300,8 @@ def branch_and_bound(
     def prune_eps() -> float:
         return 1e-9 * max(1.0, abs(incumbent_obj)) if incumbent_obj is not None else 0.0
 
-    def branch(parent_obj: float, depth: int, lb, ub, x_frac, warm: WarmStart) -> None:
+    def branch(parent_obj: float, depth: int, lb, ub, x_frac, cand, warm: WarmStart) -> None:
         nonlocal next_id
-        cand = search.fractional(x_frac)
         j = search.pick_branch_var(x_frac, cand)
         frac = x_frac[j] - math.floor(x_frac[j])
         dn = _Node(parent_obj, depth, next_id, lb.copy(), ub.copy(), j, False, frac, warm)
@@ -312,12 +312,12 @@ def branch_and_bound(
         push(up)
         push(dn)
 
-    if search.fractional(root_x).size == 0:
+    if root_cand.size == 0:
         accept_candidate(root_x, root_lb, root_ub)
         if incumbent_obj is None:  # integral point rejected by the row check
             return finish(SolveStatus.ERROR, root_obj)
         return finish(SolveStatus.OPTIMAL, root_obj)
-    branch(root_obj, 1, root_lb, root_ub, root_x, root_warm)
+    branch(root_obj, 1, root_lb, root_ub, root_x, root_cand, root_warm)
 
     limit_status: Optional[SolveStatus] = None
     while open_nodes:
@@ -348,10 +348,11 @@ def branch_and_bound(
         search.observe_pseudocost(node, obj)
         if incumbent_obj is not None and obj >= incumbent_obj - prune_eps():
             continue
-        if search.fractional(x).size == 0:
+        cand = search.fractional(x)
+        if cand.size == 0:
             accept_candidate(x, node.lb, node.ub)
             continue
-        branch(obj, node.depth + 1, node.lb, node.ub, x, res.warm)
+        branch(obj, node.depth + 1, node.lb, node.ub, x, cand, res.warm)
 
     if limit_status is not None:
         bound = open_bound()

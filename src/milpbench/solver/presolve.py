@@ -1,16 +1,26 @@
 """Presolve reductions: iterated single-row bound tightening and coefficient
 reduction on rows with binary support.
 
-A bound-tightening pass costs O(nnz).  Per row it keeps the finite part of
-the minimum and the maximum activity and a count of the infinite
-contributions to each, so the activity of a coefficient's other terms is the
-row total less its own term (Achterberg, Bixby, Gu, Rothberg and Weninger,
-"Presolve reductions in MIP", INFORMS J. Comput. 32, 2020).  Rows are visited
-in order and coefficients by index, and a bound that moves updates its row's
-sums at once: later coefficients of the same row and later rows see it in the
-same pass.  A row with a finite term above ``_HUGE`` in magnitude sums the
-other terms afresh for each coefficient, O(row_nnz^2), because taking a huge
-term back out of a total loses the digits of the small ones.
+The first bound pass visits every row; a later one visits only the rows that
+can change: those coefficient reduction rewrote and those holding a column
+whose bound moved after the row's last visit began.  Coefficient reduction
+reruns on the same rows.  Any other row would read the bounds its last visit
+read, so the result, ``passes`` included, is the one a sweep over every row
+gives.  A visit costs O(row_nnz): per row it keeps the finite part of the
+minimum and the maximum activity and a count of the infinite contributions
+to each, so the activity of a coefficient's other terms is the row total
+less its own term (Achterberg, Bixby, Gu, Rothberg and Weninger, "Presolve
+reductions in MIP", INFORMS J. Comput. 32, 2020).  A visit skips its
+per-coefficient loop when every term is finite and the largest
+|a_j|(u_j - l_j) fits inside both activity slacks by a margin far above
+rounding, so that no bound can move (SCIP's "maxactdelta" test); a row
+holding an integer column with a fractional bound, which the loop rounds, is
+not skipped.  Coefficients are visited by index, and a bound that moves
+updates its row's sums at once: later coefficients of the same row and later
+rows see it in the same pass.  A row with a finite term above ``_HUGE`` in
+magnitude sums the other terms afresh for each coefficient, O(row_nnz^2),
+because taking a huge term back out of a total loses the digits of the small
+ones.
 
 Both passes preserve the variable space, so the back map is an identity on
 variable names; redundant rows may be dropped.  Disabled passes leave the
@@ -21,7 +31,8 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from operator import sub
 from typing import Callable
 
 from ..instance import INF, Instance, LinearRow, Relation, Variable
@@ -52,14 +63,6 @@ class PresolveResult:
     passes: int
 
 
-def _contribution(a, lo, up):
-    """(min, max) of ``a * x`` over ``lo <= x <= up`` for ``a != 0``; an
-    infinite bound contributes -INF to the min and INF to the max."""
-    if a > 0:
-        return (a * lo if math.isfinite(lo) else -INF), (a * up if math.isfinite(up) else INF)
-    return (a * up if math.isfinite(up) else -INF), (a * lo if math.isfinite(lo) else INF)
-
-
 def _activity_bounds(coeffs, lb, ub):
     """(min, max) of a row activity over the variable box; inf-aware."""
     lo = hi = 0.0
@@ -75,85 +78,99 @@ def _activity_bounds(coeffs, lb, ub):
 
 def _split(parts):
     """(sum of the finite terms, count of the infinite ones)."""
-    finite = [c for c in parts if math.isfinite(c)]
+    finite = [c for c in parts if -INF < c < INF]
     return sum(finite, 0.0), len(parts) - len(finite)
-
-
-def _others(total, n_inf, own, inf):
-    """Activity bound of a row without one term, from the row's ``_split``;
-    ``inf`` is the side's infinity (-INF for the min, INF for the max)."""
-    if math.isfinite(own):
-        return total - own if n_inf == 0 else inf
-    return total if n_inf == 1 else inf
 
 
 def _swap(total, n_inf, old, new):
     """``_split`` of a row after one term moved from ``old`` to ``new``."""
-    if math.isfinite(old):
+    if -INF < old < INF:
         total -= old
     else:
         n_inf -= 1
-    if math.isfinite(new):
+    if -INF < new < INF:
         total += new
     else:
         n_inf += 1
     return total, n_inf
 
 
-def _tighten_bounds(rows, lb, ub, is_int) -> tuple[bool, bool]:
-    """One pass over ``rows``, updating ``lb``/``ub`` in place; returns
-    (changed, infeasible)."""
-    changed = False
-    for row in rows:
-        rlo, rup = row.interval()
-        terms = [(j, a) for j, a in row.coefficients if a != 0.0]
-        parts = [_contribution(a, lb[j], ub[j]) for j, a in terms]
-        direct = any(_HUGE < abs(c) < INF for part in parts for c in part)
-        lo_sum, lo_inf = _split([clo for clo, _ in parts])
-        hi_sum, hi_inf = _split([chi for _, chi in parts])
-        for (j, a), (clo, chi) in zip(terms, parts):
-            if direct:
-                olo, ohi = _activity_bounds([t for t in terms if t[0] != j], lb, ub)
-            else:
-                olo = _others(lo_sum, lo_inf, clo, -INF)
-                ohi = _others(hi_sum, hi_inf, chi, INF)
-            # a*x_j <= rup - olo   and   a*x_j >= rlo - ohi
-            new_lo, new_hi = lb[j], ub[j]
-            if math.isfinite(rup) and olo > -INF:
-                limit = (rup - olo) / a
-                if a > 0:
-                    new_hi = min(new_hi, limit)
-                else:
-                    new_lo = max(new_lo, limit)
-            if rlo > -INF and math.isfinite(ohi):
-                limit = (rlo - ohi) / a
-                if a > 0:
-                    new_lo = max(new_lo, limit)
-                else:
-                    new_hi = min(new_hi, limit)
-            if is_int[j]:
-                if math.isfinite(new_lo):
-                    new_lo = float(math.ceil(new_lo - 1e-7))
-                if math.isfinite(new_hi):
-                    new_hi = float(math.floor(new_hi + 1e-7))
-            moved = False
-            if new_lo > lb[j] + _EPS:
+def _tighten_row(row, lb, ub, is_int, rounding) -> tuple[list[int], bool]:
+    """Tighten the bounds of ``row``'s columns from the row, in place; returns
+    the columns whose bound moved and whether some column's bounds crossed.
+    ``rounding`` holds the integer columns whose bounds may be non-integral."""
+    terms = [(j, a) for j, a in row.coefficients if a != 0.0]
+    if not terms:
+        return [], False
+    # each term's contribution to the row's min and max activity; an infinite
+    # bound gives an infinite one, whose sign no later step reads
+    los = [a * (lb[j] if a > 0 else ub[j]) for j, a in terms]
+    his = [a * (ub[j] if a > 0 else lb[j]) for j, a in terms]
+    lo_sum, hi_sum = sum(los, 0.0), sum(his, 0.0)
+    if -INF < lo_sum < INF and -INF < hi_sum < INF:  # every term is finite
+        big = max(max(map(abs, los)), max(map(abs, his)))
+        if big <= _HUGE and (not rounding or rounding.isdisjoint([j for j, _ in terms])):
+            # no term's range |a_j|(u_j - l_j) reaches past a slack of the
+            # row, so no limit cuts into a bound; the margin dwarfs the
+            # rounding of the loop's sums
+            rlo, rup = row.interval()
+            slack = min(rup - lo_sum, hi_sum - rlo) * (1.0 - _EPS)
+            if max(max(map(sub, his, los)), 0.0) + _EPS * (abs(lo_sum) + abs(hi_sum) + big) <= slack:
+                return [], False
+    return _tighten_terms(row, terms, los, his, lb, ub, is_int)
+
+
+def _tighten_terms(row, terms, los, his, lb, ub, is_int) -> tuple[list[int], bool]:
+    """The per-coefficient loop of ``_tighten_row``; ``los``/``his`` are the
+    terms' contributions to the row's min and max activity."""
+    rlo, rup = row.interval()
+    direct = any(_HUGE < abs(c) < INF for c in los + his)
+    lo_sum, lo_inf = _split(los)
+    hi_sum, hi_inf = _split(his)
+    moved = []
+    for (j, a), clo, chi in zip(terms, los, his):
+        if direct:
+            olo, ohi = _activity_bounds([t for t in terms if t[0] != j], lb, ub)
+        else:  # the row total less the own term
+            olo = (lo_sum - clo if lo_inf == 0 else -INF) if -INF < clo < INF else (lo_sum if lo_inf == 1 else -INF)
+            ohi = (hi_sum - chi if hi_inf == 0 else INF) if -INF < chi < INF else (hi_sum if hi_inf == 1 else INF)
+        # a*x_j <= rup - olo   and   a*x_j >= rlo - ohi
+        lo = new_lo = lb[j]
+        up = new_hi = ub[j]
+        if -INF < rup < INF and olo > -INF:
+            limit = (rup - olo) / a
+            if a > 0:
+                if limit < new_hi:
+                    new_hi = limit
+            elif limit > new_lo:
+                new_lo = limit
+        if rlo > -INF and -INF < ohi < INF:
+            limit = (rlo - ohi) / a
+            if a > 0:
+                if limit > new_lo:
+                    new_lo = limit
+            elif limit < new_hi:
+                new_hi = limit
+        if is_int[j]:
+            if -INF < new_lo < INF:
+                new_lo = float(math.ceil(new_lo - 1e-7))
+            if -INF < new_hi < INF:
+                new_hi = float(math.floor(new_hi + 1e-7))
+        if new_lo > lo + _EPS or new_hi < up - _EPS:
+            if new_lo > lo + _EPS:
                 lb[j] = new_lo
-                moved = True
-            if new_hi < ub[j] - _EPS:
+            if new_hi < up - _EPS:
                 ub[j] = new_hi
-                moved = True
+            moved.append(j)
             if lb[j] > ub[j] + _EPS:
-                return changed | moved, True
-            if moved and not direct:
-                # later coefficients of this row see the new bounds
-                nlo, nhi = _contribution(a, lb[j], ub[j])
+                return moved, True
+            if not direct:  # later coefficients of this row see the new bounds
+                nlo, nhi = a * (lb[j] if a > 0 else ub[j]), a * (ub[j] if a > 0 else lb[j])
                 if nlo != clo:
                     lo_sum, lo_inf = _swap(lo_sum, lo_inf, clo, nlo)
                 if nhi != chi:
                     hi_sum, hi_inf = _swap(hi_sum, hi_inf, chi, nhi)
-            changed |= moved
-    return changed, False
+    return moved, False
 
 
 def _reduce_row(row: LinearRow, lb, ub, is_int) -> tuple[LinearRow | None, bool]:
@@ -165,7 +182,10 @@ def _reduce_row(row: LinearRow, lb, ub, is_int) -> tuple[LinearRow | None, bool]
     coeffs = {j: sign * a for j, a in row.coefficients}
     rhs = sign * row.rhs
 
-    _, umax = _activity_bounds(list(coeffs.items()), lb, ub)
+    umax = 0.0  # an infinite bound makes it infinite or nan
+    for j, a in coeffs.items():
+        if a != 0.0:
+            umax += a * (ub[j] if a > 0 else lb[j])
     if not math.isfinite(umax):
         return row, False
     if umax <= rhs + _EPS:
@@ -206,7 +226,16 @@ def presolve(inst: Instance, opts: ReferenceSolverOptions, deadline: float = mat
     lb = [float(v.lower) for v in inst.variables]
     ub = [float(v.upper) for v in inst.variables]
     is_int = [v.is_integral for v in inst.variables]
-    rows = list(inst.rows)
+    rows: list[LinearRow | None] = list(inst.rows)  # None once dropped
+    col_rows: list[list[int]] = [[] for _ in lb]
+    for i, row in enumerate(rows):
+        for j, a in row.coefficients:
+            if a != 0.0:
+                col_rows[j].append(i)
+    # rows the next bound pass and the next coefficient reduction must visit
+    visit, reduce = [True] * len(rows), [True] * len(rows)
+    # integer columns with a fractional bound, which a visit rounds (inf % 1 is nan)
+    rounding = {j for j in range(len(lb)) if is_int[j] and (lb[j] % 1 > 0 or ub[j] % 1 > 0)}
     dropped: list[str] = []
     passes = 0
     infeasible = any(lo > up + _EPS for lo, up in zip(lb, ub))
@@ -217,34 +246,34 @@ def presolve(inst: Instance, opts: ReferenceSolverOptions, deadline: float = mat
         passes += 1
         changed = False
         if opts.presolve_bound_tighten:
-            tightened, infeasible = _tighten_bounds(rows, lb, ub, is_int)
-            changed |= tightened
+            for i, row in enumerate(rows):
+                if row is None or not visit[i]:
+                    continue
+                visit[i] = False
+                moved, infeasible = _tighten_row(row, lb, ub, is_int, rounding)
+                for j in moved:
+                    for k in col_rows[j]:
+                        visit[k] = reduce[k] = True
+                changed = changed or bool(moved)
+                if infeasible:
+                    break
             if infeasible:
                 break
         if opts.presolve_coeff_reduce:
-            new_rows = []
-            for row in rows:
+            for i, row in enumerate(rows):
+                if row is None or not reduce[i]:
+                    continue
+                reduce[i] = False
                 reduced, row_changed = _reduce_row(row, lb, ub, is_int)
                 if reduced is None:
                     dropped.append(row.name)
-                    changed = True
-                    continue
-                changed |= row_changed
-                new_rows.append(reduced)
-            rows = new_rows
+                elif row_changed:
+                    visit[i] = reduce[i] = True
+                changed = changed or row_changed
+                rows[i] = reduced
         if not changed:
             break
 
-    variables = tuple(
-        Variable(v.name, float(lb[j]), float(ub[j]), v.kind) for j, v in enumerate(inst.variables)
-    )
-    reduced = Instance(
-        name=inst.name,
-        sense=inst.sense,
-        variables=variables,
-        rows=tuple(rows),
-        objective=inst.objective,
-        objective_constant=inst.objective_constant,
-        objective_name=inst.objective_name,
-    )
+    variables = tuple(Variable(v.name, float(lb[j]), float(ub[j]), v.kind) for j, v in enumerate(inst.variables))
+    reduced = replace(inst, variables=variables, rows=tuple(row for row in rows if row is not None))
     return PresolveResult(reduced, BackMap(names, tuple(dropped)), infeasible, passes)

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from milpbench.instance import INF, Instance, Relation, Sense, Variable, VarKind, make_row
+from milpbench.instance import INF, Instance, LinearRow, Relation, Sense, Variable, VarKind, make_row
 from milpbench.solver import ReferenceSolverOptions, SolveStatus, bnb, branch_and_bound, presolve
 
 from _helpers import binary_instance, counting_clock
@@ -188,9 +188,17 @@ def _reference_tighten(rows, lb, ub, is_int):
     return changed, False
 
 
+def _reference_row(row, lb, ub, is_int, rounding):
+    """``_reference_tighten`` on one row, in the seam of ``presolve._tighten_row``:
+    returns the columns whose bound moved and the infeasible flag."""
+    before = [(lb[j], ub[j]) for j, _ in row.coefficients]
+    _, infeasible = _reference_tighten([row], lb, ub, is_int)
+    return [j for (j, _), b in zip(row.coefficients, before) if b != (lb[j], ub[j])], infeasible
+
+
 def _reference_presolve(inst, opts, monkeypatch):
     with monkeypatch.context() as patch:
-        patch.setattr(presolve_module, "_tighten_bounds", _reference_tighten)
+        patch.setattr(presolve_module, "_tighten_row", _reference_row)
         return presolve(inst, opts)
 
 
@@ -283,17 +291,24 @@ def test_huge_finite_bound_is_not_cancelled(monkeypatch):
     assert res == _reference_presolve(inst, TIGHTEN, monkeypatch)
 
 
-def test_bound_pass_cost_is_linear_in_row_length(monkeypatch):
+class _CountingList(list):
+    """A bound list that counts its reads: the per-coefficient work of a row visit."""
+
+    reads = 0
+
+    def __getitem__(self, j):
+        self.reads += 1
+        return super().__getitem__(j)
+
+
+def test_bound_pass_cost_is_linear_in_row_length():
     # one dense row, every bound moves: 2x_0 + ... + 2x_{n-1} <= n with x_j in [0, 1000]
     n = 400
     row = make_row("cap", [(j, 2.0) for j in range(n)], Relation.LE, float(n))
-    lb, ub, is_int = [0.0] * n, [1000.0] * n, [True] * n
-    calls = []
-    contribution = presolve_module._contribution
-    monkeypatch.setattr(presolve_module, "_contribution", lambda *a: calls.append(a) or contribution(*a))
-    assert presolve_module._tighten_bounds([row], lb, ub, is_int) == (True, False)
+    lb, ub, is_int = _CountingList([0.0] * n), _CountingList([1000.0] * n), [True] * n
+    assert presolve_module._tighten_row(row, lb, ub, is_int, set()) == (list(range(n)), False)
     assert ub == [float(n // 2)] * n
-    assert len(calls) <= 2 * n
+    assert lb.reads + ub.reads <= 10 * n  # summing the others afresh would read n^2
 
 
 def _creeping_pair():
@@ -333,3 +348,303 @@ def test_disabled_presolve_reads_no_clock():
     clock = counting_clock()
     assert presolve(_creeping_pair(), OFF, 0.0, clock).passes == 0
     assert clock() == 0  # the first reading
+
+
+# ---- the full-sweep presolve, kept as the oracle ---------------------------
+# The presolve that visited every row and re-derived every coefficient in
+# each pass.  Skipping rows and per-coefficient loops must not change one bit
+# of its result.
+
+_ORACLE_EPS, _ORACLE_HUGE = 1e-9, 1e6
+
+
+def _oracle_contribution(a, lo, up):
+    if a > 0:
+        return (a * lo if math.isfinite(lo) else -INF), (a * up if math.isfinite(up) else INF)
+    return (a * up if math.isfinite(up) else -INF), (a * lo if math.isfinite(lo) else INF)
+
+
+def _oracle_split(parts):
+    finite = [c for c in parts if math.isfinite(c)]
+    return sum(finite, 0.0), len(parts) - len(finite)
+
+
+def _oracle_others(total, n_inf, own, inf):
+    if math.isfinite(own):
+        return total - own if n_inf == 0 else inf
+    return total if n_inf == 1 else inf
+
+
+def _oracle_swap(total, n_inf, old, new):
+    if math.isfinite(old):
+        total -= old
+    else:
+        n_inf -= 1
+    if math.isfinite(new):
+        total += new
+    else:
+        n_inf += 1
+    return total, n_inf
+
+
+def _oracle_tighten_bounds(rows, lb, ub, is_int):
+    changed = False
+    for row in rows:
+        rlo, rup = row.interval()
+        terms = [(j, a) for j, a in row.coefficients if a != 0.0]
+        parts = [_oracle_contribution(a, lb[j], ub[j]) for j, a in terms]
+        direct = any(_ORACLE_HUGE < abs(c) < INF for part in parts for c in part)
+        lo_sum, lo_inf = _oracle_split([clo for clo, _ in parts])
+        hi_sum, hi_inf = _oracle_split([chi for _, chi in parts])
+        for (j, a), (clo, chi) in zip(terms, parts):
+            if direct:
+                olo, ohi = _reference_activity([t for t in terms if t[0] != j], lb, ub)
+            else:
+                olo = _oracle_others(lo_sum, lo_inf, clo, -INF)
+                ohi = _oracle_others(hi_sum, hi_inf, chi, INF)
+            new_lo, new_hi = lb[j], ub[j]
+            if math.isfinite(rup) and olo > -INF:
+                limit = (rup - olo) / a
+                if a > 0:
+                    new_hi = min(new_hi, limit)
+                else:
+                    new_lo = max(new_lo, limit)
+            if rlo > -INF and math.isfinite(ohi):
+                limit = (rlo - ohi) / a
+                if a > 0:
+                    new_lo = max(new_lo, limit)
+                else:
+                    new_hi = min(new_hi, limit)
+            if is_int[j]:
+                if math.isfinite(new_lo):
+                    new_lo = float(math.ceil(new_lo - 1e-7))
+                if math.isfinite(new_hi):
+                    new_hi = float(math.floor(new_hi + 1e-7))
+            moved = False
+            if new_lo > lb[j] + _ORACLE_EPS:
+                lb[j] = new_lo
+                moved = True
+            if new_hi < ub[j] - _ORACLE_EPS:
+                ub[j] = new_hi
+                moved = True
+            if lb[j] > ub[j] + _ORACLE_EPS:
+                return changed | moved, True
+            if moved and not direct:
+                nlo, nhi = _oracle_contribution(a, lb[j], ub[j])
+                if nlo != clo:
+                    lo_sum, lo_inf = _oracle_swap(lo_sum, lo_inf, clo, nlo)
+                if nhi != chi:
+                    hi_sum, hi_inf = _oracle_swap(hi_sum, hi_inf, chi, nhi)
+            changed |= moved
+    return changed, False
+
+
+def _oracle_reduce_row(row, lb, ub, is_int):
+    if row.relation not in (Relation.LE, Relation.GE):
+        return row, False
+    sign = 1.0 if row.relation is Relation.LE else -1.0
+    coeffs = {j: sign * a for j, a in row.coefficients}
+    rhs = sign * row.rhs
+    _, umax = _reference_activity(list(coeffs.items()), lb, ub)
+    if not math.isfinite(umax):
+        return row, False
+    if umax <= rhs + _ORACLE_EPS:
+        return None, True
+    changed = False
+    for j in sorted(coeffs):
+        a = coeffs[j]
+        if a == 0.0 or not is_int[j] or lb[j] != 0.0 or ub[j] != 1.0:
+            continue
+        if a > 0:
+            if umax - a < rhs < umax:
+                new_a = umax - rhs
+                rhs = umax - a
+                umax = umax - a + new_a
+                coeffs[j] = new_a
+                changed = True
+        elif umax < rhs - a and rhs < umax:
+            coeffs[j] = rhs - umax
+            changed = True
+    if not changed:
+        return row, False
+    out = tuple(sorted((j, float(sign * a)) for j, a in coeffs.items() if a != 0.0))
+    return LinearRow(row.name, out, row.relation, float(sign * rhs), None), True
+
+
+def _oracle_presolve(inst, opts):
+    lb = [float(v.lower) for v in inst.variables]
+    ub = [float(v.upper) for v in inst.variables]
+    is_int = [v.is_integral for v in inst.variables]
+    rows = list(inst.rows)
+    dropped = []
+    passes = 0
+    infeasible = any(lo > up + _ORACLE_EPS for lo, up in zip(lb, ub))
+    while not infeasible and passes < 50:
+        passes += 1
+        changed = False
+        if opts.presolve_bound_tighten:
+            tightened, infeasible = _oracle_tighten_bounds(rows, lb, ub, is_int)
+            changed |= tightened
+            if infeasible:
+                break
+        if opts.presolve_coeff_reduce:
+            new_rows = []
+            for row in rows:
+                reduced, row_changed = _oracle_reduce_row(row, lb, ub, is_int)
+                if reduced is None:
+                    dropped.append(row.name)
+                    changed = True
+                    continue
+                changed |= row_changed
+                new_rows.append(reduced)
+            rows = new_rows
+        if not changed:
+            break
+    variables = tuple(Variable(v.name, float(lb[j]), float(ub[j]), v.kind) for j, v in enumerate(inst.variables))
+    reduced = replace(inst, variables=variables, rows=tuple(rows))
+    names = tuple(v.name for v in inst.variables)
+    return presolve_module.PresolveResult(reduced, presolve_module.BackMap(names, tuple(dropped)), infeasible, passes)
+
+
+@pytest.mark.parametrize("opts", [TIGHTEN, BOTH_ON], ids=["tighten", "both"])
+def test_random_models_match_the_full_sweep_oracle_exactly(opts):
+    rng = np.random.default_rng(2015)
+    for make in (_random_integer_instance, _random_float_instance):
+        verdicts = set()
+        for _ in range(600):
+            inst = make(rng)
+            want = _oracle_presolve(inst, opts)
+            assert presolve(inst, opts) == want
+            verdicts.add((want.proven_infeasible, want.passes > 1))
+        assert verdicts >= {(True, False), (False, False), (False, True)}
+
+
+def _mixed(name, variables, rows):
+    return Instance(name, Sense.MINIMIZE, tuple(Variable(*v) for v in variables), tuple(rows))
+
+
+_EDGE_MODELS = {
+    # x's bounds round to [1, 3]; the row alone has room for every column
+    "fractional-integer-bounds": _mixed(
+        "frac",
+        [("x", 0.5, 3.7, VarKind.INTEGER), ("y", 0.0, 1.0, VarKind.CONTINUOUS)],
+        [make_row("loose", [(0, 1.0), (1, 1.0)], Relation.LE, 100.0)],
+    ),
+    # a term above _HUGE: the other terms are summed afresh
+    "huge-row": _mixed(
+        "huge",
+        [("x", -3e6, 20.0, VarKind.CONTINUOUS), ("y", -0.5, 5.0, VarKind.CONTINUOUS), ("z", 0.0, 4.0, VarKind.INTEGER)],
+        [make_row("r", [(0, 1.0), (1, 1.0), (2, 2.0)], Relation.LE, 12.5),
+         make_row("s", [(0, 1.0), (2, -1.0)], Relation.GE, -10.0)],
+    ),
+    # y's lower bound is infinite: y's own term is the row's one infinite one
+    "one-infinite-term": _mixed(
+        "inf1",
+        [("x", 0.0, 5.0, VarKind.CONTINUOUS), ("y", -INF, 20.0, VarKind.INTEGER)],
+        [make_row("r", [(0, 1.0), (1, 1.0)], Relation.LE, 10.0),
+         make_row("s", [(0, 1.0), (1, -1.0)], Relation.LE, 3.5)],
+    ),
+    # the row's slack, 1.2100000083 in floats, fits y's range 1.21, but the
+    # loop's own sums near -1.55e8 round y's limit more than _EPS below 0.85:
+    # the slack test's margin must send this row to the loop
+    "rounding-at-the-slack": _mixed(
+        "ulp",
+        [(f"w{k}", -1e6 + 0.06, -1e6 + 0.56, VarKind.CONTINUOUS) for k in range(155)]
+        + [("y", -0.36, 0.85, VarKind.CONTINUOUS)],
+        [make_row("r", [(j, 1.0) for j in range(156)], Relation.LE, -154999989.84999976)],
+    ),
+    # coefficient reduction rewrites r to 3x0 + 3x1 + z <= 4, which the next
+    # pass visits again
+    "rewritten-row": _mixed(
+        "rewrite",
+        [("x0", 0.0, 1.0, VarKind.BINARY), ("x1", 0.0, 1.0, VarKind.BINARY), ("z", 0.0, 1.0, VarKind.CONTINUOUS)],
+        [make_row("r", [(0, 4.0), (1, 4.0), (2, 1.0)], Relation.LE, 6.0)],
+    ),
+    # pass 1 leaves x in [1, 5] and y in [5, 8]; in pass 2, b's y <= x - 1
+    # crosses y, and c, d and e are not visited
+    "infeasible-mid-pass": _mixed(
+        "crossed",
+        [("x", 0.0, 9.0, VarKind.INTEGER), ("y", 0.0, 9.0, VarKind.INTEGER)],
+        [make_row("a", [(0, 1.0), (1, 1.0)], Relation.LE, 18.0),
+         make_row("b", [(0, -1.0), (1, 1.0)], Relation.LE, -1.0),
+         make_row("c", [(1, 1.0)], Relation.GE, 5.0),
+         make_row("d", [(0, 1.0)], Relation.LE, 5.0),
+         make_row("e", [(0, 1.0), (1, 1.0)], Relation.LE, 17.0)],
+    ),
+}
+
+
+@pytest.mark.parametrize("opts", [TIGHTEN, BOTH_ON], ids=["tighten", "both"])
+@pytest.mark.parametrize("model", sorted(_EDGE_MODELS))
+def test_edge_models_match_the_full_sweep_oracle(model, opts):
+    inst = _EDGE_MODELS[model]
+    assert presolve(inst, opts) == _oracle_presolve(inst, opts)
+
+
+def test_edge_model_outcomes():
+    both = {name: presolve(inst, BOTH_ON) for name, inst in _EDGE_MODELS.items()}
+    frac = both["fractional-integer-bounds"].instance.variables[0]
+    assert (frac.lower, frac.upper) == (1.0, 3.0)
+    assert [(v.lower, v.upper) for v in both["huge-row"].instance.variables[:1]] == [(-10.0, 13.0)]
+    assert both["one-infinite-term"].instance.variables[1].upper == 10.0
+    assert 0.85 - 1e-8 < both["rounding-at-the-slack"].instance.variables[-1].upper < 0.85 - 1e-9
+    rewritten = both["rewritten-row"].instance.rows[0]
+    assert (rewritten.coefficients, rewritten.rhs) == (((0, 3.0), (1, 3.0), (2, 1.0)), 4.0)
+    crossed = both["infeasible-mid-pass"]
+    assert crossed.proven_infeasible and crossed.passes == 2
+
+
+def _spy_visits(monkeypatch):
+    """Record the rows each bound pass visits and the rows whose
+    per-coefficient loop runs; the clock marks the start of each pass."""
+    passes, loops = [], []
+    row_visit, row_loop = presolve_module._tighten_row, presolve_module._tighten_terms
+    monkeypatch.setattr(presolve_module, "_tighten_row", lambda row, *a: passes[-1].append(row.name) or row_visit(row, *a))
+    monkeypatch.setattr(presolve_module, "_tighten_terms", lambda row, *a: loops.append(row.name) or row_loop(row, *a))
+    return passes, loops, lambda: passes.append([]) or 0.0
+
+
+def test_rows_with_room_skip_their_loop_when_no_bound_moves(monkeypatch):
+    passes, loops, clock = _spy_visits(monkeypatch)
+    inst = binary_instance(
+        "still",
+        4,
+        [
+            make_row("cap", [(0, 3.0), (1, 2.0), (2, 4.0)], Relation.LE, 10.0),
+            make_row("cover", [(1, 1.0), (2, 1.0), (3, 1.0)], Relation.GE, 1.0),
+            make_row("one", [(0, 1.0), (3, 1.0)], Relation.EQ, 1.0),  # no room: its loop runs
+            make_row("wide", [(0, 1.0), (1, -1.0), (3, 2.0)], Relation.RANGE, 3.0, 5.0),
+        ],
+        [(0, 1.0)],
+    )
+    res = presolve(inst, TIGHTEN, math.inf, clock)
+    assert res.instance == inst and res.passes == 1
+    assert passes == [["cap", "cover", "one", "wide"]]
+    assert loops == ["one"]
+
+
+def test_second_pass_visits_only_the_rows_of_the_moved_column(monkeypatch):
+    passes, loops, clock = _spy_visits(monkeypatch)
+    inst = _mixed(
+        "moved",
+        [(f"x{j}", 0.0, 10.0, VarKind.INTEGER) for j in range(3)],
+        [
+            make_row("a", [(0, 1.0), (1, 1.0)], Relation.LE, 30.0),
+            make_row("b", [(1, 1.0), (2, 1.0)], Relation.LE, 30.0),
+            make_row("c", [(0, 1.0), (2, -1.0)], Relation.GE, -20.0),
+            make_row("cap", [(0, 2.0)], Relation.LE, 5.0),  # x0 <= 2 in pass 1
+        ],
+    )
+    res = presolve(inst, TIGHTEN, math.inf, clock)
+    assert [v.upper for v in res.instance.variables] == [2.0, 10.0, 10.0]
+    assert passes == [["a", "b", "c", "cap"], ["a", "c", "cap"]]
+    assert loops == ["cap"]  # in pass 2, 2x0 <= 5 has room for x0 in [0, 2]
+
+
+def test_a_pass_revisits_a_rewritten_row_and_stops_at_a_crossing(monkeypatch):
+    passes, _, clock = _spy_visits(monkeypatch)
+    presolve(_EDGE_MODELS["rewritten-row"], BOTH_ON, math.inf, clock)
+    assert passes == [["r"], ["r"]]
+    passes.clear()
+    presolve(_EDGE_MODELS["infeasible-mid-pass"], TIGHTEN, math.inf, clock)
+    assert passes == [["a", "b", "c", "d", "e"], ["a", "b"]]
