@@ -215,6 +215,16 @@ def _reduce_row(row: LinearRow, lb, ub, is_int) -> tuple[LinearRow | None, bool]
     return LinearRow(row.name, out, row.relation, float(sign * rhs), None), True
 
 
+def _column_rows(rows, n) -> list[list[int]]:
+    """The indices of the rows in which each of the ``n`` columns has a nonzero coefficient."""
+    col_rows: list[list[int]] = [[] for _ in range(n)]
+    for i, row in enumerate(rows):
+        for j, a in row.coefficients:
+            if a != 0.0:
+                col_rows[j].append(i)
+    return col_rows
+
+
 def presolve(inst: Instance, opts: ReferenceSolverOptions, deadline: float = math.inf,
              clock: Callable[[], float] = time.monotonic) -> PresolveResult:
     """Apply the enabled reductions; identity when both toggles are off.
@@ -227,11 +237,7 @@ def presolve(inst: Instance, opts: ReferenceSolverOptions, deadline: float = mat
     ub = [float(v.upper) for v in inst.variables]
     is_int = [v.is_integral for v in inst.variables]
     rows: list[LinearRow | None] = list(inst.rows)  # None once dropped
-    col_rows: list[list[int]] = [[] for _ in lb]
-    for i, row in enumerate(rows):
-        for j, a in row.coefficients:
-            if a != 0.0:
-                col_rows[j].append(i)
+    col_rows: list[list[int]] | None = None  # the rows of each column, built at the first moved bound
     # rows the next bound pass and the next coefficient reduction must visit
     visit, reduce = [True] * len(rows), [True] * len(rows)
     # integer columns with a fractional bound, which a visit rounds (inf % 1 is nan)
@@ -251,6 +257,8 @@ def presolve(inst: Instance, opts: ReferenceSolverOptions, deadline: float = mat
                     continue
                 visit[i] = False
                 moved, infeasible = _tighten_row(row, lb, ub, is_int, rounding)
+                if moved and col_rows is None:
+                    col_rows = _column_rows(inst.rows, len(lb))
                 for j in moved:
                     for k in col_rows[j]:
                         visit[k] = reduce[k] = True

@@ -45,7 +45,10 @@ Suhl, 1990).  The crossover was measured on a 2-core Xeon: at 8 rows a dense
 inverse takes 12-16 µs and the kernel 15-72 µs; at 64 rows, with half the
 basis structural, both take about 150 µs; at 348 rows with no structural
 column in the basis, 10 ms against 57 µs.  The sparse eta step overtakes the
-dense one at about 64 rows too.
+dense one at about 64 rows too.  From that many rows no product takes in the
+-I block (``v F = [v A, -v]``, ``B^-1 F[:, n+i] = -B^-1[:, i]``), and the
+dual pricing weights live beside ``B^-1``: an eta step re-derives those of the
+rows it touched.  Each shortcut gives the bits of the full product.
 """
 
 from __future__ import annotations
@@ -117,6 +120,9 @@ class BoundedSimplex:
         self.n = form.n
         self.m = form.m
         self.F = np.hstack([form.A, -np.eye(form.m)])
+        # BLAS sums the last few columns of v @ M apart, in another order; past
+        # n up to a multiple of 16, _A keeps A's columns out of that tail, as F does
+        self._A = self.F[:, : min(self.F.shape[1], -(-self.n // 16) * 16)]
         self.cost = np.concatenate([form.c, np.zeros(form.m)])  # over the columns of F
         self._max_iter = 5000 + 200 * (self.m + self.F.shape[1])  # per phase; beyond it, a breakdown
         self.lo = np.concatenate([form.lb, form.rlo])  # each solve writes its column bounds into these
@@ -140,7 +146,7 @@ class BoundedSimplex:
         self.iterations = 0
         self.lo[: self.n] = self.form.lb if lb is None else lb
         self.hi[: self.n] = self.form.ub if ub is None else ub
-        self.basis = self.status = self.xval = self.B_inv = None
+        self.basis = self.status = self.xval = self.B_inv = self._w = None
         if (self.lo > self.hi).any():
             return LpResult(LpStatus.INFEASIBLE, None, np.zeros(self.n), 0, None)
         factor = getattr(warm, "factor", None)
@@ -254,9 +260,15 @@ class BoundedSimplex:
         except np.linalg.LinAlgError:
             raise SimplexBreakdown("singular basis") from None
 
+    def _invert(self) -> None:
+        """Refactorize ``B^-1``, and from ``_KERNEL_ROWS`` rows the pricing weights of all rows."""
+        self.B_inv = self._refactorize()
+        if self.m >= _KERNEL_ROWS:
+            self._w = _squared_norms(self.B_inv)
+
     def _refresh(self) -> None:
         """Refactorize ``B^-1`` and recompute the basic values from it."""
-        self.B_inv = self._refactorize()
+        self._invert()
         self._since_refactor = 0
         nonbasic = (self.status != BASIC).nonzero()[0]
         rhs = -(self.F[:, nonbasic] @ self.xval[nonbasic]) if self.m else np.zeros(0)
@@ -264,7 +276,19 @@ class BoundedSimplex:
 
     def _reduced_costs(self) -> np.ndarray:
         y = self.cost[self.basis] @ self.B_inv if self.m else np.zeros(0)
-        return self.cost - (y @ self.F if self.m else 0.0)
+        return self.cost - (self._times_F(y) if self.m else 0.0)
+
+    def _times_F(self, v: np.ndarray) -> np.ndarray:
+        """``v @ F``; from ``_KERNEL_ROWS`` rows ``[v A, 0 - v]`` (+0, as the product gives, for v's zeros)."""
+        if self.m < _KERNEL_ROWS:
+            return v @ self.F
+        return np.concatenate([(v @ self._A)[: self.n], 0.0 - v])
+
+    def _column(self, q: int) -> np.ndarray:
+        """``B^-1 F[:, q]``; from ``_KERNEL_ROWS`` rows a row column's is ``0 - B^-1[:, q - n]``."""
+        if self.m >= _KERNEL_ROWS and q >= self.n:
+            return 0.0 - self.B_inv[:, q - self.n]
+        return self.B_inv @ self.F[:, q]
 
     def _eligible(self, z: np.ndarray, movable: np.ndarray) -> np.ndarray:
         """Nonbasic columns whose reduced cost says the objective improves
@@ -282,15 +306,17 @@ class BoundedSimplex:
         self.basis[p] = q
         self.status[q] = BASIC
         if abs(d[p]) < _PIVOT_TOL:
-            self.B_inv = self._refactorize()
+            self._invert()
         else:
             r = self.B_inv[p, :] / d[p]
             if self.m < _KERNEL_ROWS:
                 self.B_inv -= d[:, np.newaxis] * r
-            else:  # only the rows that d touches
+                self.B_inv[p, :] = r
+            else:  # only the rows that d touches, p among them, and their weights
                 nz = np.flatnonzero(d)
                 self.B_inv[nz] -= d[nz, np.newaxis] * r
-            self.B_inv[p, :] = r
+                self.B_inv[p, :] = r
+                self._w[nz] = _squared_norms(self.B_inv[nz])
         self._since_refactor += 1
         if self._since_refactor >= _REFACTOR_EVERY:
             self._refresh()
@@ -349,7 +375,7 @@ class BoundedSimplex:
             # |z| is the improvement rate for every eligible status
             q = int(idx[0] if bland else idx[np.abs(z[idx]).argmax()])
             delta = -1.0 if self.status[q] == AT_UPPER or (self.status[q] == FREE and z[q] > 0) else 1.0
-            d = self.B_inv @ self.F[:, q] if self.m else np.zeros(0)
+            d = self._column(q) if self.m else np.zeros(0)
             step = delta * d
             p, t = self._ratio_test(step, bland)
             t_flip = self.hi[q] - self.lo[q]  # inf for free/one-sided columns
@@ -380,8 +406,9 @@ class BoundedSimplex:
         and the entering column is chosen by Harris's two-pass ratio test on
         the reduced costs.  The leaving row maximizes ``viol_p^2 / w_p``, the
         dual steepest-edge rule with exact weights ``w_p = |e_p^T B^-1|^2``
-        (Forrest and Goldfarb, 1992), computed only when more than one row
-        is violated; under Bland's rule the violated row whose basic column
+        (Forrest and Goldfarb, 1992), kept beside ``B^-1`` from
+        ``_KERNEL_ROWS`` rows and below that computed only when more than
+        one row is violated; under Bland's rule the violated row whose basic column
         has the lowest index leaves.  True once every basic value is within
         ``_FEAS_TOL`` of its bounds, False when a row proves the LP
         infeasible; neither depends on the costs."""
@@ -405,12 +432,11 @@ class BoundedSimplex:
             elif rows.size == 1:
                 p = int(rows[0])
             else:
-                B_rows = self.B_inv[rows]
-                w = np.einsum("ij,ij->i", B_rows, B_rows)
+                w = self._w[rows] if self._w is not None else _squared_norms(self.B_inv[rows])
                 p = int(rows[(viol[rows] ** 2 / w).argmax()])
             s = 1.0 if xb[p] < lob[p] else -1.0  # +1: the leaving value must rise
             target = lob[p] if s > 0 else hib[p]
-            alpha = s * (self.B_inv[p] @ self.F)
+            alpha = s * self._times_F(self.B_inv[p])
             # moving column j off its bound by u moves the leaving value
             # toward its target by -g[j] * u
             g = alpha * dirn
@@ -433,7 +459,7 @@ class BoundedSimplex:
             self.iterations += 1
             z += t * alpha
             z[q] = 0.0
-            d = self.B_inv @ self.F[:, q]
+            d = self._column(q)
             leaving = self.basis[p]
             dirn[leaving] = s if movable[leaving] else 0.0
             dirn[q], free[q] = 0.0, False
@@ -444,7 +470,12 @@ class BoundedSimplex:
 
     def tableau_row(self, p: int) -> np.ndarray:
         """Row p of B^-1 F, expressed over all columns."""
-        return self.B_inv[p, :] @ self.F
+        return self._times_F(self.B_inv[p, :])
+
+
+def _squared_norms(rows: np.ndarray) -> np.ndarray:
+    """``|e_p^T B^-1|^2`` of each of these rows of ``B^-1``."""
+    return np.einsum("ij,ij->i", rows, rows)
 
 
 def solve_lp(inst: Instance) -> LpResult:

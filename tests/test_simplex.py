@@ -9,11 +9,15 @@ from scipy.optimize import linprog
 from milpbench.instance import Instance, Relation, Sense, Variable, make_row
 from milpbench.solver import ReferenceSolverOptions, simplex
 from milpbench.solver.bnb import _Search
+from milpbench.solver.cuts import gomory_cuts
 from milpbench.solver.simplex import (
+    _DEGEN_TOL,
     _FEAS_TOL,
+    _OPT_TOL,
     _PIVOT_TOL,
     _SMALL_PIVOT,
     AT_LOWER,
+    AT_UPPER,
     BASIC,
     FREE,
     BoundedSimplex,
@@ -582,8 +586,9 @@ def test_basic_value_left_outside_its_bound_is_a_breakdown(monkeypatch):
 def test_reused_object_solves_like_a_fresh_one(monkeypatch):
     # one object solves cold, then warm children with tightened bounds, then
     # under Bland's rule after a breakdown, then under the form's bounds
-    # again: each solve must equal a fresh object's, so no iterations, rule
-    # or bounds leak
+    # again: each solve must equal a fresh object's, so no iterations, rule,
+    # bounds or kept pricing weights leak; the last three LPs have 64 rows
+    # or more
     breakdowns = _injected_dual_breakdowns(monkeypatch)
 
     def same(a, b):
@@ -594,8 +599,8 @@ def test_reused_object_solves_like_a_fresh_one(monkeypatch):
 
     rng = np.random.default_rng(5)
     children = 0
-    for _ in range(80):
-        form = to_standard_form(_bounded_lp(rng))
+    forms = [to_standard_form(_bounded_lp(rng)) for _ in range(80)] + [_kernel_lp(rng, m) for m in (64, 80, 96)]
+    for form in forms:
         lp = BoundedSimplex(form)
         root = lp.solve()
         same(root, BoundedSimplex(form).solve())
@@ -712,3 +717,267 @@ def test_ratio_test_matches_the_per_row_loop():
         seen["small pivot taken"] += p >= 0 and abs(step[p]) < _SMALL_PIVOT
         seen["second pass moved"] += p >= 0 and ratio[p] > ratio[usable].min() + 1e-9
     assert min(seen.values()) >= 20 and len(seen) == 7, seen
+
+
+# ---- the dual simplex that multiplied by all of F, kept as the oracle -------
+# The dual simplex and tableau row that formed every row times F, every
+# entering column as B^-1 F[:, q], and the pricing weights of the violated
+# rows afresh in each iteration.  From _KERNEL_ROWS rows the solver skips the
+# -I block and keeps its weights; that must not change one bit of a result.
+
+
+def _oracle_dual(self, z, movable):
+    if not self.m:
+        return True
+    at_lo, at_hi = self.status == AT_LOWER, self.status == AT_UPPER
+    dirn = np.where(movable, at_lo * 1.0 - at_hi, 0.0)
+    free = self.status == FREE
+    span = self.hi - self.lo
+    for _ in range(self._max_iter):
+        xb, lob, hib = self.xval[self.basis], self.lo[self.basis], self.hi[self.basis]
+        viol = np.maximum(lob - xb, xb - hib)
+        rows = (viol > _FEAS_TOL).nonzero()[0]
+        if rows.size == 0:
+            return True
+        if self._bland:
+            p = int(rows[self.basis[rows].argmin()])
+        elif rows.size == 1:
+            p = int(rows[0])
+        else:
+            B_rows = self.B_inv[rows]
+            w = np.einsum("ij,ij->i", B_rows, B_rows)
+            p = int(rows[(viol[rows] ** 2 / w).argmax()])
+        s = 1.0 if xb[p] < lob[p] else -1.0
+        target = lob[p] if s > 0 else hib[p]
+        alpha = s * (self.B_inv[p] @ self.F)
+        g = alpha * dirn
+        g[free] = -np.abs(alpha[free])
+        idx = (g < -_PIVOT_TOL).nonzero()[0]
+        if idx.size == 0:
+            helpful = g < -_DEGEN_TOL
+            if float((-g[helpful] * span[helpful]).sum()) < viol[p] - _FEAS_TOL:
+                return False
+            raise SimplexBreakdown("dual ratio test found no usable pivot")
+        mag = -g[idx]
+        slack = np.maximum(dirn[idx] * z[idx], 0.0)
+        ratio = slack / mag
+        ok = (ratio <= ((slack + _OPT_TOL) / mag).min()).nonzero()[0]
+        k = ok[mag[ok].argmax()]
+        q, t = int(idx[k]), float(ratio[k])
+
+        self.iterations += 1
+        z += t * alpha
+        z[q] = 0.0
+        d = self.B_inv @ self.F[:, q]
+        leaving = self.basis[p]
+        dirn[leaving] = s if movable[leaving] else 0.0
+        dirn[q], free[q] = 0.0, False
+        self._exchange(p, q, d, (xb[p] - target) / d[p], s < 0)
+    raise SimplexBreakdown("dual iteration limit")
+
+
+def _oracle_tableau_row(self, p):
+    return self.B_inv[p, :] @ self.F
+
+
+def _as_oracle(patch):
+    """Route ``patch``'s BoundedSimplex through the full products of F."""
+    patch.setattr(BoundedSimplex, "_dual", _oracle_dual)
+    patch.setattr(BoundedSimplex, "tableau_row", _oracle_tableau_row)
+    patch.setattr(BoundedSimplex, "_times_F", lambda self, v: v @ self.F)
+    patch.setattr(BoundedSimplex, "_column", lambda self, q: self.B_inv @ self.F[:, q])
+
+
+def _kernel_lp(rng, m, n=None):
+    """A box-bounded LP over ``m`` sparse rows: about a fifth of them
+    covering rows that the slack basis violates, the rest packing rows and a
+    few equalities; a few integer columns, so that Gomory cuts have rows."""
+    n = n or int(rng.integers(m // 3, m + 1))
+    A = np.zeros((m, n))
+    rlo, rup = np.full(m, -np.inf), np.full(m, np.inf)
+    for i in range(m):
+        support = rng.choice(n, size=int(rng.integers(2, 7)), replace=False)
+        roll = rng.random()
+        if roll < 0.2:  # covering: violated at x = 0
+            A[i, support] = rng.integers(1, 4, support.size)
+            rlo[i] = float(rng.integers(1, 5)) + 0.5 * (rng.random() < 0.5)
+        elif roll < 0.95:
+            A[i, support] = np.round(rng.uniform(-1, 3, support.size), 2)
+            rup[i] = float(np.round(rng.uniform(4, 12), 1))
+        else:
+            A[i, support] = rng.integers(1, 4, support.size)
+            rlo[i] = rup[i] = float(rng.integers(2, 7))
+    return StandardForm(
+        name="kernel", c=np.round(rng.uniform(-1, 4, n), 2), A=A, rlo=rlo, rup=rup,
+        lb=np.zeros(n), ub=rng.integers(1, 4, n).astype(float), is_int=rng.random(n) < 0.5,
+        var_names=tuple(f"x{j}" for j in range(n)), obj_constant=0.0, flipped=False,
+    )
+
+
+def _bits(res, lp):
+    """Every field of ``res`` and the final ``B^-1`` of ``lp``, as bytes."""
+    factor = getattr(res.warm, "factor", None)
+    return (
+        res.status, np.float64(np.nan if res.objective is None else res.objective).tobytes(),
+        res.point.tobytes(), res.iterations,
+        None if res.warm is None else (res.warm[0].tobytes(), res.warm[1].tobytes()),
+        None if factor is None else (factor.B_inv.tobytes(), factor.xval.tobytes(), factor.z.tobytes(), factor.etas),
+        None if lp.B_inv is None else lp.B_inv.tobytes(),
+    )
+
+
+def _branched_solves(form, children):
+    """The bits of a cold solve of ``form`` and of up to ``children`` warm
+    solves of its children, each on one object, and the solves' statuses."""
+    lp = BoundedSimplex(form)
+    root = lp.solve()
+    out = [_bits(root, lp)]
+    if root.status is LpStatus.OPTIMAL:
+        for lb, ub in list(_children(root, form.lb, form.ub))[:children]:
+            out.append(_bits(lp.solve(lb, ub, warm=root.warm), lp))
+    return out
+
+
+def _both_sides(monkeypatch, run, *args):
+    """``run(*args)`` as the solver computes it and under the oracle."""
+    mine = run(*args)
+    with monkeypatch.context() as patch:
+        _as_oracle(patch)
+        return mine, run(*args)
+
+
+def test_kernel_lps_match_the_full_product_oracle_bitwise(monkeypatch):
+    rng = np.random.default_rng(41)
+    seen = collections.Counter()
+    for _ in range(150):
+        form = _kernel_lp(rng, int(rng.integers(64, 161)))
+        mine, want = _both_sides(monkeypatch, _branched_solves, form, 4)
+        assert mine == want
+        for bits in mine:
+            seen[bits[0]] += 1
+        seen["warm"] += len(mine) - 1
+        seen["n not a multiple of 16"] += form.n % 16 != 0
+    assert seen[LpStatus.OPTIMAL] > 250 and seen[LpStatus.INFEASIBLE] > 50 and seen["warm"] > 300, seen
+    assert seen["n not a multiple of 16"] > 100
+
+
+
+def test_kernel_products_have_the_bits_of_the_full_products(monkeypatch):
+    # every row times F and every entering column of a kernel LP, in the dual
+    # and the primal phase and for the Gomory rows, equals the full product
+    # byte for byte: zero signs and the BLAS tail included
+    seen = collections.Counter()
+    times_F, column = BoundedSimplex._times_F, BoundedSimplex._column
+
+    def spy_times_F(self, v):
+        got = times_F(self, v)
+        assert got.tobytes() == (v @ self.F).tobytes()
+        seen["rows"] += 1
+        return got
+
+    def spy_column(self, q):
+        got = column(self, q)
+        assert got.tobytes() == (self.B_inv @ self.F[:, q]).tobytes()
+        seen["row columns" if q >= self.n else "structural columns"] += 1
+        return got
+
+    monkeypatch.setattr(BoundedSimplex, "_times_F", spy_times_F)
+    monkeypatch.setattr(BoundedSimplex, "_column", spy_column)
+    rng = np.random.default_rng(61)
+    for _ in range(20):
+        form = _kernel_lp(rng, int(rng.integers(64, 161)))
+        lp = BoundedSimplex(form)
+        if lp.solve().status is LpStatus.OPTIMAL:
+            gomory_cuts(lp, form.is_int)
+    assert seen["rows"] > 300 and seen["structural columns"] > 300 and seen["row columns"] > 30, seen
+
+@pytest.mark.parametrize("m", [63, 64])
+def test_lps_at_the_row_rule_match_the_oracle_bitwise(monkeypatch, m):
+    # 63 rows keep the full products and carry a factor; 64 take the shortcuts
+    rng = np.random.default_rng(43 + m)
+    for _ in range(5):
+        mine, want = _both_sides(monkeypatch, _branched_solves, _kernel_lp(rng, m), 6)
+        assert mine == want
+        carried = mine[0][5] is not None  # the root's factor
+        assert carried == (m < simplex._KERNEL_ROWS and mine[0][0] is LpStatus.OPTIMAL)
+
+
+def test_warm_cut_lp_growing_past_the_row_rule_matches_the_oracle(monkeypatch):
+    # a 60-row LP gains 8 violated cuts and is solved warm over 68 rows
+    rng = np.random.default_rng(47)
+    grown = 0
+
+    def cut_lp(form, cuts):
+        search = _Search(form, ReferenceSolverOptions())
+        res = search.lp(form.lb, form.ub)
+        before = _bits(res, search.splx)
+        warm = search.add_cut_rows([(g, float(g @ res.point) + shift) for g, shift in cuts], res.warm)
+        return before, search.splx.m, _bits(search.splx.solve(warm=warm), search.splx)
+
+    while grown < 10:
+        form = _kernel_lp(rng, 60)
+        if BoundedSimplex(form).solve().status is not LpStatus.OPTIMAL:
+            continue
+        cuts = [(np.round(rng.uniform(-1, 3, form.n), 2), float(rng.uniform(0.1, 2.0))) for _ in range(8)]
+        mine, want = _both_sides(monkeypatch, cut_lp, form, cuts)
+        assert mine == want and mine[1] == 68
+        grown += 1
+
+
+def test_gomory_cuts_from_a_kernel_lp_match_the_oracle(monkeypatch):
+    def cuts_of(form):
+        lp = BoundedSimplex(form)
+        if lp.solve().status is not LpStatus.OPTIMAL:
+            return []
+        return [(g.tobytes(), np.float64(rhs).tobytes()) for g, rhs in gomory_cuts(lp, form.is_int)]
+
+    rng = np.random.default_rng(53)
+    total = 0
+    for _ in range(10):
+        mine, want = _both_sides(monkeypatch, cuts_of, _kernel_lp(rng, int(rng.integers(64, 129))))
+        assert mine == want
+        total += len(mine)
+    assert total > 20
+
+
+def test_kept_weights_equal_fresh_ones_at_every_dual_iteration(monkeypatch):
+    # before and after each pivot of the dual simplex, the kept weight of
+    # each violated row (and of every row) is the einsum over its row of
+    # B^-1, bit for bit: across refactorizations every 5 updates and across
+    # refactorizations forced by a tiny pivot
+    monkeypatch.setattr(simplex, "_REFACTOR_EVERY", 5)
+    checked, in_dual = collections.Counter(), []
+    dual, pivot, refactorize = BoundedSimplex._dual, BoundedSimplex._pivot, BoundedSimplex._refactorize
+
+    def check(lp):
+        viol = np.maximum(lp.lo[lp.basis] - lp.xval[lp.basis], lp.xval[lp.basis] - lp.hi[lp.basis])
+        for rows in (np.flatnonzero(viol > _FEAS_TOL), np.arange(lp.m)):
+            B_rows = lp.B_inv[rows]
+            assert lp._w[rows].tobytes() == np.einsum("ij,ij->i", B_rows, B_rows).tobytes()
+        checked["iterations"] += 1
+
+    def spy_dual(self, z, movable):
+        in_dual.append(True)
+        try:
+            return dual(self, z, movable)
+        finally:
+            in_dual.pop()
+
+    def spy_pivot(self, p, q, d):
+        if in_dual:
+            check(self)
+            if self.iterations % 7 == 0:  # tiny pivot: B^-1 is refactorized
+                d = d.copy()
+                d[p] = 0.0
+                checked["tiny pivot"] += 1
+        pivot(self, p, q, d)
+        if in_dual:
+            check(self)
+
+    monkeypatch.setattr(BoundedSimplex, "_dual", spy_dual)
+    monkeypatch.setattr(BoundedSimplex, "_pivot", spy_pivot)
+    monkeypatch.setattr(BoundedSimplex, "_refactorize", lambda self: checked.update(["refactorized"]) or refactorize(self))
+    rng = np.random.default_rng(59)
+    for _ in range(8):
+        _branched_solves(_kernel_lp(rng, int(rng.integers(64, 129))), 3)
+    assert checked["iterations"] > 200 and checked["tiny pivot"] > 20 and checked["refactorized"] > 60, checked
