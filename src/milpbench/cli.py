@@ -40,9 +40,10 @@ from .runner import (
     read_log,
     resume_suite,
     run_suite,
+    write_outcome,
 )
 from .scores import attach_scaled, distribution, summarize, write_summary_csv, write_summary_json
-from .solution_io import read_solution, write_solution, write_status
+from .solution_io import read_solution
 from .solver import Solution, branch_and_bound
 from .validate import judge_claim, load_registry
 
@@ -141,11 +142,8 @@ def _cmd_solve(args) -> int:
     if opts.ignored:
         names = ", ".join(param_by_index(i).name for i in opts.ignored)
         print(f"ignored    {names}")
-    if args.solution:
-        if outcome.incumbent is not None:
-            write_solution(args.solution, outcome.incumbent.values, outcome.incumbent.objective)
-            print(f"solution   {args.solution}")
-        write_status(args.solution, outcome.status.value)
+    if args.solution and write_outcome(args.solution, outcome):
+        print(f"solution   {args.solution}")
     return 0
 
 

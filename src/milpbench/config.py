@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import IO, Optional, Union
 
@@ -127,6 +127,7 @@ class Configuration:
     label: str = ""
 
 
+_FEATURES = frozenset(f.name for f in fields(FeatureVector))
 _OPS = {
     "<": lambda a, b: a < b,
     "<=": lambda a, b: a <= b,
@@ -264,7 +265,7 @@ def load_store(source: Union[str, IO[str]]) -> ConfigStore:
         clauses = []
         for clause in raw.get("when") or []:
             f, op, v = clause.get("field"), clause.get("op"), clause.get("value")
-            if f not in FeatureVector.FIELDS:
+            if f not in _FEATURES:
                 raise ConfigError(f"rule #{k}: unknown feature field {f!r}")
             if op not in _OPS:
                 raise ConfigError(f"rule #{k}: unknown operator {op!r}")

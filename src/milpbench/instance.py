@@ -114,20 +114,6 @@ class FeatureVector:
     max_abs_coeff: float
     min_abs_nonzero_coeff: float
 
-    FIELDS = (
-        "n_vars",
-        "n_int_vars",
-        "n_bin_vars",
-        "n_cont_vars",
-        "n_rows",
-        "n_nonzeros",
-        "n_eq_rows",
-        "n_ineq_rows",
-        "density",
-        "max_abs_coeff",
-        "min_abs_nonzero_coeff",
-    )
-
 
 @dataclass(frozen=True)
 class Diagnostic:

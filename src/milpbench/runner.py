@@ -29,7 +29,7 @@ from .config import ConfigStore, Configuration, adapt, configuration_to_json, ma
 from .instance import Instance, extract_features
 from .mps import MpsParseError, instance_stem, load_instance
 from .solution_io import read_solution, read_status, write_solution, write_status
-from .solver import SolveStatus, branch_and_bound
+from .solver import SolveOutcome, SolveStatus, branch_and_bound
 
 PathLike = Union[str, Path]
 
@@ -135,6 +135,7 @@ class RunRecord:
     nodes: Optional[int] = None
     ticks: Optional[int] = None
     diagnostics: str = ""
+    instance_path: Optional[str] = None  # the dataset path of the job; None in older logs
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -274,22 +275,23 @@ def run_job(
             inst = load_instance(inst_path)
         except (OSError, MpsParseError) as exc:
             return _unreadable(inst_path, solver_label, cfg.label, exc)
-    record = _builder(inst.name, solver_label, cfg.label)
+    record = _builder(inst.name, inst_path, solver_label, cfg.label)
     if backend.kind is BackendKind.BUILTIN:
         return _run_builtin(inst, backend, cfg, limit_s, record, work_dir)
     return _run_external(inst, inst_path, backend, cfg, limit_s, record, work_dir)
 
 
-def _builder(name: str, solver_label: str, config_label: str) -> Callable[..., RunRecord]:
+def _builder(name: str, path: PathLike, solver_label: str, config_label: str) -> Callable[..., RunRecord]:
     """``RunRecord`` with the fields shared by every record of one job filled in."""
     started = datetime.now(timezone.utc).isoformat()
     return functools.partial(
-        RunRecord, name, solver_label, config_label, started_at=started, host_descriptor=_host()
+        RunRecord, name, solver_label, config_label, started_at=started, host_descriptor=_host(),
+        instance_path=str(path),
     )
 
 
 def _unreadable(path: PathLike, solver_label: str, config_label: str, exc: Exception) -> RunRecord:
-    record = _builder(instance_stem(path), solver_label, config_label)
+    record = _builder(instance_stem(path), path, solver_label, config_label)
     return record(RunStatus.ERROR, 0.0, diagnostics=f"parse failure: {exc}")
 
 
@@ -316,14 +318,8 @@ def _run_builtin(
     outcome = branch_and_bound(inst, opts)
     wall = time.perf_counter() - t0
 
-    sol_path = None
     target = _solution_path(backend, inst, cfg, work_dir)
-    if target is not None:
-        if outcome.incumbent is not None:
-            write_solution(target, outcome.incumbent.values, outcome.incumbent.objective)
-            sol_path = str(target)
-        write_status(target, outcome.status.value)
-
+    sol_path = None if target is None else write_outcome(target, outcome)
     return record(
         outcome.status,
         wall,
@@ -333,6 +329,18 @@ def _run_builtin(
         nodes=outcome.nodes,
         ticks=outcome.deterministic_ticks,
     )
+
+
+def write_outcome(target: PathLike, outcome: SolveOutcome) -> Optional[str]:
+    """Write the builtin's output pair: the incumbent at ``target``, if there
+    is one, and the status at ``<target>.status``, as the external contract
+    asks of a child.  Returns the solution path, or None without an incumbent."""
+    sol_path = None
+    if outcome.incumbent is not None:
+        write_solution(target, outcome.incumbent.values, outcome.incumbent.objective)
+        sol_path = str(target)
+    write_status(target, outcome.status.value)
+    return sol_path
 
 
 def _run_external(
@@ -396,14 +404,14 @@ def _run_external(
 
 
 def _job_for_path(args) -> Optional[RunRecord]:
-    """Parse one dataset path once and run it; ``None`` when its name is in ``done``."""
+    """Parse one dataset path once and run it; ``None``, unparsed, when it is in ``done``."""
     path, backend, store, adapt_enabled, limit, label, work_dir, done = args
+    if path in done:
+        return None
     try:
         inst = load_instance(path)
     except (OSError, MpsParseError) as exc:
-        return None if instance_stem(path) in done else _unreadable(path, label, "", exc)
-    if inst.name in done:
-        return None
+        return _unreadable(path, label, "", exc)
     if adapt_enabled:
         cfg = adapt(inst.name, extract_features(inst), store)
     else:
@@ -464,12 +472,13 @@ def resume_suite(
     log_path: Optional[PathLike] = None,
     work_dir: Optional[PathLike] = None,
 ) -> RunLog:
-    """Finish a suite: completed records are kept, error records re-run."""
+    """Finish a suite: a path that carries a completed record is kept unparsed;
+    error records, and records of older logs without a path, are re-run."""
     old = partial.dataset
     if (old.name, old.instance_paths, old.time_limit_s) != (ds.name, ds.instance_paths, ds.time_limit_s):
         raise DatasetMismatch(f"log dataset {old.name!r} does not match {ds.name!r}")
 
-    done = frozenset(r.instance_name for r in partial.records if r.status is not RunStatus.ERROR)
+    done = frozenset(r.instance_path for r in partial.records if r.status is not RunStatus.ERROR)
     log = replace(partial, dataset=ds, records=list(partial.records), protocol=dict(partial.protocol))
     writer = _LogWriter(log_path, log, append=True)
     return _run_paths(log, writer, backend, store, work_dir, done=done)

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, Union
 
-from .mps import instance_stem
 from .runner import PROTOCOL_SHIFT, DatasetSpec, ObjectiveKind, RunLog, RunRecord, RunStatus
 
 _AT_LIMIT = (RunStatus.TIME_LIMIT, RunStatus.ERROR)
@@ -64,8 +63,8 @@ def _scored_time(rec: RunRecord, limit_s: float) -> float:
 
 def _check_complete(log: RunLog, ds: DatasetSpec) -> None:
     if len(log.records) < len(ds.instance_paths):
-        have = {r.instance_name for r in log.records}
-        missing = [s for s in map(instance_stem, ds.instance_paths) if s not in have]
+        have = {r.instance_path for r in log.records}
+        missing = [p for p in ds.instance_paths if p not in have]
         raise ValueError(
             f"log incomplete: {len(log.records)} records for {len(ds.instance_paths)} instances;"
             f" missing instances: {', '.join(missing)}"

@@ -21,10 +21,9 @@ from ..instance import Instance
 from .cuts import cover_cuts, gomory_cuts
 from .options import BranchRule, NodeStrategy, ReferenceSolverOptions
 from .presolve import presolve
-from .simplex import BASIC, BoundedSimplex, LpResult, LpStatus, SimplexBreakdown, WarmStart
+from .simplex import _INT_TOL, BASIC, BoundedSimplex, LpResult, LpStatus, SimplexBreakdown, WarmStart
 from .standard_form import StandardForm, to_standard_form
 
-_INT_TOL = 1e-6
 _COVER_ROUNDS = 5
 
 

@@ -72,7 +72,7 @@ _SMALL_PIVOT = 1e-5
 _DEGEN_TOL = 1e-12
 _FEAS_TOL = 1e-7  # primal: how far a basic value may lie outside its bounds
 _OPT_TOL = 1e-9  # dual: how far a reduced cost may lie on its improving side
-_BOUND_TOL = 1e-6  # bnb's integrality tolerance: a fractional value is never out of bounds
+_INT_TOL = 1e-6  # integrality tolerance (bnb's); as the bound tolerance, no fractional value is out of bounds
 
 
 class WarmStart(tuple):
@@ -128,8 +128,8 @@ class BoundedSimplex:
         self.lo = np.concatenate([form.lb, form.rlo])  # each solve writes its column bounds into these
         self.hi = np.concatenate([form.ub, form.rup])
         ones = np.ones(form.n)  # _bounds_violated's tolerance on each column's bounds
-        self._tol_lo = _BOUND_TOL * np.concatenate([ones, np.maximum(1.0, np.abs(form.rlo))])
-        self._tol_hi = _BOUND_TOL * np.concatenate([ones, np.maximum(1.0, np.abs(form.rup))])
+        self._tol_lo = _INT_TOL * np.concatenate([ones, np.maximum(1.0, np.abs(form.rlo))])
+        self._tol_hi = _INT_TOL * np.concatenate([ones, np.maximum(1.0, np.abs(form.rup))])
 
     def solve(
         self,
@@ -216,7 +216,7 @@ class BoundedSimplex:
         raise SimplexBreakdown("basic values outside their bounds at the optimum")
 
     def _bounds_violated(self) -> bool:
-        """Any basic value beyond its bounds by more than ``_BOUND_TOL``,
+        """Any basic value beyond its bounds by more than ``_INT_TOL``,
         absolute on structural columns (bnb's integrality tolerance) and
         relative to the bound on row columns."""
         b = self.basis

@@ -22,6 +22,7 @@ from milpbench.runner import (
     run_job,
     run_suite,
 )
+from milpbench.scores import summarize
 
 from _helpers import (
     chain_instance,
@@ -385,7 +386,69 @@ def test_resume_suite_parses_each_path_once(tmp_path, monkeypatch):
     calls = _count_parses_and_jobs(monkeypatch)
     resumed = resume_suite(ds, BUILTIN, empty_store(), full)
     assert resumed.by_instance()["tiny2"].status is RunStatus.OPTIMAL
-    assert calls == {"parse": 4, "job": 1}
+    assert calls == {"parse": 1, "job": 1}
+
+
+def test_name_cards_unlike_their_stems_resume_and_report_by_path(tmp_path, monkeypatch):
+    names = {"a": "a", "b": "b", "c": "card_c", "d": "d", "e": "card_e"}
+    paths = []
+    for stem, name in names.items():
+        path = tmp_path / f"{stem}.mps"
+        path.write_text(write_mps(chain_instance(6, name=name)))
+        paths.append(str(path))
+    ds = DatasetSpec("custom", tuple(paths), 30.0)
+    out = tmp_path / "run.jsonl"
+    run_suite(ds, BUILTIN, empty_store(), adapt_enabled=False, log_path=out)
+    lines = out.read_text().splitlines(keepends=True)
+    out.write_text("".join(lines[:5]) + lines[5][:40])  # the header, four records and a torn fifth
+
+    partial = read_log(out)
+    assert [r.instance_name for r in partial.records] == ["a", "b", "card_c", "d"]
+    with pytest.raises(ValueError) as err:
+        summarize(partial, ds)
+    assert str(err.value).endswith(f"missing instances: {paths[4]}")
+
+    calls = _count_parses_and_jobs(monkeypatch)
+    resume_suite(ds, BUILTIN, empty_store(), partial, log_path=out)
+    assert calls == {"parse": 1, "job": 1}
+    resumed = read_log(out)
+    assert [r.instance_path for r in resumed.records] == paths
+    assert summarize(resumed, ds).solved == 5
+
+
+def test_two_files_with_one_name_report_the_path_without_a_record(tmp_path):
+    paths = []
+    for sub, n in (("a", 6), ("b", 7)):
+        (tmp_path / sub).mkdir()
+        paths.append(write_instance(tmp_path / sub, chain_instance(n, name="knap")))
+    ds = DatasetSpec("custom", tuple(paths), 30.0)
+    out = tmp_path / "run.jsonl"
+    log = run_suite(ds, BUILTIN, empty_store(), adapt_enabled=False, log_path=out)
+    assert len(out.read_text().splitlines()) == 3
+    assert [r.instance_path for r in log.records] == [paths[1]]
+    with pytest.raises(ValueError) as err:
+        summarize(read_log(out), ds)
+    assert str(err.value).endswith(f"missing instances: {paths[0]}")
+
+
+def test_log_written_without_instance_paths_loads_and_resume_reruns_them(tmp_path, monkeypatch):
+    ds = _tiny_dataset(tmp_path, n=3)
+    out = tmp_path / "run.jsonl"
+    run_suite(ds, BUILTIN, empty_store(), adapt_enabled=False, log_path=out)
+    header, *records = [json.loads(line) for line in out.read_text().splitlines()]
+    for doc in records:
+        del doc["instance_path"]
+    out.write_text("".join(json.dumps(doc) + "\n" for doc in [header, *records]))
+
+    old = read_log(out)
+    assert [r.instance_path for r in old.records] == [None, None, None]
+    calls = _count_parses_and_jobs(monkeypatch)
+    resume_suite(ds, BUILTIN, empty_store(), old, log_path=out)
+    assert calls == {"parse": 3, "job": 3}
+    reloaded = read_log(out)
+    assert [r.instance_name for r in reloaded.records] == ["tiny0", "tiny1", "tiny2"]
+    assert [r.instance_path for r in reloaded.records] == list(ds.instance_paths)
+    assert all(r.status is RunStatus.OPTIMAL for r in reloaded.records)
 
 
 def test_corrupt_gzip_in_suite_is_error_then_rerun_on_resume(tmp_path):

@@ -98,6 +98,7 @@ def _mklog(times_and_statuses, limit, kind=ObjectiveKind.OPTIMIZE, label="builti
                 config_label="default",
                 status=status,
                 wall_time_s=t,
+                instance_path=paths[k],
             )
         )
     return ds, log
@@ -139,8 +140,9 @@ def test_summarize_error_counts_as_limit_time():
 def test_summarize_incomplete_log_lists_missing():
     ds, log = _mklog([(1.0, RunStatus.OPTIMAL)] * 3, limit=10.0)
     log.records.pop()
-    with pytest.raises(ValueError, match="i2"):
+    with pytest.raises(ValueError) as err:
         summarize(log, ds)
+    assert str(err.value).endswith("missing instances: /data/i2.mps")
 
 
 def test_distribution_sort_and_timeout_placement():
