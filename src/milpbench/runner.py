@@ -11,7 +11,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-import os
 import shlex
 import subprocess
 import tempfile
@@ -111,7 +110,6 @@ class BackendSpec:
     kind: BackendKind = BackendKind.BUILTIN
     command_template: str = ""
     solution_path_template: str = ""
-    env: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
         if self.kind is BackendKind.EXTERNAL:
@@ -365,12 +363,11 @@ def _run_external(
         timelimit=repr(float(limit_s)),
         solution=str(target),
     )
-    env = dict(os.environ, **backend.env)
     killed = False
     t0 = time.perf_counter()
     try:
         proc = subprocess.Popen(
-            shlex.split(command), env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True
+            shlex.split(command), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True
         )
         try:
             _, stderr = proc.communicate(timeout=limit_s + grace_seconds(limit_s))

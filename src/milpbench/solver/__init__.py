@@ -1,5 +1,6 @@
-"""Deterministic reference MILP solver: bounded-variable dual and primal
-simplex plus branch-and-bound with presolve, root cuts, and a diving heuristic."""
+"""Deterministic reference MILP solver: a bounded-variable dual simplex
+(phase 1 on a boxed auxiliary problem, then phase 2) plus branch-and-bound
+with presolve, root cuts, and a diving heuristic."""
 
 from .options import BranchRule, NodeStrategy, ReferenceSolverOptions
 from .simplex import LpResult, LpStatus, SimplexBreakdown, solve_lp

@@ -1,4 +1,5 @@
-"""Bounded-variable simplex: dual simplex from a basis, then primal phase 2.
+"""Bounded-variable dual simplex: phase 1 on a boxed auxiliary problem when
+the start is dual infeasible, then phase 2.
 
 Works on the equality system ``A x - r = 0`` where r holds the row
 activities with bounds ``rlo <= r <= rup``.  A :class:`BoundedSimplex` is
@@ -10,31 +11,28 @@ Every attempt takes one path.  It starts from a basis: a warm start is
 another solve's final basis and statuses over the same rows
 (``LpResult.warm``), typically a parent node's LP after one bound moved;
 otherwise the slack basis, with every row column basic and each structural
-column at the bound its cost favours.  Nonbasic columns that are dual
-infeasible there (a cost that favours an infinite bound, or a free column
-with a nonzero cost) get a reduced cost of 0 for the dual phase only, which
-is dual phase 1 by cost modification (Koberstein, 2005).  A bounded dual
-simplex with steepest-edge pricing then reaches primal feasibility or proves
-the LP infeasible, and primal phase 2 under the true costs reaches the
-optimum or proves it unbounded.  Both phases move through one exchange step
-and stop at one iteration limit.  Below ``_KERNEL_ROWS`` rows an OPTIMAL
+column at the bound its cost favours.  One loop, a bounded dual simplex with
+steepest-edge pricing, makes every pivot.  A dual feasible start, as every
+start is when all columns have two finite bounds, goes straight to it.  Any
+other start (a cost that favours an infinite bound, or a free column with a
+nonzero cost) first runs it on the auxiliary problem whose finite bounds are
+0 and whose infinite ones a box: dual phase 1 (Fourer, 1994; Koberstein and
+Suhl, 2007).  Its optimum is dual feasible for the LP unless the LP has an
+improving ray; then the loop under zero costs tells unbounded from
+infeasible.  Below ``_KERNEL_ROWS`` rows an OPTIMAL
 solve's warm start also carries its final factor, m^2 + 2(n+m) floats that
 both children of a node share; a child whose only moved bound is a basic
-column's starts from it as it is, with no refactorization, recomputation or
-cost shift, and its dual simplex from the one violated row.  The eta count
+column's starts from it as it is, with no refactorization or
+recomputation, and its dual simplex from the one violated row.  The eta count
 travels too: ``B^-1`` is refactorized every ``_REFACTOR_EVERY`` updates on a path.
 
 A solve climbs one ladder of attempts: the warm start when it is given and
 fits, the slack basis when it is not or it broke down, and the slack basis
-under Bland's rule, dual and primal, when that broke down too; only a
-breakdown of the last attempt reaches the caller.  ``iterations`` counts
-primal pivots, dual pivots and bound flips alike, over every attempt.
-
-Primal phase 2 uses Dantzig pricing with a switch to Bland's rule after 1000
-consecutive degenerate steps, and one vectorized ratio test with Harris's
-second pass on small pivots; the basis inverse is maintained by eta updates
-with periodic refactorization.  No solve returns OPTIMAL with a basic value
-outside its bounds.
+under Bland's rule when that broke down too; only a breakdown of the last
+attempt reaches the caller.  ``iterations`` counts the dual pivots of every
+phase and attempt.  Fresh reduced costs and basic values
+decide OPTIMAL, so no solve returns OPTIMAL with a basic value outside its
+bounds.
 
 One row rule picks how ``B^-1`` is kept.  Below ``_KERNEL_ROWS`` rows it is
 inverted densely and updated by a dense eta step.  From that many rows only
@@ -66,11 +64,14 @@ AT_LOWER, AT_UPPER, FREE, BASIC = 0, 1, 2, 3
 
 _REFACTOR_EVERY = 64
 _KERNEL_ROWS = 64  # the row rule: from this many rows, B^-1 is built from its kernel and updated sparsely
-_BLAND_TRIGGER = 1000
 _PIVOT_TOL = 1e-9
-_SMALL_PIVOT = 1e-5
 _DEGEN_TOL = 1e-12
 _FEAS_TOL = 1e-7  # primal: how far a basic value may lie outside its bounds
+# phase 1's stand-in for an infinite bound: a column at the box must move a row
+# through an entry just above _PIVOT_TOL by more than _FEAS_TOL (here 100 times
+# more), else that row reads satisfied and its LP unbounded; values this large
+# still round far inside _FEAS_TOL
+_BOX = 1e4
 _OPT_TOL = 1e-9  # dual: how far a reduced cost may lie on its improving side
 _INT_TOL = 1e-6  # integrality tolerance (bnb's); as the bound tolerance, no fractional value is out of bounds
 
@@ -163,20 +164,17 @@ class BoundedSimplex:
         return self._solve_from(*self._slack_start())
 
     def _slack_start(self) -> WarmStart:
-        """Every row column basic; each structural column at the bound its
-        cost favours, at its other bound when that one is infinite, and free
-        at 0 when both are."""
-        lo, hi = self.lo[: self.n], self.hi[: self.n]
-        status = np.where(np.isfinite(lo), AT_LOWER, FREE).astype(np.int8)
-        status[np.isfinite(hi) & ((self.form.c < 0) | ~np.isfinite(lo))] = AT_UPPER
+        """Every row column basic; each structural column placed by its cost."""
+        status = _favoured(self.form.c, self.lo[: self.n], self.hi[: self.n])
         return np.arange(self.n, self.n + self.m), np.concatenate([status, np.full(self.m, BASIC, np.int8)])
 
     def _solve_from(self, basis, status) -> Optional[LpResult]:
         """Start from a basis and the statuses of the structural and row
-        columns: dual simplex to a primal feasible basis, then primal phase 2.
-        None when they do not fit this LP, and the caller starts from the
-        slack basis.  A warm start with a factor over these rows is not
-        checked again; the factor is used when the nonbasic values are its."""
+        columns: dual phase 1 when the start is dual infeasible, then the
+        dual simplex to a primal feasible, hence optimal, basis.  None when
+        they do not fit this LP, and the caller starts from the slack basis.
+        A warm start with a factor over these rows is not checked again; the
+        factor is used when the nonbasic values are its."""
         n, m = self.n, self.m
         carried = self._carried
         own = carried is not None and basis is carried[0] and status is carried[1]
@@ -194,26 +192,53 @@ class BoundedSimplex:
         factor = carried.factor if own else None
         if factor is not None:
             xval[basis] = factor.xval[basis]
-        if factor is not None and np.array_equal(xval, factor.xval):
+        fresh = factor is None or not np.array_equal(xval, factor.xval)
+        if not fresh:
             self.B_inv, self._since_refactor, z = factor.B_inv.copy(), factor.etas, factor.z.copy()
-        else:
-            self._refresh()
+        for again in (False, True):
+            if fresh or again:
+                self._refresh()
+                z = self._reduced_costs()
+                if self._eligible(z, movable).any() and not self._phase_one(z, movable):
+                    zero = np.zeros_like(z)  # under zero costs every basis is dual feasible
+                    self._place(zero)
+                    return self._result(LpStatus.UNBOUNDED if self._dual(zero, movable) else LpStatus.INFEASIBLE)
+            if not self._dual(z, movable):
+                return self._result(LpStatus.INFEASIBLE)
             z = self._reduced_costs()
-            z[self._eligible(z, movable)] = 0.0  # cost shifting: the dual phase starts dual feasible
-        if not self._dual(z, movable):
-            return self._result(LpStatus.INFEASIBLE)
-        return self._phase_two()
-
-    def _phase_two(self) -> LpResult:
-        """Primal iterations to optimality; the basic values are checked
-        against their bounds before OPTIMAL is returned."""
-        for _ in range(2):
-            if not self._iterate():
-                return self._result(LpStatus.UNBOUNDED)
-            if not self._bounds_violated():
+            if not self._eligible(z, movable).any() and not self._bounds_violated():
+                self.z = z
                 return self._result(LpStatus.OPTIMAL)
-            self._refresh()
-        raise SimplexBreakdown("basic values outside their bounds at the optimum")
+        raise SimplexBreakdown("reduced costs or basic values drifted at the optimum")
+
+    def _phase_one(self, z: np.ndarray, movable: np.ndarray) -> bool:
+        """The dual simplex on the auxiliary problem: these rows and costs,
+        each finite bound 0 and each infinite one ``-_BOX`` or ``+_BOX``, so
+        every basis is dual feasible once placed.  The box holds x = 0, so it
+        has an optimum; placed again under the true bounds, with ``z`` their
+        reduced costs, its columns are dual feasible unless the LP has an
+        improving ray: then False."""
+        lo, hi = self.lo.copy(), self.hi.copy()
+        try:
+            self.lo[:] = np.where(np.isfinite(lo), 0.0, -_BOX)
+            self.hi[:] = np.where(np.isfinite(hi), 0.0, _BOX)
+            self._place(z)
+            if not self._dual(z, self.hi - self.lo > 0):
+                raise SimplexBreakdown("the auxiliary problem reads infeasible")
+        finally:
+            self.lo[:], self.hi[:] = lo, hi
+        z[:] = self._reduced_costs()
+        self._place(z)
+        return not self._eligible(z, movable).any()
+
+    def _place(self, z: np.ndarray) -> None:
+        """Each nonbasic column at the bound its reduced cost favours, then
+        ``B^-1`` refactorized and the basic values recomputed."""
+        status = _favoured(z, self.lo, self.hi)
+        status[self.basis] = BASIC
+        self.status[:] = status
+        self.xval[:] = np.where(status == AT_UPPER, self.hi, np.where(status == AT_LOWER, self.lo, 0.0))
+        self._refresh()
 
     def _bounds_violated(self) -> bool:
         """Any basic value beyond its bounds by more than ``_INT_TOL``,
@@ -332,77 +357,10 @@ class BoundedSimplex:
         self.xval[leaving] = self.hi[leaving] if to_upper else self.lo[leaving]
         self._pivot(p, q, d)
 
-    def _ratio_test(self, step: np.ndarray, bland: bool) -> tuple[int, float]:
-        """The basic position that blocks first when the entering column
-        moves by t and the basic values by ``-t * step``, and that t;
-        ``(-1, inf)`` when no entry above ``_PIVOT_TOL`` meets a finite
-        bound.  Ratios within 1e-9 of the minimum tie: the first of them
-        leaves, or under Bland's rule the one whose basic column has the
-        lowest index.  When that pivot is below ``_SMALL_PIVOT``, Harris's
-        second pass takes instead the largest pivot whose ratio keeps every
-        basic value within ``_FEAS_TOL`` of its bounds, if there is one:
-        such small pivots left near-singular bases whose next steps pushed
-        basic values far outside their bounds."""
-        xb, lob, hib = self.xval[self.basis], self.lo[self.basis], self.hi[self.basis]
-        mag = np.abs(step)
-        slack = np.where(step > 0, xb - lob, hib - xb)
-        rows = np.flatnonzero((mag > _PIVOT_TOL) & np.isfinite(slack))
-        if rows.size == 0:
-            return -1, np.inf
-        mag, slack = mag[rows], slack[rows]
-        ratio = np.maximum(slack / mag, 0.0)
-        ties = np.flatnonzero(ratio <= ratio.min() + 1e-9)
-        k = ties[self.basis[rows[ties]].argmin()] if bland else ties[0]
-        if mag[k] < _SMALL_PIVOT:
-            ok = np.flatnonzero((mag >= _SMALL_PIVOT) & (ratio <= ((slack + _FEAS_TOL) / mag).min()))
-            if ok.size:
-                k = ok[mag[ok].argmax()]
-        return int(rows[k]), float(ratio[k])
-
-    def _iterate(self) -> bool:
-        """Primal simplex under the true costs from a primal feasible basis:
-        True at an optimal basis, its reduced costs left in ``z``; False on
-        an improving ray; a breakdown at the iteration limit."""
-        degenerate_run = 0
-        bland = self._bland
-        movable = self.hi - self.lo > 0  # fixed columns never enter
-        for _ in range(self._max_iter):
-            z = self._reduced_costs()
-            idx = self._eligible(z, movable).nonzero()[0]
-            if idx.size == 0:
-                self.z = z
-                return True
-            # |z| is the improvement rate for every eligible status
-            q = int(idx[0] if bland else idx[np.abs(z[idx]).argmax()])
-            delta = -1.0 if self.status[q] == AT_UPPER or (self.status[q] == FREE and z[q] > 0) else 1.0
-            d = self._column(q) if self.m else np.zeros(0)
-            step = delta * d
-            p, t = self._ratio_test(step, bland)
-            t_flip = self.hi[q] - self.lo[q]  # inf for free/one-sided columns
-            if not np.isfinite(t) and not np.isfinite(t_flip):
-                return False
-
-            self.iterations += 1
-            if t_flip <= t:
-                # bound flip, basis unchanged
-                self.xval[self.basis] -= t_flip * step
-                self.xval[q] = self.hi[q] if self.status[q] == AT_LOWER else self.lo[q]
-                self.status[q] = AT_UPPER if self.status[q] == AT_LOWER else AT_LOWER
-                t = t_flip
-            else:
-                self._exchange(p, q, d, delta * t, step[p] < 0)
-
-            if t <= _DEGEN_TOL:
-                degenerate_run += 1
-                bland = bland or degenerate_run >= _BLAND_TRIGGER
-            else:
-                degenerate_run = 0
-        raise SimplexBreakdown("primal iteration limit")
-
     def _dual(self, z: np.ndarray, movable: np.ndarray) -> bool:
         """Bounded dual simplex from a dual feasible basis with reduced costs
-        ``z``, which may be shifted from the true ones: while a basic value
-        lies outside its bounds, one of them leaves at the bound it violates
+        ``z``, kept up to date in place: while a basic value lies outside
+        its bounds, one of them leaves at the bound it violates
         and the entering column is chosen by Harris's two-pass ratio test on
         the reduced costs.  The leaving row maximizes ``viol_p^2 / w_p``, the
         dual steepest-edge rule with exact weights ``w_p = |e_p^T B^-1|^2``
@@ -471,6 +429,15 @@ class BoundedSimplex:
     def tableau_row(self, p: int) -> np.ndarray:
         """Row p of B^-1 F, expressed over all columns."""
         return self._times_F(self.B_inv[p, :])
+
+
+def _favoured(z: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The status of each column at the bound its reduced cost ``z``
+    favours (the upper one where z < 0), at its other bound when that one
+    is infinite, and free at 0 when both are."""
+    status = np.where(np.isfinite(lo), AT_LOWER, FREE).astype(np.int8)
+    status[np.isfinite(hi) & ((z < 0) | ~np.isfinite(lo))] = AT_UPPER
+    return status
 
 
 def _squared_norms(rows: np.ndarray) -> np.ndarray:

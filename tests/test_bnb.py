@@ -23,10 +23,12 @@ from _helpers import (
     chain_instance,
     contradictory_bounds_instance,
     counting_clock,
+    empty_cover_instance,
     enumerate_binary_optimum,
     enumerate_box_integer_optimum,
     knapsack_2var,
     market_split_instance,
+    parity_infeasible_instance,
     random_binary_instance,
 )
 
@@ -431,17 +433,37 @@ _TREE_PINS = {
 }
 
 
+_PIN_MODELS = {
+    "chain": lambda: chain_instance(14),
+    "knapsack": _two_row_knapsack,
+    "market_split": lambda: market_split_instance(seed=5, n=12, m=2),
+    "mixed": _mixed_model,
+}
+
+
 @pytest.mark.parametrize("model", sorted(_TREE_PINS))
 def test_tree_size_and_ticks_are_pinned(model):
-    inst = {
-        "chain": lambda: chain_instance(14),
-        "knapsack": _two_row_knapsack,
-        "market_split": lambda: market_split_instance(seed=5, n=12, m=2),
-        "mixed": _mixed_model,
-    }[model]()
+    inst = _PIN_MODELS[model]()
     got = {}
     for name, opts in _PIN_OPTIONS.items():
         out = branch_and_bound(inst, opts)
         assert out.status is (SolveStatus.INFEASIBLE if model == "market_split" else SolveStatus.OPTIMAL)
         got[name] = (out.nodes, out.deterministic_ticks)
     assert got == _TREE_PINS[model]
+
+
+def test_boxed_models_never_enter_phase_one(monkeypatch):
+    # every column of these models has two finite bounds, as in the
+    # benchmark, so every LP starts dual feasible: dual phase 1 is for
+    # columns with an infinite bound alone
+    entered = []
+    monkeypatch.setattr(BoundedSimplex, "_phase_one", lambda self, *a: entered.append(self.form.name))
+    rng = np.random.default_rng(3)
+    models = [make() for make in _PIN_MODELS.values()] + [
+        knapsack_2var(), chain_instance(9), market_split_instance(seed=2, n=10, m=2), parity_infeasible_instance(),
+        empty_cover_instance(), contradictory_bounds_instance(),
+    ] + [random_binary_instance(rng) for _ in range(30)]
+    for inst in models:
+        for opts in [*_PIN_OPTIONS.values(), _CUTS_AND_DIVE]:
+            branch_and_bound(inst, opts)
+    assert entered == []

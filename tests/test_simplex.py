@@ -7,7 +7,7 @@ import pytest
 from scipy.optimize import linprog
 
 from milpbench.instance import Instance, Relation, Sense, Variable, make_row
-from milpbench.solver import ReferenceSolverOptions, simplex
+from milpbench.solver import ReferenceSolverOptions, SolveStatus, branch_and_bound, simplex
 from milpbench.solver.bnb import _Search
 from milpbench.solver.cuts import gomory_cuts
 from milpbench.solver.simplex import (
@@ -15,7 +15,6 @@ from milpbench.solver.simplex import (
     _FEAS_TOL,
     _OPT_TOL,
     _PIVOT_TOL,
-    _SMALL_PIVOT,
     AT_LOWER,
     AT_UPPER,
     BASIC,
@@ -117,25 +116,20 @@ def _scipy_reference(inst: Instance):
 
 @pytest.mark.parametrize("kernel_rows", [simplex._KERNEL_ROWS, 0], ids=["row_rule", "kernel"])
 def test_random_lps_match_reference_solver(monkeypatch, kernel_rows):
-    # also counts, per outcome, the inputs whose slack start needed a cost
-    # shift; a row rule of 0 sends every LP through the kernel and sparse eta path
+    # also counts, per outcome, the inputs whose start was dual infeasible and
+    # went through phase 1; a row rule of 0 sends every LP through the kernel
+    # and sparse eta path
     monkeypatch.setattr(simplex, "_KERNEL_ROWS", kernel_rows)
-    shifted, dual = [], BoundedSimplex._dual
-
-    def spy(self, z, movable):
-        shifted.append(not np.array_equal(z, self._reduced_costs()))
-        return dual(self, z, movable)
-
-    monkeypatch.setattr(BoundedSimplex, "_dual", spy)
+    entered = _count_calls(monkeypatch, "_phase_one")
     rng = np.random.default_rng(42)
     optimal_seen = 0
-    shifted_seen = collections.Counter()
+    phase_one_seen = collections.Counter()
     for _ in range(150):
         inst = random_lp_instance(rng)
-        shifted.clear()
+        entered.clear()
         mine = solve_lp(inst)
-        if any(shifted):
-            shifted_seen[mine.status] += 1
+        if entered:
+            phase_one_seen[mine.status] += 1
         ref = _scipy_reference(inst)
         if ref.status == 0:
             assert mine.status is LpStatus.OPTIMAL, f"{inst} expected optimal"
@@ -146,7 +140,14 @@ def test_random_lps_match_reference_solver(monkeypatch, kernel_rows):
         elif ref.status == 3:
             assert mine.status is LpStatus.UNBOUNDED
     assert optimal_seen > 30  # the generator must exercise the optimal path
-    assert all(shifted_seen[status] > 0 for status in LpStatus)  # and every outcome after a cost shift
+    assert all(phase_one_seen[status] > 0 for status in LpStatus)  # and every outcome after phase 1
+
+
+def _count_calls(monkeypatch, name):
+    """One entry per call of the ``BoundedSimplex`` method ``name``."""
+    calls, method = [], getattr(BoundedSimplex, name)
+    monkeypatch.setattr(BoundedSimplex, name, lambda self, *a: calls.append(1) or method(self, *a))
+    return calls
 
 
 def _injected_dual_breakdowns(monkeypatch):
@@ -255,17 +256,11 @@ def _count_slack_starts(monkeypatch):
 def test_warm_start_from_parent_basis_matches_cold_solve(monkeypatch):
     # branch on each fractional basic column of an optimal parent; the child
     # solved from the parent's basis must agree with the child solved cold
-    (warms, fallbacks), cleanup = _count_slack_starts(monkeypatch), []
-    primal = BoundedSimplex._iterate
-
-    def iterate(self):
-        before = self.iterations
-        outcome = primal(self)
-        if warms[-1] is not None:
-            cleanup.append(self.iterations - before)
-        return outcome
-
-    monkeypatch.setattr(BoundedSimplex, "_iterate", iterate)
+    (warms, fallbacks), warm_phase_one = _count_slack_starts(monkeypatch), []
+    phase_one = BoundedSimplex._phase_one
+    monkeypatch.setattr(
+        BoundedSimplex, "_phase_one", lambda self, *a: warm_phase_one.append(warms[-1]) or phase_one(self, *a)
+    )
     rng = np.random.default_rng(11)
     seen = collections.Counter()
     for _ in range(400):
@@ -294,7 +289,7 @@ def test_warm_start_from_parent_basis_matches_cold_solve(monkeypatch):
                     _assert_feasible(form, lb, ub, got.point)
     assert seen[LpStatus.OPTIMAL] > 100 and seen[LpStatus.INFEASIBLE] > 20
     assert [w for w in fallbacks if w is not None] == []  # every child was solved warm
-    assert sum(cleanup) == 0  # the dual simplex ends at an optimal basis
+    assert [w for w in warm_phase_one if w is not None] == []  # no warm child enters phase 1
 
 
 def test_warm_cut_lp_matches_a_slack_basis_solve(monkeypatch):
@@ -344,18 +339,11 @@ def _children(res, lb, ub):
             yield child_lb, child_ub
 
 
-def _count_refactorizations(monkeypatch):
-    """One entry per ``_refactorize`` call."""
-    calls, refactorize = [], BoundedSimplex._refactorize
-    monkeypatch.setattr(BoundedSimplex, "_refactorize", lambda self: calls.append(1) or refactorize(self))
-    return calls
-
-
 def test_child_from_the_carried_factor_matches_the_bare_basis(monkeypatch):
     # both children of an optimal parent share its factor; each solved from
     # it refactorizes nothing and agrees with the child solved from the
     # parent's basis and statuses alone
-    refactorized = _count_refactorizations(monkeypatch)
+    refactorized = _count_calls(monkeypatch, "_refactorize")
     rng = np.random.default_rng(17)
     seen = collections.Counter()
     for _ in range(400):
@@ -384,7 +372,7 @@ def test_carried_eta_count_refactorizes_on_schedule(monkeypatch):
     # is refactorized exactly when the eta updates since the last
     # refactorization reach _REFACTOR_EVERY, counted across the solves
     monkeypatch.setattr(simplex, "_REFACTOR_EVERY", 3)
-    refactorized = _count_refactorizations(monkeypatch)
+    refactorized = _count_calls(monkeypatch, "_refactorize")
     pivots, pivot = [], BoundedSimplex._pivot
     monkeypatch.setattr(BoundedSimplex, "_pivot", lambda self, *a: pivots.append(1) or pivot(self, *a))
     rng = np.random.default_rng(19)
@@ -416,7 +404,7 @@ def test_no_factor_for_cut_rows_other_rows_or_a_moved_nonbasic_bound(monkeypatch
     # over other rows of the same shape, or under another bound of a
     # nonbasic column, is never used: those solves refactorize and match
     # the solve from the bare basis and statuses
-    refactorized = _count_refactorizations(monkeypatch)
+    refactorized = _count_calls(monkeypatch, "_refactorize")
     rng = np.random.default_rng(23)
     seen = collections.Counter()
 
@@ -553,23 +541,23 @@ def _one_basic_structural():
     return to_standard_form(inst)
 
 
-def _overshooting_iterate(monkeypatch, times):
-    """Phase-2 iterations that leave the basic y past its upper bound, ``times`` times."""
-    real = BoundedSimplex._iterate
+def _overshooting_dual(monkeypatch, times):
+    """Dual phases that leave the basic y past its upper bound, ``times`` times."""
+    real = BoundedSimplex._dual
     left = [times]
 
-    def stub(self):
-        optimal = real(self)
-        if optimal and left[0]:
+    def stub(self, z, movable):
+        feasible = real(self, z, movable)
+        if feasible and left[0]:
             left[0] -= 1
             self.xval[1] = self.hi[1] + 0.5
-        return optimal
+        return feasible
 
-    monkeypatch.setattr(BoundedSimplex, "_iterate", stub)
+    monkeypatch.setattr(BoundedSimplex, "_dual", stub)
 
 
 def test_basic_value_outside_its_bound_is_recomputed_before_optimal(monkeypatch):
-    _overshooting_iterate(monkeypatch, times=1)
+    _overshooting_dual(monkeypatch, times=1)
     res = BoundedSimplex(_one_basic_structural()).solve()
     assert res.status is LpStatus.OPTIMAL
     assert res.point == pytest.approx([2.0, 0.5], abs=1e-12)
@@ -578,7 +566,7 @@ def test_basic_value_outside_its_bound_is_recomputed_before_optimal(monkeypatch)
 
 def test_basic_value_left_outside_its_bound_is_a_breakdown(monkeypatch):
     # twice in the slack attempt and twice in its retry under Bland's rule
-    _overshooting_iterate(monkeypatch, times=4)
+    _overshooting_dual(monkeypatch, times=4)
     with pytest.raises(SimplexBreakdown):
         BoundedSimplex(_one_basic_structural()).solve()
 
@@ -622,101 +610,166 @@ def test_reused_object_solves_like_a_fresh_one(monkeypatch):
     assert children > 50
 
 
-def _avoid_small_pivot(step, xb, lob, hib, p_best, t_best):
-    """Harris's second pass as a separate step after the per-row loop below."""
-    mag = np.abs(step)
-    slack = np.where(step > 0, xb - lob, hib - xb)
-    rows = np.flatnonzero((mag > _PIVOT_TOL) & np.isfinite(slack))
-    ratio = np.maximum(slack[rows] / mag[rows], 0.0)
-    t_max = np.min((slack[rows] + _FEAS_TOL) / mag[rows])
-    ok = np.flatnonzero((mag[rows] >= _SMALL_PIVOT) & (ratio <= t_max))
-    if ok.size == 0:
-        return p_best, t_best
-    k = ok[int(np.argmax(mag[rows][ok]))]
-    return int(rows[k]), float(ratio[k])
+# ---- dual phase 1 -----------------------------------------------------------
+# A start that some nonbasic column leaves dual infeasible (its cost favours
+# an infinite bound) is first solved on the auxiliary problem, whose infinite
+# bounds are a box; the benchmark's boxed LPs never take this path.
 
 
-def _loop_ratio_test(step, xb, lob, hib, basis, bland):
-    """The primal ratio test as one pass over the basic rows, then Harris's
-    second pass: the oracle for ``BoundedSimplex._ratio_test``."""
-    t_best = np.inf
-    p_best = -1
-    for p in range(len(step)):
-        s = step[p]
-        if s > _PIVOT_TOL:
-            if np.isfinite(lob[p]):
-                t = (xb[p] - lob[p]) / s
-            else:
-                continue
-        elif s < -_PIVOT_TOL:
-            if np.isfinite(hib[p]):
-                t = (hib[p] - xb[p]) / (-s)
-            else:
-                continue
-        else:
-            continue
-        t = max(t, 0.0)
-        if t < t_best - 1e-9:
-            t_best = t
-            p_best = p
-        elif p_best >= 0 and t <= t_best + 1e-9 and bland and basis[p] < basis[p_best]:
-            t_best = min(t_best, t)
-            p_best = p
-    if p_best >= 0 and abs(step[p_best]) < _SMALL_PIVOT:
-        p_best, t_best = _avoid_small_pivot(step, xb, lob, hib, p_best, t_best)
-    return p_best, t_best
+def test_tiny_only_blocking_pivot_is_a_breakdown_not_unbounded():
+    # min -x s.t. 1e-10 x <= 1, x >= 0: the optimum is -1e10, but only an
+    # entry below the pivot tolerance bounds x, so phase 1 cannot pivot on
+    # it; the solve breaks down (bnb: ERROR) rather than reporting a ray
+    inst = Instance(
+        "t", Sense.MINIMIZE, (Variable("x", 0.0, math.inf),), (make_row("r", [(0, 1e-10)], Relation.LE, 1.0),), ((0, -1.0),)
+    )
+    with pytest.raises(SimplexBreakdown):
+        solve_lp(inst)
+    assert branch_and_bound(inst, ReferenceSolverOptions()).status is SolveStatus.ERROR
 
 
-def _ratio_test_input(rng):
-    """Basic rows with finite and infinite bounds, values at, inside and
-    outside them, entries from exact zeros through ones below ``_PIVOT_TOL``
-    and ``_SMALL_PIVOT`` to large ones, and rows that repeat another row's
-    ratio exactly."""
-    m = int(rng.integers(1, 13))
-    base = np.round(rng.uniform(-5, 5, m), int(rng.integers(0, 4)))
-    hib = base + np.where(rng.random(m) < 0.2, np.inf, rng.choice([0.0, 1.0, 2.5, rng.uniform(0, 10)], m))
-    lob = np.where(rng.random(m) < 0.2, -np.inf, base)
-    xb = base + rng.uniform(0, 3, m) * rng.choice([0.0, 1.0], m)
-    xb = np.where(np.isfinite(hib) & (rng.random(m) < 0.2), hib, xb)  # at the upper bound
-    xb += np.where(rng.random(m) < 0.1, rng.uniform(-1e-6, 1e-6, m), 0.0)  # slightly outside
-    scale = 10.0 ** rng.choice([-12, -10, -9, -7, -5, -3, 0, 0, 0, 1], m)
-    step = rng.choice([-1.0, 1.0], m) * rng.uniform(0.5, 2, m) * scale
-    step[rng.random(m) < 0.1] = 0.0
-    for j in range(1, m):
-        if rng.random() < 0.3:  # the ratio of an earlier row, copied or scaled by 2
-            i = int(rng.integers(0, j))
-            f = float(rng.choice([1.0, 2.0]))
-            xb[j], lob[j], hib[j], step[j] = f * xb[i], f * lob[i], f * hib[i], f * step[i]
-    basis = rng.permutation(m + int(rng.integers(0, 8)))[:m]
-    return step, xb, lob, hib, basis
+def _unboxed_lp(rng, m):
+    """An LP over ``m`` sparse rows about a point inside the column bounds,
+    so that most are feasible, with one unreachable row in about a quarter
+    of them; about a third of the columns lack a lower bound, an upper
+    bound, or both."""
+    n = int(rng.integers(max(2, m // 3), m + 1))
+    lb = rng.integers(-3, 1, n).astype(float)
+    ub = lb + rng.integers(0, 6, n)
+    x0 = lb + rng.random(n) * (ub - lb)
+    lb[rng.random(n) < 0.3] = -np.inf
+    ub[rng.random(n) < 0.3] = np.inf
+    A = np.zeros((m, n))
+    for i in range(m):
+        support = rng.choice(n, size=int(rng.integers(2, min(n, 6) + 1)), replace=False)
+        A[i, support] = np.round(rng.uniform(-3, 3, support.size), 1)
+    act = A @ x0
+    rlo, rup = np.floor(act) - rng.integers(0, 3, m), np.ceil(act) + rng.integers(0, 3, m)
+    roll = rng.random(m)
+    rlo[roll < 0.4], rup[roll > 0.8] = -np.inf, np.inf
+    if rng.random() < 0.25:
+        i = int(rng.integers(m))
+        rlo[i], rup[i] = act[i] + 1e3, np.inf
+    return StandardForm(
+        name="unboxed", c=np.round(rng.uniform(-3, 3, n), 1), A=A, rlo=rlo, rup=rup, lb=lb, ub=ub,
+        is_int=np.zeros(n, bool), var_names=tuple(f"x{j}" for j in range(n)), obj_constant=0.0, flipped=False,
+    )
 
 
-def test_ratio_test_matches_the_per_row_loop():
-    rng = np.random.default_rng(31)
+def _highs(form, c):
+    up, lo = np.isfinite(form.rup), np.isfinite(form.rlo)
+    bounds = [(a if np.isfinite(a) else None, b if np.isfinite(b) else None) for a, b in zip(form.lb, form.ub)]
+    A_ub, b_ub = np.vstack([form.A[up], -form.A[lo]]), np.concatenate([form.rup[up], -form.rlo[lo]])
+    return linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs")
+
+
+@pytest.mark.parametrize("kernel_rows", [simplex._KERNEL_ROWS, 0], ids=["row_rule", "kernel"])
+def test_unboxed_lps_of_kernel_size_match_reference_solver(monkeypatch, kernel_rows):
+    # 64 to 120 rows: phase 1 on the kernel path, and with a row rule of 0 on
+    # the dense path.  HiGHS may call an unbounded LP infeasible; UNBOUNDED is
+    # right then if HiGHS finds the rows feasible under zero costs
+    monkeypatch.setattr(simplex, "_KERNEL_ROWS", kernel_rows)
+    entered = _count_calls(monkeypatch, "_phase_one")
+    rng = np.random.default_rng(67)
     seen = collections.Counter()
-    for _ in range(2500):
-        step, xb, lob, hib, basis = _ratio_test_input(rng)
-        cols = int(basis.max()) + 1
-        lp = BoundedSimplex.__new__(BoundedSimplex)
-        lp.basis, lp.xval, lp.lo, lp.hi = basis, np.zeros(cols), np.zeros(cols), np.zeros(cols)
-        lp.xval[basis], lp.lo[basis], lp.hi[basis] = xb, lob, hib
-        for bland in (False, True):
-            got = lp._ratio_test(step, bland)
-            want = _loop_ratio_test(step, xb, lob, hib, basis, bland)
-            assert got == want, (step, xb, lob, hib, basis, bland)
-            assert type(got[0]) is int
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.maximum(np.where(step > 0, xb - lob, hib - xb) / np.abs(step), 0.0)
-        usable = (np.abs(step) > _PIVOT_TOL) & np.isfinite(ratio)
-        p = want[0]
-        seen["no blocking row"] += p < 0
-        seen["infinite bound skipped"] += bool(((np.abs(step) > _PIVOT_TOL) & ~np.isfinite(ratio)).any())
-        seen["tie"] += bool(usable.any() and np.count_nonzero(ratio[usable] == ratio[usable].min()) > 1)
-        seen["bland differs"] += got[0] != lp._ratio_test(step, False)[0]
-        seen["entry below the pivot tolerance"] += bool(((step != 0) & (np.abs(step) <= _PIVOT_TOL)).any())
-        seen["small pivot taken"] += p >= 0 and abs(step[p]) < _SMALL_PIVOT
-        seen["second pass moved"] += p >= 0 and ratio[p] > ratio[usable].min() + 1e-9
-    assert min(seen.values()) >= 20 and len(seen) == 7, seen
+    for _ in range(30):
+        form = _unboxed_lp(rng, int(rng.integers(64, 121)))
+        entered.clear()
+        mine = BoundedSimplex(form).solve()
+        ref = _highs(form, form.c)
+        if ref.status == 0:
+            assert mine.status is LpStatus.OPTIMAL
+            assert mine.objective == pytest.approx(ref.fun, abs=1e-6, rel=1e-6)
+            _assert_feasible(form, form.lb, form.ub, mine.point)
+        elif ref.status == 2 and mine.status is LpStatus.UNBOUNDED:
+            assert _highs(form, np.zeros(form.n)).status == 0
+        else:
+            assert mine.status is {2: LpStatus.INFEASIBLE, 3: LpStatus.UNBOUNDED}[ref.status]
+        seen[mine.status] += bool(entered)
+    assert min(seen[status] for status in LpStatus) >= 4, seen
+
+
+def _ray_lp(row_lo):
+    """min -x s.t. x - y <= 1 and y >= ``row_lo``, x >= 0, y in [0, 3]:
+    the cost favours x's infinite upper bound."""
+    inst = Instance(
+        "ray",
+        Sense.MINIMIZE,
+        (Variable("x", 0.0, math.inf), Variable("y", 0.0, 3.0)),
+        (make_row("a", [(0, 1.0), (1, -1.0)], Relation.LE, 1.0), make_row("b", [(1, 1.0)], Relation.GE, row_lo)),
+        ((0, -1.0),),
+    )
+    return to_standard_form(inst)
+
+
+@pytest.mark.parametrize("row_lo, want", [(2.0, LpStatus.OPTIMAL), (4.0, LpStatus.INFEASIBLE)])
+def test_phase_one_on_hand_built_lps(monkeypatch, row_lo, want):
+    # x is bounded through y's box: dual feasible after phase 1, optimum -4
+    # at y = 3; with y >= 4 the rows cannot be met
+    entered = _count_calls(monkeypatch, "_phase_one")
+    res = BoundedSimplex(_ray_lp(row_lo)).solve()
+    assert entered and res.status is want
+    if want is LpStatus.OPTIMAL:
+        assert res.objective == pytest.approx(-4.0, abs=1e-12) and res.point == pytest.approx([4.0, 3.0], abs=1e-12)
+
+
+@pytest.mark.parametrize("feasible, want", [(True, LpStatus.UNBOUNDED), (False, LpStatus.INFEASIBLE)])
+def test_dual_infeasible_lp_is_unbounded_or_infeasible(monkeypatch, feasible, want):
+    # min -x - y s.t. x - y <= 1 and x + y >= 2, x, y >= 0, and for the
+    # infeasible one also x - y >= 2: the ray x = y improves in both, so
+    # phase 1 leaves a column dual infeasible, and the rows decide
+    rows = [make_row("a", [(0, 1.0), (1, -1.0)], Relation.LE, 1.0), make_row("b", [(0, 1.0), (1, 1.0)], Relation.GE, 2.0)]
+    if not feasible:
+        rows.append(make_row("c", [(0, 1.0), (1, -1.0)], Relation.GE, 2.0))
+    inst = Instance(
+        "t", Sense.MINIMIZE, (Variable("x", 0.0, math.inf), Variable("y", 0.0, math.inf)), tuple(rows), ((0, -1.0), (1, -1.0))
+    )
+    dual_feasible, phase_one = [], BoundedSimplex._phase_one
+    monkeypatch.setattr(BoundedSimplex, "_phase_one", lambda self, *a: dual_feasible.append(phase_one(self, *a)) or dual_feasible[-1])
+    assert solve_lp(inst).status is want
+    assert dual_feasible == [False]
+
+
+def test_breakdown_inside_phase_one_leaves_no_auxiliary_bound(monkeypatch):
+    # a breakdown in phase 1's dual simplex, in the slack attempt or in both
+    # attempts, with the auxiliary box in place: the object's bounds are the
+    # true ones afterwards, the retry under Bland's rule solves as on a fresh
+    # object, and so does every later solve
+    inside, pending = [], []
+    phase_one, dual = BoundedSimplex._phase_one, BoundedSimplex._dual
+
+    def spy_phase_one(self, z, movable):
+        inside.append(True)
+        try:
+            return phase_one(self, z, movable)
+        finally:
+            inside.pop()
+
+    def flaky(self, z, movable):
+        if inside and pending:
+            pending.pop()
+            raise SimplexBreakdown("injected")
+        return dual(self, z, movable)
+
+    monkeypatch.setattr(BoundedSimplex, "_phase_one", spy_phase_one)
+    monkeypatch.setattr(BoundedSimplex, "_dual", flaky)
+    rng = np.random.default_rng(71)
+    forms = [_unboxed_lp(rng, m) for m in (8, 20, 70, 90)] + [_ray_lp(2.0)]
+    for form in forms:
+        lp = BoundedSimplex(form)
+        lo, hi = lp.lo.copy(), lp.hi.copy()
+        for breakdowns in (1, 2, 0):
+            pending[:] = [True] * breakdowns
+            if breakdowns == 2:
+                with pytest.raises(SimplexBreakdown):
+                    lp.solve()
+            else:
+                mine = lp.solve()
+                pending[:] = [True] * breakdowns
+                want = BoundedSimplex(form).solve()
+                assert (mine.status, mine.iterations, mine.objective) == (want.status, want.iterations, want.objective)
+                assert np.array_equal(mine.point, want.point)
+            assert pending == [] and np.array_equal(lp.lo, lo) and np.array_equal(lp.hi, hi)
 
 
 # ---- the dual simplex that multiplied by all of F, kept as the oracle -------
@@ -864,7 +917,7 @@ def test_kernel_lps_match_the_full_product_oracle_bitwise(monkeypatch):
 
 def test_kernel_products_have_the_bits_of_the_full_products(monkeypatch):
     # every row times F and every entering column of a kernel LP, in the dual
-    # and the primal phase and for the Gomory rows, equals the full product
+    # simplex, its pricing and the Gomory rows, equals the full product
     # byte for byte: zero signs and the BLAS tail included
     seen = collections.Counter()
     times_F, column = BoundedSimplex._times_F, BoundedSimplex._column
