@@ -128,19 +128,19 @@ class _Search:
         return bool(np.all(lo_ok & hi_ok))
 
     def fractional(self, x: np.ndarray) -> np.ndarray:
-        f = np.abs(x[self.int_idx] - np.round(x[self.int_idx]))
-        return self.int_idx[f > _INT_TOL]
+        xi = x[self.int_idx]
+        return self.int_idx[np.abs(xi - xi.round()) > _INT_TOL]
 
     def pick_branch_var(self, x: np.ndarray, cand: np.ndarray) -> int:
-        frac = x[cand] - np.floor(x[cand])
+        xc = x[cand]
+        frac = xc - np.floor(xc)
         if self.opts.branch_rule is BranchRule.MOST_FRACTIONAL:
             score = np.minimum(frac, 1.0 - frac)
         else:
             score = np.maximum(self.pc_dn[cand] * frac, 1e-6) * np.maximum(
                 self.pc_up[cand] * (1.0 - frac), 1e-6
             )
-        best = np.flatnonzero(score == score.max())
-        return int(cand[best[0]])  # lowest index wins ties
+        return int(cand[score.argmax()])  # the first maximum: the lowest index wins ties
 
     def observe_pseudocost(self, node: _Node, child_obj: float) -> None:
         j = node.branch_var

@@ -74,6 +74,13 @@ _FEAS_TOL = 1e-7  # primal: how far a basic value may lie outside its bounds
 _BOX = 1e4
 _OPT_TOL = 1e-9  # dual: how far a reduced cost may lie on its improving side
 _INT_TOL = 1e-6  # integrality tolerance (bnb's); as the bound tolerance, no fractional value is out of bounds
+# the direction in which a nonbasic column may move off its bound, by status:
+# +1 up from its lower bound, -1 down from its upper bound, 0 for free (either
+# way) and basic columns.  A node LP of a few rows is a fixed cost of about a
+# hundred small numpy calls, so the hot paths index this table and reduce with
+# ufuncs and count_nonzero: a Python-level reduction (ndarray.any, .min,
+# np.array_equal, np.round, np.flatnonzero) costs 2-3 times a ufunc call
+_SIGN = np.array([1.0, -1.0, 0.0, 0.0])
 
 
 class WarmStart(tuple):
@@ -148,7 +155,7 @@ class BoundedSimplex:
         self.lo[: self.n] = self.form.lb if lb is None else lb
         self.hi[: self.n] = self.form.ub if ub is None else ub
         self.basis = self.status = self.xval = self.B_inv = self._w = None
-        if (self.lo > self.hi).any():
+        if np.count_nonzero(self.lo > self.hi):
             return LpResult(LpStatus.INFEASIBLE, None, np.zeros(self.n), 0, None)
         factor = getattr(warm, "factor", None)
         self._carried = warm if factor is not None and factor.form is self.form else None
@@ -178,35 +185,41 @@ class BoundedSimplex:
         n, m = self.n, self.m
         carried = self._carried
         own = carried is not None and basis is carried[0] and status is carried[1]
-        basis = np.array(basis, dtype=np.int64)
-        status = np.array(status, dtype=np.int8)
-        if not own and (basis.shape != (m,) or status.shape != (n + m,) or (m and basis.max() >= n + m)
-                        or np.count_nonzero(status == BASIC) != m or (status[basis] != BASIC).any()):
-            return None  # other rows, or no basis
+        if own:
+            basis, status = basis.copy(), status.copy()
+        else:
+            basis = np.array(basis, dtype=np.int64)
+            status = np.array(status, dtype=np.int8)
+            if (basis.shape != (m,) or status.shape != (n + m,) or (m and basis.max() >= n + m)
+                    or np.count_nonzero(status == BASIC) != m or np.count_nonzero(status[basis] != BASIC)):
+                return None  # other rows, or no basis
         lo, hi = self.lo, self.hi
         xval = np.where(status == AT_UPPER, hi, np.where(status == AT_LOWER, lo, 0.0))
-        if (~np.isfinite(xval) | ((status == FREE) & (np.isfinite(lo) | np.isfinite(hi)))).any():
+        free = status == FREE
+        if np.count_nonzero(np.isfinite(xval)) != n + m or (
+            np.count_nonzero(free) and np.count_nonzero(free & (np.isfinite(lo) | np.isfinite(hi)))
+        ):
             return None  # a status points at an infinite bound, or a free one at a finite bound
         self.basis, self.status, self.xval = basis, status, xval
         movable = hi - lo > 0
         factor = carried.factor if own else None
         if factor is not None:
             xval[basis] = factor.xval[basis]
-        fresh = factor is None or not np.array_equal(xval, factor.xval)
+        fresh = factor is None or np.count_nonzero(xval != factor.xval) != 0
         if not fresh:
             self.B_inv, self._since_refactor, z = factor.B_inv.copy(), factor.etas, factor.z.copy()
         for again in (False, True):
             if fresh or again:
                 self._refresh()
                 z = self._reduced_costs()
-                if self._eligible(z, movable).any() and not self._phase_one(z, movable):
+                if np.count_nonzero(self._eligible(z, movable)) and not self._phase_one(z, movable):
                     zero = np.zeros_like(z)  # under zero costs every basis is dual feasible
                     self._place(zero)
                     return self._result(LpStatus.UNBOUNDED if self._dual(zero, movable) else LpStatus.INFEASIBLE)
             if not self._dual(z, movable):
                 return self._result(LpStatus.INFEASIBLE)
             z = self._reduced_costs()
-            if not self._eligible(z, movable).any() and not self._bounds_violated():
+            if not np.count_nonzero(self._eligible(z, movable)) and not self._bounds_violated():
                 self.z = z
                 return self._result(LpStatus.OPTIMAL)
         raise SimplexBreakdown("reduced costs or basic values drifted at the optimum")
@@ -229,7 +242,7 @@ class BoundedSimplex:
             self.lo[:], self.hi[:] = lo, hi
         z[:] = self._reduced_costs()
         self._place(z)
-        return not self._eligible(z, movable).any()
+        return not np.count_nonzero(self._eligible(z, movable))
 
     def _place(self, z: np.ndarray) -> None:
         """Each nonbasic column at the bound its reduced cost favours, then
@@ -246,7 +259,7 @@ class BoundedSimplex:
         relative to the bound on row columns."""
         b = self.basis
         xb = self.xval[b]
-        return bool(((xb < self.lo[b] - self._tol_lo[b]) | (xb > self.hi[b] + self._tol_hi[b])).any())
+        return np.count_nonzero((xb < self.lo[b] - self._tol_lo[b]) | (xb > self.hi[b] + self._tol_hi[b])) != 0
 
     def _result(self, status: LpStatus) -> LpResult:
         point = self.xval[: self.n].copy()
@@ -318,11 +331,11 @@ class BoundedSimplex:
     def _eligible(self, z: np.ndarray, movable: np.ndarray) -> np.ndarray:
         """Nonbasic columns whose reduced cost says the objective improves
         when they move off their bound."""
-        return movable & (
-            ((self.status == AT_LOWER) & (z < -_OPT_TOL))
-            | ((self.status == AT_UPPER) & (z > _OPT_TOL))
-            | ((self.status == FREE) & (np.abs(z) > _OPT_TOL))
-        )
+        eligible = movable & (_SIGN[self.status] * z < -_OPT_TOL)
+        free = self.status == FREE
+        if np.count_nonzero(free):
+            eligible |= free & (np.abs(z) > _OPT_TOL)
+        return eligible
 
     def _pivot(self, p: int, q: int, d: np.ndarray) -> None:
         """Column q replaces the basic column at position p; ``d`` is
@@ -338,7 +351,7 @@ class BoundedSimplex:
                 self.B_inv -= d[:, np.newaxis] * r
                 self.B_inv[p, :] = r
             else:  # only the rows that d touches, p among them, and their weights
-                nz = np.flatnonzero(d)
+                nz = d.nonzero()[0]
                 self.B_inv[nz] -= d[nz, np.newaxis] * r
                 self.B_inv[p, :] = r
                 self._w[nz] = _squared_norms(self.B_inv[nz])
@@ -372,12 +385,9 @@ class BoundedSimplex:
         infeasible; neither depends on the costs."""
         if not self.m:
             return True
-        # the direction in which each nonbasic column may move off its bound:
-        # +1 up from its lower bound, -1 down from its upper bound; 0 for
-        # basic and fixed columns, and for free ones, which move either way
-        at_lo, at_hi = self.status == AT_LOWER, self.status == AT_UPPER
-        dirn = np.where(movable, at_lo * 1.0 - at_hi, 0.0)
+        dirn = np.where(movable, _SIGN[self.status], 0.0)
         free = self.status == FREE
+        any_free = np.count_nonzero(free)
         span = self.hi - self.lo
         for _ in range(self._max_iter):
             xb, lob, hib = self.xval[self.basis], self.lo[self.basis], self.hi[self.basis]
@@ -398,7 +408,8 @@ class BoundedSimplex:
             # moving column j off its bound by u moves the leaving value
             # toward its target by -g[j] * u
             g = alpha * dirn
-            g[free] = -np.abs(alpha[free])
+            if any_free:
+                g[free] = -np.abs(alpha[free])
             idx = (g < -_PIVOT_TOL).nonzero()[0]
             if idx.size == 0:
                 # the nonbasic columns' whole ranges cannot close the gap
@@ -410,8 +421,11 @@ class BoundedSimplex:
             mag = -g[idx]
             slack = np.maximum(dirn[idx] * z[idx], 0.0)  # free columns: 0
             ratio = slack / mag
-            ok = (ratio <= ((slack + _OPT_TOL) / mag).min()).nonzero()[0]
-            k = ok[mag[ok].argmax()]
+            if idx.size == 1:
+                k = 0
+            else:
+                ok = (ratio <= np.minimum.reduce((slack + _OPT_TOL) / mag)).nonzero()[0]
+                k = ok[mag[ok].argmax()]
             q, t = int(idx[k]), float(ratio[k])
 
             self.iterations += 1

@@ -16,6 +16,7 @@ from milpbench.solver import (
 )
 from milpbench.solver import bnb
 from milpbench.solver.simplex import BoundedSimplex, SimplexBreakdown, solve_lp
+from milpbench.solver.standard_form import to_standard_form
 from milpbench.validate import check_feasibility
 
 from _helpers import (
@@ -467,3 +468,14 @@ def test_boxed_models_never_enter_phase_one(monkeypatch):
         for opts in [*_PIN_OPTIONS.values(), _CUTS_AND_DIVE]:
             branch_and_bound(inst, opts)
     assert entered == []
+
+
+@pytest.mark.parametrize("rule", list(BranchRule))
+def test_branching_tie_goes_to_the_lower_index(rule):
+    # x2 = 0.25 and x3 = 0.75 score bitwise alike under both rules (0.25,
+    # and 0.1875 with unit pseudocosts), above x0 and x4
+    search = bnb._Search(to_standard_form(chain_instance(6)), ReferenceSolverOptions(branch_rule=rule))
+    search.pc_dn[:] = search.pc_up[:] = 1.0
+    x = np.array([0.2, 0.0, 0.25, 0.75, 0.1, 0.0])
+    assert search.pick_branch_var(x, np.array([0, 2, 3, 4])) == 2
+    assert search.pick_branch_var(x, np.array([3, 4])) == 3

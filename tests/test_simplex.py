@@ -7,7 +7,7 @@ import pytest
 from scipy.optimize import linprog
 
 from milpbench.instance import Instance, Relation, Sense, Variable, make_row
-from milpbench.solver import ReferenceSolverOptions, SolveStatus, branch_and_bound, simplex
+from milpbench.solver import BranchRule, NodeStrategy, ReferenceSolverOptions, SolveStatus, branch_and_bound, simplex
 from milpbench.solver.bnb import _Search
 from milpbench.solver.cuts import gomory_cuts
 from milpbench.solver.simplex import (
@@ -26,7 +26,7 @@ from milpbench.solver.simplex import (
 )
 from milpbench.solver.standard_form import StandardForm, to_standard_form
 
-from _helpers import random_lp_instance
+from _helpers import market_split_instance, random_lp_instance, random_mixed_instance
 
 
 def test_single_variable_bound_optimum():
@@ -1034,3 +1034,225 @@ def test_kept_weights_equal_fresh_ones_at_every_dual_iteration(monkeypatch):
     for _ in range(8):
         _branched_solves(_kernel_lp(rng, int(rng.integers(64, 129))), 3)
     assert checked["iterations"] > 200 and checked["tiny pivot"] > 20 and checked["refactorized"] > 60, checked
+
+
+# ---- the solver before its small numpy calls were trimmed, kept as the oracle
+# _solve_from, _dual and _eligible as they were when they called numpy's
+# Python-level wrappers (ndarray.any, np.array_equal, ndarray.min) and tested
+# each status apart, and bnb's fractional and pick_branch_var as they were
+# when they used np.round and np.flatnonzero.  The trimmed solver must give
+# the same bits: every LpResult, warm start, factor and tree.
+
+
+def _wrapped_solve_from(self, basis, status):
+    n, m = self.n, self.m
+    carried = self._carried
+    own = carried is not None and basis is carried[0] and status is carried[1]
+    basis = np.array(basis, dtype=np.int64)
+    status = np.array(status, dtype=np.int8)
+    if not own and (basis.shape != (m,) or status.shape != (n + m,) or (m and basis.max() >= n + m)
+                    or np.count_nonzero(status == BASIC) != m or (status[basis] != BASIC).any()):
+        return None
+    lo, hi = self.lo, self.hi
+    xval = np.where(status == AT_UPPER, hi, np.where(status == AT_LOWER, lo, 0.0))
+    if (~np.isfinite(xval) | ((status == FREE) & (np.isfinite(lo) | np.isfinite(hi)))).any():
+        return None
+    self.basis, self.status, self.xval = basis, status, xval
+    movable = hi - lo > 0
+    factor = carried.factor if own else None
+    if factor is not None:
+        xval[basis] = factor.xval[basis]
+    fresh = factor is None or not np.array_equal(xval, factor.xval)
+    if not fresh:
+        self.B_inv, self._since_refactor, z = factor.B_inv.copy(), factor.etas, factor.z.copy()
+    for again in (False, True):
+        if fresh or again:
+            self._refresh()
+            z = self._reduced_costs()
+            if self._eligible(z, movable).any() and not self._phase_one(z, movable):
+                zero = np.zeros_like(z)
+                self._place(zero)
+                return self._result(LpStatus.UNBOUNDED if self._dual(zero, movable) else LpStatus.INFEASIBLE)
+        if not self._dual(z, movable):
+            return self._result(LpStatus.INFEASIBLE)
+        z = self._reduced_costs()
+        if not self._eligible(z, movable).any() and not self._bounds_violated():
+            self.z = z
+            return self._result(LpStatus.OPTIMAL)
+    raise SimplexBreakdown("reduced costs or basic values drifted at the optimum")
+
+
+def _wrapped_eligible(self, z, movable):
+    return movable & (
+        ((self.status == AT_LOWER) & (z < -_OPT_TOL))
+        | ((self.status == AT_UPPER) & (z > _OPT_TOL))
+        | ((self.status == FREE) & (np.abs(z) > _OPT_TOL))
+    )
+
+
+def _wrapped_dual(self, z, movable):
+    if not self.m:
+        return True
+    at_lo, at_hi = self.status == AT_LOWER, self.status == AT_UPPER
+    dirn = np.where(movable, at_lo * 1.0 - at_hi, 0.0)
+    free = self.status == FREE
+    span = self.hi - self.lo
+    for _ in range(self._max_iter):
+        xb, lob, hib = self.xval[self.basis], self.lo[self.basis], self.hi[self.basis]
+        viol = np.maximum(lob - xb, xb - hib)
+        rows = (viol > _FEAS_TOL).nonzero()[0]
+        if rows.size == 0:
+            return True
+        if self._bland:
+            p = int(rows[self.basis[rows].argmin()])
+        elif rows.size == 1:
+            p = int(rows[0])
+        else:
+            w = self._w[rows] if self._w is not None else simplex._squared_norms(self.B_inv[rows])
+            p = int(rows[(viol[rows] ** 2 / w).argmax()])
+        s = 1.0 if xb[p] < lob[p] else -1.0
+        target = lob[p] if s > 0 else hib[p]
+        alpha = s * self._times_F(self.B_inv[p])
+        g = alpha * dirn
+        g[free] = -np.abs(alpha[free])
+        idx = (g < -_PIVOT_TOL).nonzero()[0]
+        if idx.size == 0:
+            helpful = g < -_DEGEN_TOL
+            if float((-g[helpful] * span[helpful]).sum()) < viol[p] - _FEAS_TOL:
+                return False
+            raise SimplexBreakdown("dual ratio test found no usable pivot")
+        mag = -g[idx]
+        slack = np.maximum(dirn[idx] * z[idx], 0.0)
+        ratio = slack / mag
+        ok = (ratio <= ((slack + _OPT_TOL) / mag).min()).nonzero()[0]
+        k = ok[mag[ok].argmax()]
+        q, t = int(idx[k]), float(ratio[k])
+
+        self.iterations += 1
+        z += t * alpha
+        z[q] = 0.0
+        d = self._column(q)
+        leaving = self.basis[p]
+        dirn[leaving] = s if movable[leaving] else 0.0
+        dirn[q], free[q] = 0.0, False
+        self._exchange(p, q, d, (xb[p] - target) / d[p], s < 0)
+    raise SimplexBreakdown("dual iteration limit")
+
+
+def _wrapped_fractional(self, x):
+    f = np.abs(x[self.int_idx] - np.round(x[self.int_idx]))
+    return self.int_idx[f > simplex._INT_TOL]
+
+
+def _wrapped_pick_branch_var(self, x, cand):
+    frac = x[cand] - np.floor(x[cand])
+    if self.opts.branch_rule is BranchRule.MOST_FRACTIONAL:
+        score = np.minimum(frac, 1.0 - frac)
+    else:
+        score = np.maximum(self.pc_dn[cand] * frac, 1e-6) * np.maximum(self.pc_up[cand] * (1.0 - frac), 1e-6)
+    best = np.flatnonzero(score == score.max())
+    return int(cand[best[0]])
+
+
+def _both_wrapped(monkeypatch, run, *args):
+    """``run(*args)`` as the solver computes it and under the wrapped oracle."""
+    mine = run(*args)
+    with monkeypatch.context() as patch:
+        patch.setattr(BoundedSimplex, "_solve_from", _wrapped_solve_from)
+        patch.setattr(BoundedSimplex, "_eligible", _wrapped_eligible)
+        patch.setattr(BoundedSimplex, "_dual", _wrapped_dual)
+        patch.setattr(_Search, "fractional", _wrapped_fractional)
+        patch.setattr(_Search, "pick_branch_var", _wrapped_pick_branch_var)
+        return mine, run(*args)
+
+
+def _count_free_duals(monkeypatch):
+    """Per kind, the solver's ``_dual`` calls that start with a free
+    nonbasic column, and those inside phase 1."""
+    seen, dual, phase_one = collections.Counter(), BoundedSimplex._dual, BoundedSimplex._phase_one
+
+    def spy_dual(self, z, movable):
+        seen["free column"] += bool(np.count_nonzero(self.status == FREE))
+        return dual(self, z, movable)
+
+    monkeypatch.setattr(BoundedSimplex, "_dual", spy_dual)
+    monkeypatch.setattr(BoundedSimplex, "_phase_one", lambda self, *a: seen.update(["phase one"]) or phase_one(self, *a))
+    return seen
+
+
+def test_bounded_lps_and_their_children_match_the_wrapped_oracle_bitwise(monkeypatch):
+    rng = np.random.default_rng(5)
+    seen = collections.Counter()
+    for _ in range(80):
+        mine, want = _both_wrapped(monkeypatch, _branched_solves, to_standard_form(_bounded_lp(rng)), 50)
+        assert mine == want
+        seen.update(bits[0] for bits in mine)
+        seen["warm"] += len(mine) - 1
+    assert seen[LpStatus.OPTIMAL] > 50 and seen[LpStatus.INFEASIBLE] > 50 and seen["warm"] > 50, seen
+
+
+def test_lps_with_free_columns_and_infinite_bounds_match_the_wrapped_oracle_bitwise(monkeypatch):
+    # dual phase 1 and the free columns' branch of the ratio test run here;
+    # the kernel path from 64 rows
+    seen = _count_free_duals(monkeypatch)
+    rng = np.random.default_rng(89)
+    forms = [_unboxed_lp(rng, int(rng.integers(3, 30))) for _ in range(60)]
+    forms += [to_standard_form(random_lp_instance(rng)) for _ in range(60)]
+    forms += [_unboxed_lp(rng, m) for m in (64, 80)] + [_ray_lp(2.0), _ray_lp(4.0)]
+    # without a cost toward an infinite bound the slack start is dual
+    # feasible, so _dual starts with the free columns nonbasic
+    forms += [replace(f, c=np.where((f.c > 0) & np.isinf(f.lb) | (f.c < 0) & np.isinf(f.ub), 0.0, f.c)) for f in forms[:60]]
+    statuses = collections.Counter()
+    for form in forms:
+        mine, want = _both_wrapped(monkeypatch, _branched_solves, form, 6)
+        assert mine == want
+        statuses.update(bits[0] for bits in mine)
+    assert min(statuses[status] for status in LpStatus) >= 10, statuses
+    assert seen["phase one"] > 100 and seen["free column"] > 30, seen
+
+
+def test_bland_retries_match_the_wrapped_oracle_bitwise(monkeypatch):
+    # a breakdown in the first attempt sends a cold solve to Bland's rule
+    # and a warm child to the slack basis; two send a warm child to Bland's rule
+    def retried(form):
+        with monkeypatch.context() as patch:
+            breakdowns = _injected_dual_breakdowns(patch)
+            lp = BoundedSimplex(form)
+            breakdowns[:] = [True]
+            root = lp.solve()
+            out = [_bits(root, lp)]
+            if root.status is LpStatus.OPTIMAL:
+                for k, (lb, ub) in enumerate(list(_children(root, form.lb, form.ub))[:6]):
+                    breakdowns[:] = [True] * (1 + k % 2)
+                    out.append(_bits(lp.solve(lb, ub, warm=root.warm), lp))
+            return out
+
+    rng = np.random.default_rng(97)
+    forms = [to_standard_form(_bounded_lp(rng)) for _ in range(40)] + [_unboxed_lp(rng, 12) for _ in range(20)]
+    warm = 0
+    for form in forms:
+        mine, want = _both_wrapped(monkeypatch, retried, form)
+        assert mine == want
+        warm += len(mine) - 1
+    assert warm > 60
+
+
+def test_branch_and_bound_matches_the_wrapped_oracle(monkeypatch):
+    def outcomes(insts):
+        out = []
+        for inst in insts:
+            for opts in (
+                ReferenceSolverOptions(),
+                ReferenceSolverOptions(node_strategy=NodeStrategy.DEPTH_FIRST, branch_rule=BranchRule.PSEUDOCOST),
+                ReferenceSolverOptions(diving=True, gomory_rounds=2, cover_cuts=True),
+            ):
+                o = branch_and_bound(inst, opts)
+                incumbent = None if o.incumbent is None else (np.float64(o.incumbent.objective).tobytes(), o.incumbent.values)
+                out.append((o.status, o.nodes, o.deterministic_ticks, np.float64(o.best_bound).tobytes(), incumbent))
+        return out
+
+    rng = np.random.default_rng(101)
+    insts = [random_mixed_instance(rng) for _ in range(150)] + [market_split_instance(seed=5, n=12, m=2)]
+    mine, want = _both_wrapped(monkeypatch, outcomes, insts)
+    assert mine == want
+    assert sum(nodes for _, nodes, *_ in mine) > 1000
