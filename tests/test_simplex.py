@@ -1167,8 +1167,8 @@ def _both_wrapped(monkeypatch, run, *args):
 
 
 def _count_free_duals(monkeypatch):
-    """Per kind, the solver's ``_dual`` calls that start with a free
-    nonbasic column, and those inside phase 1."""
+    """How many of the solver's ``_dual`` calls start with a FREE column,
+    and how many ``_phase_one`` calls it makes."""
     seen, dual, phase_one = collections.Counter(), BoundedSimplex._dual, BoundedSimplex._phase_one
 
     def spy_dual(self, z, movable):
