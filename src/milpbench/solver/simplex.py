@@ -334,7 +334,7 @@ class BoundedSimplex:
         eligible = movable & (_SIGN[self.status] * z < -_OPT_TOL)
         free = self.status == FREE
         if np.count_nonzero(free):
-            eligible |= free & (np.abs(z) > _OPT_TOL)
+            eligible |= movable & free & (np.abs(z) > _OPT_TOL)
         return eligible
 
     def _pivot(self, p: int, q: int, d: np.ndarray) -> None:

@@ -1,14 +1,15 @@
 """Paired benchmark runs of two revisions, written as a ``BENCH_*.json`` file.
 
     python3 tools/bench_pairs.py --parent HEAD~1 --change HEAD --out BENCH_N.json \\
-        --workloads tree root protocol --pairs 10 --first-seed 11 --claim tree:sgm_wall_s
+        --work DIR --pairs 10 --first-seed 11 --claim tree:sgm_wall_s
 
 Each revision is exported with ``git archive`` into its own directory under
 ``--work``, so both sides run from clean copies of the committed files.  For
-each workload, pair i runs ``perfbench/run.py --workload W --seed S --seconds
-SECONDS --trace 0`` in both copies, seeds ``first_seed + i``; the parent runs
-first on even positions and the change on odd ones.  The metrics, their units,
-directions and bounds are the end-to-end metrics of ``BENCHMARK.json``.
+each workload of ``BENCHMARK.json``, pair i runs ``perfbench/run.py --workload
+W --seed S --seconds RUN_SECONDS --trace 0`` in both copies, seeds
+``first_seed + i``, with ``run_seconds`` from ``BENCHMARK.json``; the parent
+runs first on even positions and the change on odd ones.  The metrics, their
+units, directions and bounds are the end-to-end metrics of ``BENCHMARK.json``.
 
 Per metric the file holds each side's quartiles (inclusive, linear
 interpolation) and runs, the pairs the change wins and ties, how much worse
@@ -105,10 +106,10 @@ def export(rev: str, dest: Path) -> Path:
     return dest
 
 
-def run_once(copy: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
+def run_once(copy: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> tuple[dict, dict]:
     """The result object (last line) and the detail object (the line before) of one run."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+           "--seconds", str(seconds), "--trace", str(trace)]
     out = subprocess.run(cmd, cwd=copy, check=True, capture_output=True, text=True).stdout.splitlines()
     return json.loads(out[-1]), json.loads(out[-2])
 
@@ -139,10 +140,8 @@ def main(argv=None) -> int:
     ap.add_argument("--change", required=True, help="git revision of the change")
     ap.add_argument("--out", required=True, type=Path)
     ap.add_argument("--work", required=True, type=Path, help="an empty directory for the two copies")
-    ap.add_argument("--workloads", nargs="+", default=["tree", "root", "protocol"])
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--first-seed", type=int, default=11)
-    ap.add_argument("--seconds", type=float, default=25.0)
     ap.add_argument("--claim", action="append", default=[], metavar="WORKLOAD:METRIC")
     ap.add_argument("--describe", default="", help="what the change does, for the file's 'change' entry")
     args = ap.parse_args(argv)
@@ -152,7 +151,7 @@ def main(argv=None) -> int:
     seeds = [args.first_seed + i for i in range(args.pairs)]
     doc = {"change": args.describe, "revisions": {"parent": args.parent, "change": args.change}}
     doc["protocol"] = (
-        f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds:g} --trace 0, run by "
+        f"python3 perfbench/run.py --workload W --seed S --seconds {spec['run_seconds']:g} --trace 0, run by "
         f"tools/bench_pairs.py from git-archive copies of both revisions; {args.pairs} pairs per workload, seeds "
         f"{seeds[0]}-{seeds[-1]}, the parent first on even positions. Wall metrics are in reference seconds "
         "(perfbench/speed.py). Quartiles are inclusive (linear interpolation). worse_than_parent_share is how much "
@@ -161,11 +160,11 @@ def main(argv=None) -> int:
         "its median beats the parent's by more than the parent's IQR."
     )
     doc["workloads"] = {}
-    for workload in args.workloads:
+    for workload in [w["name"] for w in spec["workloads"]]:
         results = {"parent": [], "change": []}
         for i, seed in enumerate(seeds):
             for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
-                result, detail = run_once(sides[side], workload, seed, args.seconds)
+                result, detail = run_once(sides[side], workload, seed, spec["run_seconds"])
                 results[side].append(result)
                 doc.setdefault("machine", {**detail["environment"], "platform": platform.platform()})
                 print(workload, seed, side, {k: v["value"] for k, v in result["metrics"].items()}, flush=True)
