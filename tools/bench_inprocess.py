@@ -1,24 +1,24 @@
 """In-process detail of a change against its parent, added to a ``BENCH_*.json`` file.
 
-    python3 tools/bench_inprocess.py --parent HEAD~1 --change HEAD --out BENCH_N.json \\
-        --work DIR --seeds 10 --first-seed 11
+    python3 tools/bench_inprocess.py --parent HEAD~1 --change HEAD --out BENCH_N.json --work DIR
 
 Both revisions are exported with ``git archive`` into ``--work`` (as by
 ``tools/bench_pairs.py``).  The file named by ``--out`` gains four sections,
 each replacing a section of the same name; the rest of the file is kept:
 
-- ``tree_solve_seconds_per_family``: every ``tree`` job of each seed is solved
-  by ``branch_and_bound`` with the options ``run_suite`` would pick, ``REPS``
-  times with the parent's package and ``REPS`` times with the change's, in one
-  process, alternating which side goes first; each side's fastest run counts.
-  Seconds are summed by family (the instance name without its digits).
-- ``tree_seed_S_solve_microseconds``: the same for the first seed, with every
+- ``tree_solve_seconds_per_family``: every ``tree`` job of seeds 11-20 is
+  solved by ``branch_and_bound`` with the options ``run_suite`` would pick,
+  ``REPS`` times with the parent's package and ``REPS`` times with the
+  change's, in one process, alternating which side goes first; each side's
+  fastest run counts.  Seconds are summed by family (the instance name
+  without its digits).
+- ``tree_seed_11_solve_microseconds``: the same for seed 11, with every
   ``BoundedSimplex.solve`` call timed; a call's fastest run counts, and the
   medians are grouped by final status and pivots (``2+`` for two or more).
-- ``traced_tree_seed_S``: ``perfbench/run.py --trace 1`` on ``tree`` and the
-  first seed, one run from each copy, the change first.
+- ``traced_tree_seed_11``: ``perfbench/run.py --trace 1`` on ``tree`` seed
+  11, one run from each copy, the change first.
 - ``identical_results``: one untimed pass (``perfbench/workloads.run_pass``) of
-  each workload of ``BENCHMARK.json`` and each seed, in a fresh process per
+  each workload of ``BENCHMARK.json`` and seeds 11-20, in a fresh process per
   side, comparing every job's status, objective (``float.hex``), nodes and ticks.
 
 All timed seconds except the traced ones are raw host seconds.  The
@@ -46,6 +46,7 @@ import bench_pairs  # noqa: E402  (no numpy: main pins BLAS threads before anyth
 
 ROOT = bench_pairs.ROOT
 REPS = 3  # timed runs per side and job; the fastest counts
+SEEDS = list(range(11, 21))  # the seeds of tools/bench_pairs.py's ten default pairs
 SIDES = ("parent", "change")
 TRACED = ("bnb.s", "bnb.self_s", "simplex.s", "simplex.solves", "simplex.iters", "simplex.us_per_iter",
           "runner.solution_write_s", "mps.parse_s", "trace.overhead_share")
@@ -257,8 +258,6 @@ def main(argv=None) -> int:
     ap.add_argument("--change", required=True, help="git revision of the change")
     ap.add_argument("--out", required=True, type=Path, help="the BENCH file to add the sections to")
     ap.add_argument("--work", required=True, type=Path, help="an empty directory for the two copies")
-    ap.add_argument("--seeds", type=int, default=10)
-    ap.add_argument("--first-seed", type=int, default=11)
     args = ap.parse_args(argv)
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"  # as perfbench/run.py pins them; numpy is not loaded yet
@@ -268,16 +267,15 @@ def main(argv=None) -> int:
                               capture_output=True, text=True).stdout.strip()
             for s, rev in (("parent", args.parent), ("change", args.change))}
     copies = {s: bench_pairs.export(revs[s], args.work / s) for s in SIDES}
-    seeds = [args.first_seed + i for i in range(args.seeds)]
     command = f"tools/bench_inprocess.py --parent {revs['parent']} --change {revs['change']}"
-    span = f"seeds {seeds[0]}-{seeds[-1]}" if len(seeds) > 1 else f"seed {seeds[0]}"
+    span = f"seeds {SEEDS[0]}-{SEEDS[-1]}"
 
-    timed = timed_sections(copies, seeds, args.work)
+    timed = timed_sections(copies, SEEDS, args.work)
     traced = {}
     for s in ("change", "parent"):
-        result, _ = bench_pairs.run_once(copies[s], "tree", seeds[0], spec["run_seconds"], trace=1)
+        result, _ = bench_pairs.run_once(copies[s], "tree", SEEDS[0], spec["run_seconds"], trace=1)
         traced[s] = {k: result["metrics"][k]["value"] for k in TRACED}
-    identical = identical_section(copies, [w["name"] for w in spec["workloads"]], seeds)
+    identical = identical_section(copies, [w["name"] for w in spec["workloads"]], SEEDS)
 
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
     doc["tree_solve_seconds_per_family"] = {
@@ -288,14 +286,14 @@ def main(argv=None) -> int:
                f"family's summed seconds, per seed.",
         **timed["families"],
     }
-    doc[f"tree_seed_{seeds[0]}_solve_microseconds"] = {
-        "how": f"{command}, in-process, tree seed {seeds[0]}: every BoundedSimplex.solve call timed, each job "
+    doc[f"tree_seed_{SEEDS[0]}_solve_microseconds"] = {
+        "how": f"{command}, in-process, tree seed {SEEDS[0]}: every BoundedSimplex.solve call timed, each job "
                f"run {REPS} times per side with the sides interleaved, the fastest of a call's runs kept; median "
                f"raw host microseconds by final status and pivots (2+ stands for 2 or more).",
         **timed["solves"],
     }
-    doc[f"traced_tree_seed_{seeds[0]}"] = {
-        "how": f"{command}: python3 perfbench/run.py --workload tree --seed {seeds[0]} --seconds "
+    doc[f"traced_tree_seed_{SEEDS[0]}"] = {
+        "how": f"{command}: python3 perfbench/run.py --workload tree --seed {SEEDS[0]} --seconds "
                f"{spec['run_seconds']:g} --trace 1, one run from each copy, change then parent. Seconds are "
                f"reference seconds; simplex.us_per_iter is raw host time. The tracer wraps each solve, so its "
                f"fixed cost per call narrows the traced ratio.",
