@@ -300,13 +300,6 @@ def adapt(name: str, features: FeatureVector, store: ConfigStore) -> Configurati
     return store.configs[label]
 
 
-def merge(base: Configuration, override: Configuration) -> Configuration:
-    """Base assignments with override's entries winning; override's label."""
-    merged = dict(base.assignments)
-    merged.update(override.assignments)
-    return Configuration(merged, override.label)
-
-
 # indices the reference solver honors; the four on/off parameters are on for
 # positive values
 _TOGGLES = {

@@ -77,16 +77,30 @@ class _Node:
 
 
 class _Search:
-    """Mutable solve state: the rows so far (``form``, root cuts included) and
-    the one LP object over them (``splx``), counters, pseudocosts."""
+    """The whole search over one standard form: the rows so far (``form``,
+    root cuts included) and the one LP object over them (``splx``), the
+    incumbent and the open nodes, counters, pseudocosts, and the clock with
+    its deadline.  ``visit`` decides each popped node's fate, and ``run``
+    returns how the search ended."""
 
-    def __init__(self, form: StandardForm, opts: ReferenceSolverOptions):
+    def __init__(self, form: StandardForm, opts: ReferenceSolverOptions,
+                 clock: Callable[[], float] = time.monotonic, deadline: float = math.inf):
         self.opts = opts
         self.form = form
         self.splx = BoundedSimplex(form)
         self.int_idx = np.flatnonzero(form.is_int)
+        self.clock = clock
+        self.deadline = deadline
         self.ticks = 0
         self.nodes = 0
+        self.incumbent_obj: Optional[float] = None
+        self.x_inc: Optional[np.ndarray] = None
+        # one heap of open nodes keyed by the node strategy; the depth-first key
+        # (deepest first, then the down child, whose id is lower) pops them in
+        # the order of a stack
+        self.open_nodes: list[tuple[tuple, _Node]] = []
+        self.next_id = 1
+        self.best_first = opts.node_strategy is NodeStrategy.BEST_BOUND
         self.pc_up = np.maximum(np.abs(form.c), 1e-6)  # cold start from cost magnitudes
         self.pc_dn = self.pc_up.copy()
         self.pc_up_count = np.zeros(form.n)
@@ -158,6 +172,166 @@ class _Search:
             self.pc_dn[j] = (self.pc_dn[j] * k + unit) / (k + 1)
             self.pc_dn_count[j] = k + 1
 
+    def accept_candidate(self, x: np.ndarray, lb: np.ndarray, ub: np.ndarray) -> None:
+        """Snap integers, exactly complete the continuous part, verify, keep."""
+        snapped = x.copy()
+        ii = self.int_idx
+        snapped[ii] = np.round(snapped[ii])
+        snapped = np.clip(snapped, lb, ub)
+        if not self.rows_ok(snapped):
+            if ii.size == self.form.n:
+                return
+            lb2, ub2 = lb.copy(), ub.copy()
+            lb2[ii] = snapped[ii]
+            ub2[ii] = snapped[ii]
+            try:
+                res = self.lp(lb2, ub2)
+            except SimplexBreakdown:
+                return
+            if res.status is not LpStatus.OPTIMAL or not self.rows_ok(res.point):
+                return
+            snapped = res.point
+            snapped[ii] = np.round(snapped[ii])
+        obj = float(self.form.c @ snapped)
+        if self.incumbent_obj is None or obj < self.incumbent_obj - 1e-12:
+            self.incumbent_obj = obj
+            self.x_inc = snapped
+
+    def prunes(self, bound: float) -> bool:
+        """No point under ``bound`` can beat the incumbent by more than the tolerance."""
+        inc = self.incumbent_obj
+        return inc is not None and bound >= inc - 1e-9 * max(1.0, abs(inc))
+
+    def push(self, node: _Node) -> None:
+        key = (node.bound_est, -node.depth, node.node_id) if self.best_first else (-node.depth, node.node_id)
+        heapq.heappush(self.open_nodes, (key, node))
+
+    def open_bound(self) -> float:
+        if self.best_first:  # the least key holds the least bound
+            return self.open_nodes[0][1].bound_est if self.open_nodes else math.inf
+        return min((node.bound_est for _, node in self.open_nodes), default=math.inf)
+
+    def branch(self, parent_obj: float, depth: int, lb, ub, x_frac, cand, warm: WarmStart) -> None:
+        j = self.pick_branch_var(x_frac, cand)
+        frac = x_frac[j] - math.floor(x_frac[j])
+        dn = _Node(parent_obj, depth, self.next_id, lb.copy(), ub.copy(), j, False, frac, warm)
+        dn.ub[j] = math.floor(x_frac[j])
+        up = _Node(parent_obj, depth, self.next_id + 1, lb.copy(), ub.copy(), j, True, frac, warm)
+        up.lb[j] = math.ceil(x_frac[j])
+        self.next_id += 2
+        self.push(up)
+        self.push(dn)
+
+    def root(self, lb: np.ndarray, ub: np.ndarray) -> LpResult:
+        """The root LP and the cut rounds; returns the last LP solved, which
+        ends the rounds when it is not OPTIMAL."""
+        opts, is_int = self.opts, self.form.is_int
+        res = self.lp(lb, ub)
+        self.nodes += 1
+        for rnd in range(max(opts.gomory_rounds, _COVER_ROUNDS if opts.cover_cuts else 0)):
+            if (res.status is not LpStatus.OPTIMAL or self.fractional(res.point).size == 0
+                    or self.clock() >= self.deadline):
+                break
+            cuts: list[tuple[np.ndarray, float]] = []
+            if rnd < opts.gomory_rounds:
+                cuts.extend(gomory_cuts(self.splx, is_int))
+            if opts.cover_cuts:
+                rows = self.form
+                cuts.extend(cover_cuts(rows.A, rows.rlo, rows.rup, lb, ub, is_int, res.point))
+            if not cuts:
+                break
+            res = self.lp(lb, ub, self.add_cut_rows(cuts, res.warm))
+        return res
+
+    def dive(self, lb: np.ndarray, ub: np.ndarray, x: np.ndarray, warm: WarmStart) -> None:
+        """Fix the least fractional integer to its rounding, re-solve and
+        repeat; an integral point is offered as the incumbent."""
+        lb, ub = lb.copy(), ub.copy()
+        for _ in range(2 * max(1, self.int_idx.size)):
+            if self.clock() >= self.deadline:
+                break
+            cand = self.fractional(x)
+            if cand.size == 0:
+                self.accept_candidate(x, lb, ub)
+                break
+            frac = x[cand] - np.floor(x[cand])
+            j = int(cand[int(np.argmin(np.minimum(frac, 1.0 - frac)))])
+            lb[j] = ub[j] = min(max(float(np.round(x[j])), lb[j]), ub[j])
+            try:
+                res = self.lp(lb, ub, warm)
+            except SimplexBreakdown:
+                break
+            if res.status is not LpStatus.OPTIMAL:
+                break
+            x, warm = res.point, res.warm
+
+    def visit(self, node: _Node) -> Optional[SolveStatus]:
+        """Decide a popped node's fate: pruned by its bound, infeasible,
+        pruned after its LP, integral (offered as the incumbent) or branched.
+        Returns ``None`` to go on, or ``ERROR`` when its LP breaks down or
+        is unbounded."""
+        if self.prunes(node.bound_est):
+            return None
+        try:
+            res = self.lp(node.lb, node.ub, node.warm)
+        except SimplexBreakdown:
+            return SolveStatus.ERROR
+        self.nodes += 1
+        if res.status is LpStatus.INFEASIBLE:
+            return None
+        if res.status is LpStatus.UNBOUNDED:
+            return SolveStatus.ERROR
+        obj, x = res.objective, res.point
+        self.observe_pseudocost(node, obj)
+        if self.prunes(obj):
+            return None
+        cand = self.fractional(x)
+        if cand.size == 0:
+            self.accept_candidate(x, node.lb, node.ub)
+        else:
+            self.branch(obj, node.depth + 1, node.lb, node.ub, x, cand, res.warm)
+        return None
+
+    def run(self, proven_infeasible: bool) -> tuple[SolveStatus, float]:
+        """Search to the end: how it ended, and the bound proven over every
+        node not yet solved, internal (minimizing) and before the incumbent
+        is counted."""
+        if proven_infeasible:
+            return SolveStatus.INFEASIBLE, math.inf
+        lb, ub = self.form.lb.copy(), self.form.ub.copy()
+        try:
+            res = self.root(lb, ub)
+        except SimplexBreakdown:
+            return SolveStatus.ERROR, -math.inf
+        if res.status is LpStatus.INFEASIBLE:
+            return SolveStatus.INFEASIBLE, math.inf
+        if res.status is LpStatus.UNBOUNDED:
+            return SolveStatus.ERROR, -math.inf
+
+        cand = self.fractional(res.point)
+        if cand.size == 0:
+            self.accept_candidate(res.point, lb, ub)
+            # an integral point that the row check rejects is an error
+            return SolveStatus.OPTIMAL if self.incumbent_obj is not None else SolveStatus.ERROR, res.objective
+        if self.opts.diving:
+            self.dive(lb, ub, res.point, res.warm)
+        # the dive's LPs reuse splx: the tree starts from the root's basis
+        self.branch(res.objective, 1, lb, ub, res.point, cand, res.warm)
+
+        while self.open_nodes:
+            if self.clock() >= self.deadline:
+                return SolveStatus.TIME_LIMIT, self.open_bound()
+            inc = self.incumbent_obj
+            if inc is not None and compute_gap(inc, min(self.open_bound(), inc)) <= self.opts.rel_gap:
+                break
+            node = heapq.heappop(self.open_nodes)[1]
+            status = self.visit(node)
+            if status is not None:  # the popped node is not solved: its bound still counts
+                return status, min(self.open_bound(), node.bound_est)
+        if self.incumbent_obj is None:
+            return SolveStatus.INFEASIBLE, math.inf
+        return SolveStatus.OPTIMAL, self.open_bound()
+
 
 def branch_and_bound(
     inst: Instance,
@@ -167,198 +341,23 @@ def branch_and_bound(
     """Exact tree search honoring the configured options."""
     t0 = clock()
     deadline = t0 + opts.time_limit_s
-
     pres = presolve(inst, opts, deadline, clock)
     form = to_standard_form(pres.instance)
-    names = form.var_names
-    n = form.n
+    search = _Search(form, opts, clock, deadline)
+    status, bound = search.run(pres.proven_infeasible)
 
-    incumbent_obj: Optional[float] = None
-    x_inc: Optional[np.ndarray] = None
-    search = _Search(form, opts)
-
-    def finish(status: SolveStatus, internal_bound: float) -> SolveOutcome:
-        sol = None
-        if incumbent_obj is not None and x_inc is not None:
-            sol = Solution({names[j]: float(x_inc[j]) for j in range(n)}, form.user_objective(incumbent_obj))
-            internal_bound = min(internal_bound, incumbent_obj)
-        user_bound = form.user_objective(internal_bound)
-        return SolveOutcome(
-            status=status,
-            incumbent=sol,
-            best_bound=user_bound,
-            gap=compute_gap(sol.objective if sol else None, user_bound),
-            nodes=search.nodes,
-            wall_time_s=clock() - t0,
-            deterministic_ticks=search.ticks,
-        )
-
-    if pres.proven_infeasible:
-        return finish(SolveStatus.INFEASIBLE, math.inf)
-
-    def accept_candidate(x: np.ndarray, lb: np.ndarray, ub: np.ndarray) -> None:
-        """Snap integers, exactly complete the continuous part, verify, keep."""
-        nonlocal incumbent_obj, x_inc
-        snapped = x.copy()
-        ii = search.int_idx
-        snapped[ii] = np.round(snapped[ii])
-        snapped = np.clip(snapped, lb, ub)
-        if not search.rows_ok(snapped):
-            if ii.size == n:
-                return
-            lb2, ub2 = lb.copy(), ub.copy()
-            lb2[ii] = snapped[ii]
-            ub2[ii] = snapped[ii]
-            try:
-                res = search.lp(lb2, ub2)
-            except SimplexBreakdown:
-                return
-            if res.status is not LpStatus.OPTIMAL or not search.rows_ok(res.point):
-                return
-            snapped = res.point
-            snapped[ii] = np.round(snapped[ii])
-        obj = float(form.c @ snapped)
-        if incumbent_obj is None or obj < incumbent_obj - 1e-12:
-            incumbent_obj = obj
-            x_inc = snapped
-
-    # ---- root ----
-    root_lb = form.lb.copy()
-    root_ub = form.ub.copy()
-    try:
-        res = search.lp(root_lb, root_ub)
-        search.nodes += 1
-        if res.status is LpStatus.INFEASIBLE:
-            return finish(SolveStatus.INFEASIBLE, math.inf)
-        if res.status is LpStatus.UNBOUNDED:
-            return finish(SolveStatus.ERROR, -math.inf)
-
-        max_rounds = max(opts.gomory_rounds, _COVER_ROUNDS if opts.cover_cuts else 0)
-        for rnd in range(max_rounds):
-            if search.fractional(res.point).size == 0 or clock() >= deadline:
-                break
-            cuts: list[tuple[np.ndarray, float]] = []
-            if rnd < opts.gomory_rounds:
-                cuts.extend(gomory_cuts(search.splx, form.is_int))
-            if opts.cover_cuts:
-                rows = search.form
-                cuts.extend(cover_cuts(rows.A, rows.rlo, rows.rup, root_lb, root_ub, form.is_int, res.point))
-            if not cuts:
-                break
-            res = search.lp(root_lb, root_ub, search.add_cut_rows(cuts, res.warm))
-            if res.status is LpStatus.INFEASIBLE:
-                return finish(SolveStatus.INFEASIBLE, math.inf)
-            if res.status is LpStatus.UNBOUNDED:
-                return finish(SolveStatus.ERROR, -math.inf)
-    except SimplexBreakdown:
-        return finish(SolveStatus.ERROR, -math.inf)
-
-    # the dive and completion LPs reuse search.splx: keep the root's basis for the tree
-    root_obj, root_x, root_warm = res.objective, res.point, res.warm
-    root_cand = search.fractional(root_x)
-
-    if opts.diving and root_cand.size:
-        lbd, ubd = root_lb.copy(), root_ub.copy()
-        xd, warm = root_x, root_warm
-        for _ in range(2 * max(1, search.int_idx.size)):
-            if clock() >= deadline:
-                break
-            cand = search.fractional(xd)
-            if cand.size == 0:
-                accept_candidate(xd, lbd, ubd)
-                break
-            frac = xd[cand] - np.floor(xd[cand])
-            j = int(cand[int(np.argmin(np.minimum(frac, 1.0 - frac)))])
-            val = min(max(float(np.round(xd[j])), lbd[j]), ubd[j])
-            lbd[j] = ubd[j] = val
-            try:
-                dive = search.lp(lbd, ubd, warm)
-            except SimplexBreakdown:
-                break
-            if dive.status is not LpStatus.OPTIMAL:
-                break
-            xd, warm = dive.point, dive.warm
-
-    # ---- tree ----
-    # one heap of open nodes keyed by the node strategy; the depth-first key
-    # (deepest first, then the down child, whose id is lower) pops them in
-    # the order of a stack
-    open_nodes: list[tuple[tuple, _Node]] = []
-    next_id = 1
-    best_first = opts.node_strategy is NodeStrategy.BEST_BOUND
-
-    def push(node: _Node) -> None:
-        key = (node.bound_est, -node.depth, node.node_id) if best_first else (-node.depth, node.node_id)
-        heapq.heappush(open_nodes, (key, node))
-
-    def open_bound() -> float:
-        if best_first:  # the least key holds the least bound
-            return open_nodes[0][1].bound_est if open_nodes else math.inf
-        return min((node.bound_est for _, node in open_nodes), default=math.inf)
-
-    def prune_eps() -> float:
-        return 1e-9 * max(1.0, abs(incumbent_obj)) if incumbent_obj is not None else 0.0
-
-    def branch(parent_obj: float, depth: int, lb, ub, x_frac, cand, warm: WarmStart) -> None:
-        nonlocal next_id
-        j = search.pick_branch_var(x_frac, cand)
-        frac = x_frac[j] - math.floor(x_frac[j])
-        dn = _Node(parent_obj, depth, next_id, lb.copy(), ub.copy(), j, False, frac, warm)
-        dn.ub[j] = math.floor(x_frac[j])
-        up = _Node(parent_obj, depth, next_id + 1, lb.copy(), ub.copy(), j, True, frac, warm)
-        up.lb[j] = math.ceil(x_frac[j])
-        next_id += 2
-        push(up)
-        push(dn)
-
-    if root_cand.size == 0:
-        accept_candidate(root_x, root_lb, root_ub)
-        if incumbent_obj is None:  # integral point rejected by the row check
-            return finish(SolveStatus.ERROR, root_obj)
-        return finish(SolveStatus.OPTIMAL, root_obj)
-    branch(root_obj, 1, root_lb, root_ub, root_x, root_cand, root_warm)
-
-    limit_status: Optional[SolveStatus] = None
-    while open_nodes:
-        if clock() >= deadline:
-            limit_status = SolveStatus.TIME_LIMIT
-            break
-        if incumbent_obj is not None:
-            bound_now = min(open_bound(), incumbent_obj)
-            if compute_gap(incumbent_obj, bound_now) <= opts.rel_gap:
-                break
-
-        node = heapq.heappop(open_nodes)[1]
-        if incumbent_obj is not None and node.bound_est >= incumbent_obj - prune_eps():
-            continue
-
-        try:
-            res = search.lp(node.lb, node.ub, node.warm)
-        except SimplexBreakdown:
-            limit_status = SolveStatus.ERROR
-            break
-        search.nodes += 1
-        if res.status is LpStatus.INFEASIBLE:
-            continue
-        if res.status is LpStatus.UNBOUNDED:
-            limit_status = SolveStatus.ERROR
-            break
-        obj, x = res.objective, res.point
-        search.observe_pseudocost(node, obj)
-        if incumbent_obj is not None and obj >= incumbent_obj - prune_eps():
-            continue
-        cand = search.fractional(x)
-        if cand.size == 0:
-            accept_candidate(x, node.lb, node.ub)
-            continue
-        branch(obj, node.depth + 1, node.lb, node.ub, x, cand, res.warm)
-
-    if limit_status is not None:
-        bound = open_bound()
-        if limit_status is SolveStatus.ERROR and incumbent_obj is None and not math.isfinite(bound):
-            bound = -math.inf
-        return finish(limit_status, bound)
-
-    if incumbent_obj is None:
-        return finish(SolveStatus.INFEASIBLE, math.inf)
-    return finish(SolveStatus.OPTIMAL, open_bound())
+    sol, x = None, search.x_inc
+    if x is not None:
+        sol = Solution({name: float(x[j]) for j, name in enumerate(form.var_names)},
+                       form.user_objective(search.incumbent_obj))
+        bound = min(bound, search.incumbent_obj)
+    user_bound = form.user_objective(bound)
+    return SolveOutcome(
+        status=status,
+        incumbent=sol,
+        best_bound=user_bound,
+        gap=compute_gap(sol.objective if sol else None, user_bound),
+        nodes=search.nodes,
+        wall_time_s=clock() - t0,
+        deterministic_ticks=search.ticks,
+    )

@@ -53,6 +53,17 @@ def knapsack_2var() -> Instance:
     )
 
 
+def two_row_knapsack(seed: int = 1, n: int = 12) -> Instance:
+    """Two packing rows of random weights over ``n`` binaries; cut rounds add rows to its root."""
+    rng = np.random.default_rng(seed)
+    w = rng.integers(3, 20, size=(2, n))
+    rows = [
+        make_row(f"c{i}", [(j, float(v)) for j, v in enumerate(w[i])], Relation.LE, float(w[i].sum() // 2))
+        for i in range(2)
+    ]
+    return binary_instance(f"knap{seed}", n, rows, [(j, -float(rng.integers(5, 30))) for j in range(n)])
+
+
 def contradictory_bounds_instance() -> Instance:
     """x >= 1 and x <= 0 on an integer variable: infeasible."""
     return Instance(

@@ -20,7 +20,6 @@ from milpbench.solver.standard_form import to_standard_form
 from milpbench.validate import check_feasibility
 
 from _helpers import (
-    binary_instance,
     chain_instance,
     contradictory_bounds_instance,
     counting_clock,
@@ -31,6 +30,7 @@ from _helpers import (
     market_split_instance,
     parity_infeasible_instance,
     random_binary_instance,
+    two_row_knapsack,
 )
 
 ALL_STRATEGIES = [
@@ -321,17 +321,18 @@ def test_node_breakdown_after_the_retry_is_an_error(monkeypatch):
     assert out.status is SolveStatus.ERROR
 
 
+def test_an_error_exit_keeps_the_unsolved_nodes_bound(monkeypatch):
+    # the second node LP breaks down on every attempt after the first node
+    # found the incumbent -9; that node was popped but never solved, so its
+    # bound, the root's -9.5, still counts
+    flags = _flaky_attempts(monkeypatch, 3, {1, 2, 3})
+    out = branch_and_bound(chain_instance(10), ReferenceSolverOptions())
+    assert flags == [False, False, True]
+    assert out.status is SolveStatus.ERROR and out.incumbent.objective == -9.0
+    assert out.best_bound <= -9.5 and out.gap > 0
+
+
 _CUTS_AND_DIVE = ReferenceSolverOptions(gomory_rounds=3, cover_cuts=True, diving=True)
-
-
-def _two_row_knapsack(seed: int = 1, n: int = 12):
-    rng = np.random.default_rng(seed)
-    w = rng.integers(3, 20, size=(2, n))
-    rows = [
-        make_row(f"c{i}", [(j, float(v)) for j, v in enumerate(w[i])], Relation.LE, float(w[i].sum() // 2))
-        for i in range(2)
-    ]
-    return binary_instance(f"knap{seed}", n, rows, [(j, -float(rng.integers(5, 30))) for j in range(n)])
 
 
 def test_one_lp_object_per_row_set(monkeypatch):
@@ -356,7 +357,7 @@ def test_one_lp_object_per_row_set(monkeypatch):
     monkeypatch.setattr(BoundedSimplex, "solve", lambda self, *a, **k: solves.append(1) or solve(self, *a, **k))
     monkeypatch.setattr(bnb, "gomory_cuts", gomory_spy)
     monkeypatch.setattr(bnb, "cover_cuts", cover_spy)
-    out = branch_and_bound(_two_row_knapsack(), _CUTS_AND_DIVE)
+    out = branch_and_bound(two_row_knapsack(), _CUTS_AND_DIVE)
     assert out.status is SolveStatus.OPTIMAL and out.nodes > 5
     added = sum(1 for rows in rounds if rows)
     assert added >= 2 and len(solves) > 10
@@ -378,7 +379,7 @@ def test_first_tree_node_starts_from_the_root_basis_not_the_dive(monkeypatch):
     monkeypatch.setattr(BoundedSimplex, "solve", spy)
     monkeypatch.setattr(bnb._Search, "add_cut_rows", lambda *a: cut_rounds.append(len(calls)) or add_cut_rows(*a))
     monkeypatch.setattr(bnb, "_Node", lambda *a: first_node.append(len(calls)) or node(*a))
-    out = branch_and_bound(_two_row_knapsack(), _CUTS_AND_DIVE)
+    out = branch_and_bound(two_row_knapsack(), _CUTS_AND_DIVE)
     assert out.status is SolveStatus.OPTIMAL and cut_rounds
     dive = cut_rounds[-1] + 1
     tree = first_node[0]
@@ -395,7 +396,7 @@ def test_cut_rounds_stop_at_the_deadline(monkeypatch):
     gomory, cover = bnb.gomory_cuts, bnb.cover_cuts
     monkeypatch.setattr(bnb, "gomory_cuts", lambda *a: separated.append("gomory") or gomory(*a))
     monkeypatch.setattr(bnb, "cover_cuts", lambda *a: separated.append("cover") or cover(*a))
-    inst = _two_row_knapsack()
+    inst = two_row_knapsack()
     out = branch_and_bound(inst, replace(_CUTS_AND_DIVE, time_limit_s=1), clock=counting_clock())
     assert separated == []
     assert out.status is SolveStatus.TIME_LIMIT and out.incumbent is None
@@ -436,7 +437,7 @@ _TREE_PINS = {
 
 _PIN_MODELS = {
     "chain": lambda: chain_instance(14),
-    "knapsack": _two_row_knapsack,
+    "knapsack": two_row_knapsack,
     "market_split": lambda: market_split_instance(seed=5, n=12, m=2),
     "mixed": _mixed_model,
 }

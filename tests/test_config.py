@@ -12,7 +12,6 @@ from milpbench.config import (
     load_configuration,
     load_store,
     map_to_reference,
-    merge,
     param_by_index,
 )
 from milpbench.instance import extract_features
@@ -167,28 +166,6 @@ def test_adapt_is_pure():
         first = adapt(inst.name, features, store)
         assert adapt(inst.name, features, store) == first
         assert all(1 <= i <= 47 for i in first.assignments)
-
-
-def test_merge_identities_and_override():
-    c = Configuration({34: 8, 15: 1}, "c")
-    empty = Configuration({}, "empty")
-    assert merge(c, empty).assignments == c.assignments
-    assert merge(empty, c).assignments == c.assignments
-    assert merge(empty, c).label == "c"
-    assert merge(Configuration({34: 8}, "a"), Configuration({34: 1}, "b")).assignments == {34: 1}
-
-
-def test_merge_associative_random():
-    rng = np.random.default_rng(99)
-    for _ in range(50):
-        def rand_cfg(tag):
-            keys = rng.choice(47, size=rng.integers(0, 6), replace=False) + 1
-            return Configuration({int(k): int(rng.integers(-3, 9)) for k in keys}, tag)
-
-        a, b, c = rand_cfg("a"), rand_cfg("b"), rand_cfg("c")
-        left = merge(merge(a, b), c)
-        right = merge(a, merge(b, c))
-        assert left == right
 
 
 def test_map_gap_tolerance_zero():

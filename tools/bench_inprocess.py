@@ -15,8 +15,9 @@ each replacing a section of the same name; the rest of the file is kept:
 - ``tree_seed_11_solve_microseconds``: the same for seed 11, with every
   ``BoundedSimplex.solve`` call timed; a call's fastest run counts, and the
   medians are grouped by final status and pivots (``2+`` for two or more).
-- ``traced_tree_seed_11``: ``perfbench/run.py --trace 1`` on ``tree`` seed
-  11, one run from each copy, the change first.
+- ``traced_<workload>_seed_11``: ``perfbench/run.py --trace 1`` on each
+  workload of ``BENCHMARK.json`` at seed 11, one run from each copy, the
+  change first.
 - ``identical_results``: one untimed pass (``perfbench/workloads.run_pass``) of
   each workload of ``BENCHMARK.json`` and seeds 11-20, in a fresh process per
   side, comparing every job's status, objective (``float.hex``), nodes and ticks.
@@ -49,7 +50,8 @@ REPS = 3  # timed runs per side and job; the fastest counts
 SEEDS = list(range(11, 21))  # the seeds of tools/bench_pairs.py's ten default pairs
 SIDES = ("parent", "change")
 TRACED = ("bnb.s", "bnb.self_s", "simplex.s", "simplex.solves", "simplex.iters", "simplex.us_per_iter",
-          "runner.solution_write_s", "mps.parse_s", "trace.overhead_share")
+          "simplex.root_iters", "simplex.cut_lp_iters", "simplex.tree_iters", "presolve.s", "cuts.gomory_s",
+          "cuts.cover_s", "runner.solution_write_s", "runner.self_s", "mps.parse_s", "trace.overhead_share")
 
 
 class Side:
@@ -270,12 +272,15 @@ def main(argv=None) -> int:
     command = f"tools/bench_inprocess.py --parent {revs['parent']} --change {revs['change']}"
     span = f"seeds {SEEDS[0]}-{SEEDS[-1]}"
 
+    workloads = [w["name"] for w in spec["workloads"]]
     timed = timed_sections(copies, SEEDS, args.work)
     traced = {}
-    for s in ("change", "parent"):
-        result, _ = bench_pairs.run_once(copies[s], "tree", SEEDS[0], spec["run_seconds"], trace=1)
-        traced[s] = {k: result["metrics"][k]["value"] for k in TRACED}
-    identical = identical_section(copies, [w["name"] for w in spec["workloads"]], SEEDS)
+    for workload in workloads:
+        traced[workload] = {}
+        for s in ("change", "parent"):
+            result, _ = bench_pairs.run_once(copies[s], workload, SEEDS[0], spec["run_seconds"], trace=1)
+            traced[workload][s] = {"correct": result["correct"], **{k: result["metrics"][k]["value"] for k in TRACED}}
+    identical = identical_section(copies, workloads, SEEDS)
 
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
     doc["tree_solve_seconds_per_family"] = {
@@ -292,13 +297,14 @@ def main(argv=None) -> int:
                f"raw host microseconds by final status and pivots (2+ stands for 2 or more).",
         **timed["solves"],
     }
-    doc[f"traced_tree_seed_{SEEDS[0]}"] = {
-        "how": f"{command}: python3 perfbench/run.py --workload tree --seed {SEEDS[0]} --seconds "
-               f"{spec['run_seconds']:g} --trace 1, one run from each copy, change then parent. Seconds are "
-               f"reference seconds; simplex.us_per_iter is raw host time. The tracer wraps each solve, so its "
-               f"fixed cost per call narrows the traced ratio.",
-        **traced,
-    }
+    for workload in workloads:
+        doc[f"traced_{workload}_seed_{SEEDS[0]}"] = {
+            "how": f"{command}: python3 perfbench/run.py --workload {workload} --seed {SEEDS[0]} --seconds "
+                   f"{spec['run_seconds']:g} --trace 1, one run from each copy, change then parent. Seconds are "
+                   f"reference seconds; simplex.us_per_iter is raw host time. The tracer wraps each solve, so "
+                   f"its fixed cost per call narrows the traced ratio.",
+            **traced[workload],
+        }
     doc["identical_results"] = {
         "how": f"{command}: one untimed pass (perfbench/workloads.run_pass) of each workload, {span}, from "
                f"each side's copy in its own process, comparing every job's status, objective (float.hex), "
