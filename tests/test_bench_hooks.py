@@ -1,9 +1,10 @@
 """The traced benchmark run (``perfbench/run.py --trace 1``) reaches each
 layer by patching module attributes of the program (``perfbench/tracing.py``).
-A one-instance suite under that tracer must still open a span in every layer,
-so a refactor that renames a patched attribute fails here and not only in a
-traced benchmark run.  The test imports from ``perfbench/`` and writes nothing
-there."""
+A two-instance suite with cut rounds under that tracer must still open a span
+in every layer, with its LPs in the order the tracer labels them by, so a
+refactor that renames a patched attribute or reorders LPs fails here and not
+only in a traced benchmark run.  The test imports from ``perfbench/`` and
+writes nothing there."""
 
 import importlib
 import sys
