@@ -128,7 +128,9 @@ def make_row(
     rhs: float,
     range_width: Optional[float] = None,
 ) -> LinearRow:
-    """Build a row with coefficients canonicalized (sorted, deduplicated check)."""
+    """Build a row with its coefficients sorted by variable index.
+
+    Duplicate indices are kept; :func:`validate_instance` reports them."""
     coeffs = tuple(sorted(coefficients, key=lambda t: t[0]))
     return LinearRow(name, coeffs, relation, rhs, range_width)
 

@@ -75,6 +75,7 @@ def parse_mps(source: Union[str, TextIO], name_hint: str = "") -> Instance:
     col_index: dict[str, int] = {}
     col_order: list[str] = []
     obj_coeffs: dict[int, float] = {}
+    cname, j = None, -1  # the column of the last COLUMNS record and its index
 
     section = None
     pending_objsense = False
@@ -83,15 +84,14 @@ def parse_mps(source: Union[str, TextIO], name_hint: str = "") -> Instance:
     line_no = 0
 
     for line_no, raw in enumerate(source, start=1):
-        line = raw.rstrip("\n\r")
-        if not line.strip() or line.lstrip().startswith("*"):
+        tokens = raw.split()  # the one split of a line answers the blank, comment and header tests
+        if not tokens or tokens[0][0] == "*":
             continue
 
-        is_header = not line[0].isspace()
-        tokens = line.split()
-
-        if is_header and tokens[0].upper() in _SECTIONS:
+        if not raw[0].isspace():
             head = tokens[0].upper()
+            if head not in _SECTIONS:
+                raise MpsParseError(f"unknown section {tokens[0]!r}", line_no)
             pending_objsense = False
             if head == "ENDATA":
                 saw_endata = True
@@ -103,15 +103,12 @@ def parse_mps(source: Union[str, TextIO], name_hint: str = "") -> Instance:
             elif head == "OBJSENSE":
                 if len(tokens) > 1:
                     sense = _read_sense(tokens[1], line_no)
-                    section = None
                 else:
                     pending_objsense = True
-                    section = None
+                section = None
             else:
                 section = head
             continue
-        if is_header:
-            raise MpsParseError(f"unknown section {tokens[0]!r}", line_no)
 
         if pending_objsense:
             sense = _read_sense(tokens[0], line_no)
@@ -146,30 +143,37 @@ def parse_mps(source: Union[str, TextIO], name_hint: str = "") -> Instance:
                 else:
                     raise MpsParseError("marker record without INTORG/INTEND", line_no)
                 continue
-            if len(tokens) < 3 or len(tokens) % 2 == 0:
+            n = len(tokens)
+            if n < 3 or n % 2 == 0:
                 raise MpsParseError("COLUMNS record needs a name plus row/value pairs", line_no)
-            cname = tokens[0]
-            if cname not in columns:
-                columns[cname] = _ColumnState(cname, in_integer_block)
-                col_index[cname] = len(col_order)
-                col_order.append(cname)
-            j = col_index[cname]
-            for k in range(1, len(tokens), 2):
-                rname, val = tokens[k], _parse_float(tokens[k + 1], line_no)
-                if rname == objective_name:
+            if tokens[0] != cname:
+                cname = tokens[0]
+                if cname not in columns:
+                    columns[cname] = _ColumnState(cname, in_integer_block)
+                    col_index[cname] = len(col_order)
+                    col_order.append(cname)
+                j = col_index[cname]
+            for k in range(1, n, 2):
+                rname = tokens[k]
+                try:
+                    val = float(tokens[k + 1])
+                except ValueError:
+                    raise MpsParseError(f"expected a number, got {tokens[k + 1]!r}", line_no) from None
+                coeffs = row_coeffs.get(rname)
+                if coeffs is not None:  # ROWS keeps constraint names apart from the objective's
+                    if j in coeffs:
+                        raise MpsParseError(
+                            f"duplicate coefficient for column {cname!r} in row {rname!r}",
+                            line_no,
+                        )
+                    coeffs[j] = val
+                elif rname == objective_name:
                     if j in obj_coeffs:
                         raise MpsParseError(
                             f"duplicate objective coefficient for column {cname!r}", line_no
                         )
                     if val != 0.0:  # zero entries only declare the column
                         obj_coeffs[j] = val
-                elif rname in row_coeffs:
-                    if j in row_coeffs[rname]:
-                        raise MpsParseError(
-                            f"duplicate coefficient for column {cname!r} in row {rname!r}",
-                            line_no,
-                        )
-                    row_coeffs[rname][j] = val
                 elif rname in free_rows:
                     pass  # coefficients on extra free rows are discarded
                 else:
@@ -194,7 +198,7 @@ def parse_mps(source: Union[str, TextIO], name_hint: str = "") -> Instance:
             _apply_bound(tokens, columns, line_no)
 
         elif section is None:
-            raise MpsParseError(f"data record outside any section: {line.strip()!r}", line_no)
+            raise MpsParseError(f"data record outside any section: {raw.strip()!r}", line_no)
         else:
             raise MpsParseError(f"unsupported section {section!r}", line_no)
 

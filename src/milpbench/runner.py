@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import os
 import shlex
 import subprocess
 import tempfile
@@ -18,7 +19,7 @@ import time
 import platform
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
@@ -136,10 +137,9 @@ class RunRecord:
     instance_path: Optional[str] = None  # the dataset path of the job; None in older logs
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["status"] = self.status.value
-        d["kind"] = "record"
-        return d
+        # every field is a str, a number, None or the status, so a shallow copy
+        # in field order stands in for ``asdict``'s recursive deep copy
+        return dict(vars(self), status=self.status.value, kind="record")
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunRecord":
@@ -177,9 +177,11 @@ class _LogWriter:
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
         exists = path.exists() and path.stat().st_size > 0
-        if exists and append and not path.read_bytes().endswith(b"\n"):
-            with open(path, "ab") as fh:  # heal a torn tail before appending
-                fh.write(b"\n")
+        if exists and append:
+            with open(path, "rb+") as fh:  # heal a torn tail before appending
+                fh.seek(-1, os.SEEK_END)
+                if fh.read(1) != b"\n":
+                    fh.write(b"\n")
         self.handle = open(path, "a" if append else "w")
         if not (append and exists):
             header = {
@@ -317,7 +319,7 @@ def _run_builtin(
     wall = time.perf_counter() - t0
 
     target = _solution_path(backend, inst, cfg, work_dir)
-    sol_path = None if target is None else write_outcome(target, outcome)
+    sol_path = None if target is None else _write_incumbent(target, outcome)
     return record(
         outcome.status,
         wall,
@@ -329,14 +331,21 @@ def _run_builtin(
     )
 
 
+def _write_incumbent(target: PathLike, outcome: SolveOutcome) -> Optional[str]:
+    """Write the incumbent at ``target``, if there is one; a suite job's only
+    file, since its run record carries the status.  Returns the solution
+    path, or None without an incumbent."""
+    if outcome.incumbent is None:
+        return None
+    write_solution(target, outcome.incumbent.values, outcome.incumbent.objective)
+    return str(target)
+
+
 def write_outcome(target: PathLike, outcome: SolveOutcome) -> Optional[str]:
-    """Write the builtin's output pair: the incumbent at ``target``, if there
-    is one, and the status at ``<target>.status``, as the external contract
-    asks of a child.  Returns the solution path, or None without an incumbent."""
-    sol_path = None
-    if outcome.incumbent is not None:
-        write_solution(target, outcome.incumbent.values, outcome.incumbent.objective)
-        sol_path = str(target)
+    """Write the output pair the external contract asks of a child: the
+    incumbent at ``target``, if there is one, and the status at
+    ``<target>.status``.  Returns the solution path, or None without an incumbent."""
+    sol_path = _write_incumbent(target, outcome)
     write_status(target, outcome.status.value)
     return sol_path
 

@@ -1,13 +1,18 @@
 import gzip
+import io
 import math
+import random
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from milpbench.instance import Relation, Sense, VarKind
+from milpbench import mps
+from milpbench.instance import Instance, Relation, Sense, VarKind
 from milpbench.mps import MpsParseError, load_instance, parse_mps, write_mps
 
-from _helpers import random_mixed_instance
+from _helpers import random_binary_instance, random_lp_instance, random_mixed_instance
 
 TWO_VAR = """\
 NAME tiny
@@ -209,3 +214,269 @@ def test_gzip_load(tmp_path):
     inst = load_instance(path)
     assert inst.name == "tiny"
     assert inst.n_vars == 2
+
+
+# The oracle below is parse_mps's line loop as it was before the loop split
+# each line once and kept the current column across COLUMNS records.  The
+# helpers it calls are the parser's own: only the loop changed.
+
+
+def _oracle_parse_mps(source, name_hint=""):
+    if isinstance(source, str):
+        source = io.StringIO(source)
+
+    name = name_hint
+    sense = Sense.MINIMIZE
+    objective_name = ""
+    objective_constant = 0.0
+    free_rows = set()
+    row_relation, row_order, row_coeffs, row_rhs, row_range = {}, [], {}, {}, {}
+    columns, col_index, col_order, obj_coeffs = {}, {}, [], {}
+    section = None
+    pending_objsense = False
+    in_integer_block = False
+    saw_endata = False
+    line_no = 0
+
+    for line_no, raw in enumerate(source, start=1):
+        line = raw.rstrip("\n\r")
+        if not line.strip() or line.lstrip().startswith("*"):
+            continue
+        is_header = not line[0].isspace()
+        tokens = line.split()
+        if is_header and tokens[0].upper() in mps._SECTIONS:
+            head = tokens[0].upper()
+            pending_objsense = False
+            if head == "ENDATA":
+                saw_endata = True
+                break
+            if head == "NAME":
+                if len(tokens) > 1:
+                    name = tokens[1]
+                section = None
+            elif head == "OBJSENSE":
+                if len(tokens) > 1:
+                    sense = mps._read_sense(tokens[1], line_no)
+                    section = None
+                else:
+                    pending_objsense = True
+                    section = None
+            else:
+                section = head
+            continue
+        if is_header:
+            raise MpsParseError(f"unknown section {tokens[0]!r}", line_no)
+        if pending_objsense:
+            sense = mps._read_sense(tokens[0], line_no)
+            pending_objsense = False
+            continue
+
+        if section == "ROWS":
+            if len(tokens) != 2:
+                raise MpsParseError("ROWS record needs a type and a name", line_no)
+            rtype, rname = tokens[0].upper(), tokens[1]
+            if rname in row_relation or rname in free_rows or (rname == objective_name and objective_name):
+                raise MpsParseError(f"duplicate row name {rname!r}", line_no)
+            if rtype == "N":
+                if not objective_name:
+                    objective_name = rname
+                else:
+                    free_rows.add(rname)
+            elif rtype in ("L", "G", "E"):
+                row_relation[rname] = {"L": Relation.LE, "G": Relation.GE, "E": Relation.EQ}[rtype]
+                row_order.append(rname)
+                row_coeffs[rname] = {}
+            else:
+                raise MpsParseError(f"unknown row type {rtype!r}", line_no)
+        elif section == "COLUMNS":
+            if "'MARKER'" in tokens:
+                joined = " ".join(tokens).upper()
+                if "INTORG" in joined:
+                    in_integer_block = True
+                elif "INTEND" in joined:
+                    in_integer_block = False
+                else:
+                    raise MpsParseError("marker record without INTORG/INTEND", line_no)
+                continue
+            if len(tokens) < 3 or len(tokens) % 2 == 0:
+                raise MpsParseError("COLUMNS record needs a name plus row/value pairs", line_no)
+            cname = tokens[0]
+            if cname not in columns:
+                columns[cname] = mps._ColumnState(cname, in_integer_block)
+                col_index[cname] = len(col_order)
+                col_order.append(cname)
+            j = col_index[cname]
+            for k in range(1, len(tokens), 2):
+                rname, val = tokens[k], mps._parse_float(tokens[k + 1], line_no)
+                if rname == objective_name:
+                    if j in obj_coeffs:
+                        raise MpsParseError(f"duplicate objective coefficient for column {cname!r}", line_no)
+                    if val != 0.0:
+                        obj_coeffs[j] = val
+                elif rname in row_coeffs:
+                    if j in row_coeffs[rname]:
+                        raise MpsParseError(
+                            f"duplicate coefficient for column {cname!r} in row {rname!r}", line_no
+                        )
+                    row_coeffs[rname][j] = val
+                elif rname in free_rows:
+                    pass
+                else:
+                    raise MpsParseError(f"undeclared row {rname!r}", line_no)
+        elif section == "RHS":
+            for rname, val in mps._pair_records(tokens, row_coeffs, objective_name, free_rows, line_no):
+                if rname == objective_name:
+                    objective_constant = -val
+                elif rname not in free_rows:
+                    row_rhs[rname] = val
+        elif section == "RANGES":
+            for rname, val in mps._pair_records(tokens, row_coeffs, objective_name, free_rows, line_no):
+                if rname == objective_name or rname in free_rows:
+                    raise MpsParseError(f"range on non-constraint row {rname!r}", line_no)
+                row_range[rname] = val
+        elif section == "BOUNDS":
+            mps._apply_bound(tokens, columns, line_no)
+        elif section is None:
+            raise MpsParseError(f"data record outside any section: {line.strip()!r}", line_no)
+        else:
+            raise MpsParseError(f"unsupported section {section!r}", line_no)
+
+    if not saw_endata:
+        raise MpsParseError("missing ENDATA", line_no + 1)
+    return Instance(
+        name=name,
+        sense=sense,
+        variables=tuple(mps._finalize_variable(columns[c]) for c in col_order),
+        rows=tuple(
+            mps._finalize_row(r, row_relation[r], row_coeffs[r], row_rhs.get(r, 0.0), row_range.get(r))
+            for r in row_order
+        ),
+        objective=tuple(sorted(obj_coeffs.items())),
+        objective_constant=objective_constant,
+        objective_name=objective_name or "obj",
+    )
+
+
+def _oracle_load_instance(path):
+    path = Path(path)
+    opener = gzip.open if path.name.endswith(".gz") else open
+    with opener(path, "rt") as handle:
+        return _oracle_parse_mps(handle, name_hint=mps.instance_stem(path))
+
+
+def _outcome(parse, *args):
+    """What a parser makes of its input: the instance's repr (which tells
+    -0.0 from 0.0), or the error's message and line number."""
+    try:
+        return ("instance", repr(parse(*args)))
+    except MpsParseError as exc:
+        return ("error", str(exc), exc.line_no)
+
+
+def _columns_span(lines):
+    start = lines.index("COLUMNS") + 1
+    end = next(k for k in range(start, len(lines)) if not lines[k][0].isspace())
+    return start, end
+
+
+def _split_column(lines, rnd):
+    """Move a column's first record after the next column's records."""
+    start, end = _columns_span(lines)
+    names = [line.split()[0] for line in lines[start:end]]
+    firsts = [k for k in range(len(names)) if k == 0 or names[k] != names[k - 1]]
+    if len(firsts) < 2:
+        return lines
+    pick = rnd.randrange(len(firsts) - 1)
+    a, b = firsts[pick], firsts[pick + 1]
+    after = next((k for k in range(b, len(names)) if names[k] != names[b]), len(names))
+    body = lines[start:end]
+    moved = body[:a] + body[a + 1:after] + [body[a]] + body[after:]
+    return lines[:start] + moved + lines[end:]
+
+
+def _merge_records(lines, rnd):
+    """Join runs of a column's records into 5- and 7-token records."""
+    start, end = _columns_span(lines)
+    body, out, k = lines[start:end], [], 0
+    while k < len(body):
+        tokens = body[k].split()
+        width = rnd.choice((2, 3))
+        while "'MARKER'" not in tokens and width > 1 and k + 1 < len(body):
+            nxt = body[k + 1].split()
+            if nxt[0] != tokens[0] or "'MARKER'" in nxt:
+                break
+            tokens += nxt[1:]
+            k += 1
+            width -= 1
+        out.append("    " + "  ".join(tokens))
+        k += 1
+    return lines[:start] + out + lines[end:]
+
+
+def _mutants(text, rnd):
+    """(label, text) pairs: the text itself and variants each parser must agree on."""
+    lines = text.splitlines()
+    yield "as written", text
+    yield "crlf", text.replace("\n", "\r\n")
+    at = rnd.randrange(len(text) - 1)
+    yield "bare cr", text[:at] + "\r" + text[at:]
+    seps = ("\t", "\f", " \t ", "\f\t", "\x0b")
+    yield "tabs and form feeds", "\n".join(
+        re.sub(" +", lambda _: rnd.choice(seps), line) if rnd.random() < 0.6 else line for line in lines
+    ) + "\n"
+    noisy = list(lines)
+    for _ in range(3):
+        noisy.insert(rnd.randrange(len(noisy) + 1), rnd.choice(("* note", "   * note", "*", "", "   ", "\t")))
+    yield "comments and blanks", "\n".join(noisy) + "\n"
+    yield "text after ENDATA", text + "junk 1 2\n ghost  line\n"
+    yield "no ENDATA", text.replace("ENDATA\n", "")
+    yield "no ENDATA, no final newline", text.replace("ENDATA\n", "").rstrip("\n")
+    yield "column split", "\n".join(_split_column(lines, rnd)) + "\n"
+    yield "5- and 7-token records", "\n".join(_merge_records(lines, rnd)) + "\n"
+    at = rnd.randrange(len(lines))
+    tokens = lines[at].split()
+    del tokens[rnd.randrange(len(tokens))]
+    yield "dropped token", "\n".join(lines[:at] + ["    " + "  ".join(tokens)] + lines[at + 1:]) + "\n"
+    numeric = [k for k, line in enumerate(lines) if re.search(r"\s-?\d", line)]
+    at = rnd.choice(numeric) if numeric else 0
+    garbled = re.sub(r"(\s)(-?\d[^\s]*)", lambda m: m.group(1) + rnd.choice(("1.0x", "--1", "e5", "0x10", "1,5")),
+                     lines[at], count=1)
+    yield "garbled number", "\n".join(lines[:at] + [garbled] + lines[at + 1:]) + "\n"
+    at = rnd.randrange(len(lines))
+    yield "duplicated line", "\n".join(lines[:at + 1] + lines[at:]) + "\n"
+
+
+def test_parser_agrees_with_the_oracle_on_instances_and_mutants():
+    rng = np.random.default_rng(20261019)
+    rnd = random.Random(20261019)
+    builders = (random_mixed_instance, random_binary_instance, random_lp_instance)
+    texts = [TWO_VAR] + [write_mps(builders[k % 3](rng)) for k in range(300)]
+    kinds = set()
+    for text in texts:
+        for label, mutant in _mutants(text, rnd):
+            expected = _outcome(_oracle_parse_mps, mutant, "hint")
+            assert _outcome(parse_mps, mutant, "hint") == expected, (label, mutant)
+            kinds.add((label, expected[0]))
+    # the mutants reach both outcomes: most parse, and each kind of damage is caught somewhere
+    assert {label for label, outcome in kinds if outcome == "error"} >= {
+        "no ENDATA", "no ENDATA, no final newline", "dropped token", "garbled number", "bare cr"
+    }
+    assert {label for label, outcome in kinds if outcome == "instance"} >= {
+        "as written", "crlf", "tabs and form feeds", "comments and blanks", "text after ENDATA",
+        "column split", "5- and 7-token records",
+    }
+
+
+@pytest.mark.parametrize("suffix", [".mps.gz", ".mps"])
+def test_loader_agrees_with_the_oracle_on_crlf_files(tmp_path, suffix):
+    rng = np.random.default_rng(7)
+    for k in range(20):
+        text = write_mps(random_mixed_instance(rng)).replace("\n", "\r\n")
+        if k % 4 == 3:
+            text = text.replace("\r\n", "\r")  # bare CRs end lines in a file opened as text
+        path = tmp_path / f"m{k}{suffix}"
+        data = text.encode()
+        path.write_bytes(gzip.compress(data) if suffix == ".mps.gz" else data)
+        expected = _outcome(_oracle_load_instance, path)
+        assert expected[0] == "instance"
+        assert _outcome(load_instance, path) == expected

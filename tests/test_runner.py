@@ -1,3 +1,4 @@
+import dataclasses
 import gzip
 import json
 import time
@@ -15,6 +16,7 @@ from milpbench.runner import (
     ObjectiveKind,
     RunRecord,
     RunStatus,
+    _LogWriter,
     grace_seconds,
     load_dataset,
     read_log,
@@ -87,7 +89,8 @@ def test_run_job_writes_solution_files(tmp_path):
     assert sol.exists()
     text = sol.read_text()
     assert "=obj=" in text
-    assert (tmp_path / "knap2.sol.status").read_text().strip() == "optimal"
+    assert record.status is RunStatus.OPTIMAL  # the record carries the status: a suite job writes no sidecar
+    assert not (tmp_path / "knap2.sol.status").exists()
 
 
 FAKE_SOLVER = """\
@@ -497,3 +500,36 @@ def test_read_log_replaces_in_place_and_keeps_first_insertion_order(tmp_path):
         ("b", "other", 0.0),
         ("d", "s", 4.0),
     ]
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        RunRecord("a", "s", "", RunStatus.ERROR, 0.0),
+        RunRecord(
+            "b", "builtin-adapted", "cfg", RunStatus.TIME_LIMIT, 1.5, objective=-2.0, best_bound=-3.25,
+            solution_path="/w/b.sol", started_at="2026-01-02T03:04:05+00:00", host_descriptor="h/x86_64",
+            nodes=7, ticks=42, diagnostics="note", instance_path="/d/b.mps",
+        ),
+    ],
+    ids=["optional-fields-none", "every-field-set"],
+)
+def test_record_line_is_the_asdict_line_and_round_trips(record):
+    reference = dataclasses.asdict(record)
+    reference["status"] = record.status.value
+    reference["kind"] = "record"
+    assert json.dumps(record.to_dict()) == json.dumps(reference)
+    assert RunRecord.from_dict(json.loads(json.dumps(record.to_dict()))) == record
+
+
+@pytest.mark.parametrize("tail", ['{"kind": "record", "instance_na', ""], ids=["torn", "whole"])
+def test_resume_writer_heals_a_torn_tail_then_appends(tmp_path, tail):
+    header = {"kind": "header", "dataset": DatasetSpec("d", (), 10.0).to_dict(), "solver_label": "s"}
+    kept = [json.dumps(header), json.dumps(_record("a").to_dict())]
+    out = tmp_path / "run.jsonl"
+    out.write_text("\n".join(kept) + "\n" + tail)
+    writer = _LogWriter(out, read_log(out), append=True)
+    writer.write(_record("b"))
+    writer.close()
+    assert out.read_text() == "\n".join(kept + ([tail] if tail else []) + [json.dumps(_record("b").to_dict())]) + "\n"
+    assert [r.instance_name for r in read_log(out).records] == ["a", "b"]
