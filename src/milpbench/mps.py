@@ -335,7 +335,8 @@ def _finalize_row(
 
 def instance_stem(path: Union[str, Path]) -> str:
     """File name without ``.gz`` and then ``.mps``: the name of an instance with no NAME card."""
-    return Path(path).name.removesuffix(".gz").removesuffix(".mps")
+    name = (path if isinstance(path, Path) else Path(path)).name  # a Path is not built again
+    return name.removesuffix(".gz").removesuffix(".mps")
 
 
 def load_instance(path: Union[str, Path]) -> Instance:

@@ -214,9 +214,11 @@ class _Search:
     def branch(self, parent_obj: float, depth: int, lb, ub, x_frac, cand, warm: WarmStart) -> None:
         j = self.pick_branch_var(x_frac, cand)
         frac = x_frac[j] - math.floor(x_frac[j])
-        dn = _Node(parent_obj, depth, self.next_id, lb.copy(), ub.copy(), j, False, frac, warm)
+        # each child shares the parent's array for the side it keeps: no node's
+        # bounds are written after it is made
+        dn = _Node(parent_obj, depth, self.next_id, lb, ub.copy(), j, False, frac, warm)
         dn.ub[j] = math.floor(x_frac[j])
-        up = _Node(parent_obj, depth, self.next_id + 1, lb.copy(), ub.copy(), j, True, frac, warm)
+        up = _Node(parent_obj, depth, self.next_id + 1, lb.copy(), ub, j, True, frac, warm)
         up.lb[j] = math.ceil(x_frac[j])
         self.next_id += 2
         self.push(up)

@@ -116,7 +116,7 @@ class LpResult:
     objective: Optional[float]
     point: np.ndarray
     iterations: int
-    warm: Optional[WarmStart]  # copies of the final basis and statuses, and any factor; None when no basis was built
+    warm: Optional[WarmStart]  # the final basis and statuses, and any factor; None when no basis was built
 
 
 class BoundedSimplex:
@@ -133,8 +133,14 @@ class BoundedSimplex:
         self._A = self.F[:, : min(self.F.shape[1], -(-self.n // 16) * 16)]
         self.cost = np.concatenate([form.c, np.zeros(form.m)])  # over the columns of F
         self._max_iter = 5000 + 200 * (self.m + self.F.shape[1])  # per phase; beyond it, a breakdown
-        self.lo = np.concatenate([form.lb, form.rlo])  # each solve writes its column bounds into these
-        self.hi = np.concatenate([form.ub, form.rup])
+        # the value of a nonbasic column by its status: row AT_LOWER holds the
+        # lower bounds and row AT_UPPER the upper ones, which each solve writes
+        # its column bounds into through lo and hi; FREE and BASIC read 0
+        self._table = np.zeros((4, form.n + form.m))
+        self.lo, self.hi = self._table[AT_LOWER], self._table[AT_UPPER]
+        self.lo[:] = np.concatenate([form.lb, form.rlo])
+        self.hi[:] = np.concatenate([form.ub, form.rup])
+        self._cols = np.arange(form.n + form.m)
         ones = np.ones(form.n)  # _bounds_violated's tolerance on each column's bounds
         self._tol_lo = _INT_TOL * np.concatenate([ones, np.maximum(1.0, np.abs(form.rlo))])
         self._tol_hi = _INT_TOL * np.concatenate([ones, np.maximum(1.0, np.abs(form.rup))])
@@ -190,11 +196,13 @@ class BoundedSimplex:
         else:
             basis = np.array(basis, dtype=np.int64)
             status = np.array(status, dtype=np.int8)
+            # as unsigned, a status outside the four is above BASIC
             if (basis.shape != (m,) or status.shape != (n + m,) or (m and basis.max() >= n + m)
+                    or np.count_nonzero(status.view(np.uint8) > BASIC)
                     or np.count_nonzero(status == BASIC) != m or np.count_nonzero(status[basis] != BASIC)):
                 return None  # other rows, or no basis
         lo, hi = self.lo, self.hi
-        xval = np.where(status == AT_UPPER, hi, np.where(status == AT_LOWER, lo, 0.0))
+        xval = self._table[status, self._cols]
         free = status == FREE
         if np.count_nonzero(np.isfinite(xval)) != n + m or (
             np.count_nonzero(free) and np.count_nonzero(free & (np.isfinite(lo) | np.isfinite(hi)))
@@ -250,7 +258,7 @@ class BoundedSimplex:
         status = _favoured(z, self.lo, self.hi)
         status[self.basis] = BASIC
         self.status[:] = status
-        self.xval[:] = np.where(status == AT_UPPER, self.hi, np.where(status == AT_LOWER, self.lo, 0.0))
+        self.xval[:] = self._table[status, self._cols]
         self._refresh()
 
     def _bounds_violated(self) -> bool:
@@ -263,9 +271,10 @@ class BoundedSimplex:
 
     def _result(self, status: LpStatus) -> LpResult:
         point = self.xval[: self.n].copy()
-        warm = WarmStart((self.basis.copy(), self.status.copy()))
+        # shared, as the factor's arrays are: the next solve replaces these
+        # arrays before it changes them
+        warm = WarmStart((self.basis, self.status))
         if status is LpStatus.OPTIMAL and self.m < _KERNEL_ROWS:
-            # shared: the next solve replaces these arrays before it changes them
             warm.factor = _Factor(self.form, self.B_inv, self.xval, self.z, self._since_refactor)
         obj = float(self.form.c @ point) if status is LpStatus.OPTIMAL else None
         return LpResult(status, obj, point, self.iterations, warm)
@@ -385,7 +394,7 @@ class BoundedSimplex:
         infeasible; neither depends on the costs."""
         if not self.m:
             return True
-        dirn = np.where(movable, _SIGN[self.status], 0.0)
+        dirn = _SIGN[self.status] * movable  # -0 on a column at its upper bound that cannot move: no candidate
         free = self.status == FREE
         any_free = np.count_nonzero(free)
         span = self.hi - self.lo
