@@ -23,11 +23,16 @@ def test_interleaved_alternates_which_side_goes_first():
 
 
 def test_family_rows_sum_by_family_and_seed():
+    def ticks(parent, change):
+        return {"parent": parent, "change": change}
+
     seed_jobs = {
-        11: [("knap000", {"parent": 1.0, "change": 0.8}), ("knap001", {"parent": 1.0, "change": 0.9}),
-             ("chain0", {"parent": 2.0, "change": 2.2})],
-        12: [("knap000", {"parent": 2.0, "change": 1.0}), ("knap001", {"parent": 2.0, "change": 1.0}),
-             ("chain0", {"parent": 1.0, "change": 0.5})],
+        11: [("knap000", {"parent": 1.0, "change": 0.8}, ticks(10, 4)),
+             ("knap001", {"parent": 1.0, "change": 0.9}, ticks(10, 6)),
+             ("chain0", {"parent": 2.0, "change": 2.2}, ticks(3, 3))],
+        12: [("knap000", {"parent": 2.0, "change": 1.0}, ticks(20, 5)),
+             ("knap001", {"parent": 2.0, "change": 1.0}, ticks(10, 5)),
+             ("chain0", {"parent": 1.0, "change": 0.5}, ticks(0, 0))],
     }
     rows = bench_inprocess.family_rows(seed_jobs)
     knap, chain = rows["families"]["knap"], rows["families"]["chain"]
@@ -36,20 +41,41 @@ def test_family_rows_sum_by_family_and_seed():
     assert knap["seed_ratios"] == pytest.approx([0.85, 0.5])
     assert knap["median_seed_ratio"] == pytest.approx(0.675) and knap["change_faster_seeds"] == 2
     assert chain["seed_ratios"] == pytest.approx([1.1, 0.5]) and chain["change_faster_seeds"] == 1
+    assert (knap["parent_ticks"], knap["change_ticks"], knap["ticks_change_over_parent"]) == (50, 20, 0.4)
+    assert (chain["parent_ticks"], chain["change_ticks"], chain["ticks_change_over_parent"]) == (3, 3, 1.0)
     everything = rows["all_jobs"]
     assert (everything["parent_s"], everything["change_s"]) == pytest.approx((9.0, 6.4))
     assert (everything["change_faster_jobs"], everything["jobs"]) == (5, 6)
+    assert (everything["parent_ticks"], everything["change_ticks"]) == (53, 23)
 
 
 def test_outcome_rows_group_by_status_and_pivots():
+    # each side's own solves: the change's long step took a pivot out of one
     calls = {
-        "parent": [("optimal", 1, 3e-6), ("optimal", 4, 9e-6), ("optimal", 2, 7e-6), ("infeasible", 0, 1e-6)],
-        "change": [("optimal", 1, 2e-6), ("optimal", 4, 5e-6), ("optimal", 2, 6e-6), ("infeasible", 0, 1e-6)],
+        "parent": [("optimal", 1, 0, 3e-6), ("optimal", 4, 0, 9e-6), ("optimal", 2, 0, 7e-6),
+                   ("infeasible", 0, 0, 1e-6)],
+        "change": [("optimal", 1, 0, 2e-6), ("optimal", 3, 2, 5e-6), ("optimal", 1, 1, 6e-6),
+                   ("infeasible", 0, 0, 1e-6)],
     }
     rows = bench_inprocess.outcome_rows(calls)
-    assert rows["solves"] == 4
+    assert rows["solves"] == {"parent": 4, "change": 4}
+    assert rows["pivots"] == {"parent": 7, "change": 5} and rows["flips"] == {"parent": 0, "change": 3}
     assert rows["total_s"] == pytest.approx({"parent": 20e-6, "change": 14e-6})
-    assert [(r["status"], r["pivots"], r["solves"]) for r in rows["by_outcome"]] == [
-        ("infeasible", 0, 1), ("optimal", 1, 1), ("optimal", "2+", 2)]
+    assert [(r["status"], r["pivots"], r["parent_solves"], r["change_solves"]) for r in rows["by_outcome"]] == [
+        ("infeasible", 0, 1, 1), ("optimal", 1, 1, 2), ("optimal", "2+", 2, 1)]
+    assert rows["by_outcome"][1]["change_us"] == pytest.approx(4.0)
     assert rows["by_outcome"][2]["parent_us"] == pytest.approx(8.0)
-    assert rows["by_outcome"][2]["change_us"] == pytest.approx(5.5)
+    assert rows["by_outcome"][2]["change_us"] == pytest.approx(5.0)
+
+
+def test_agree_takes_equal_statuses_and_objectives_within_the_tolerance():
+    def sig(status, objective, nodes=3, ticks=9):
+        return ["baseline", "knap0", "default", *bench_inprocess.signature(status, objective, nodes, ticks)]
+
+    agree = bench_inprocess.agree
+    assert agree(sig("optimal", -1e6), sig("optimal", -1e6 * (1 + 5e-10), nodes=4, ticks=5))
+    assert agree(sig("optimal", 0.1), sig("optimal", 0.1 + 5e-10))
+    assert not agree(sig("optimal", 0.1), sig("optimal", 0.1 + 2e-9))
+    assert not agree(sig("optimal", 1.0), sig("time_limit", 1.0))
+    assert agree(sig("infeasible", None), sig("infeasible", None))
+    assert not agree(sig("time_limit", None), sig("time_limit", 2.0))

@@ -357,7 +357,7 @@ def test_one_lp_object_per_row_set(monkeypatch):
     monkeypatch.setattr(BoundedSimplex, "solve", lambda self, *a, **k: solves.append(1) or solve(self, *a, **k))
     monkeypatch.setattr(bnb, "gomory_cuts", gomory_spy)
     monkeypatch.setattr(bnb, "cover_cuts", cover_spy)
-    out = branch_and_bound(two_row_knapsack(), _CUTS_AND_DIVE)
+    out = branch_and_bound(two_row_knapsack(seed=2), _CUTS_AND_DIVE)
     assert out.status is SolveStatus.OPTIMAL and out.nodes > 5
     added = sum(1 for rows in rounds if rows)
     assert added >= 2 and len(solves) > 10
@@ -429,9 +429,9 @@ _PIN_OPTIONS = {
 # the node order on purpose updates these and says so
 _TREE_PINS = {
     "chain": {"best_bound": (29, 28), "depth_first_pseudocost": (29, 28), "diving": (29, 29)},
-    "knapsack": {"best_bound": (17, 31), "depth_first_pseudocost": (17, 33), "diving": (17, 37)},
-    "market_split": {"best_bound": (307, 324), "depth_first_pseudocost": (375, 400), "diving": (307, 333)},
-    "mixed": {"best_bound": (6, 14), "depth_first_pseudocost": (6, 14), "diving": (5, 14)},
+    "knapsack": {"best_bound": (17, 25), "depth_first_pseudocost": (17, 26), "diving": (17, 32)},
+    "market_split": {"best_bound": (297, 325), "depth_first_pseudocost": (387, 362), "diving": (297, 334)},
+    "mixed": {"best_bound": (6, 6), "depth_first_pseudocost": (6, 6), "diving": (5, 6)},
 }
 
 

@@ -1,6 +1,9 @@
 import collections
+import importlib
 import math
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -777,6 +780,8 @@ def test_breakdown_inside_phase_one_leaves_no_auxiliary_bound(monkeypatch):
 # entering column as B^-1 F[:, q], and the pricing weights of the violated
 # rows afresh in each iteration.  From _KERNEL_ROWS rows the solver skips the
 # -I block and keeps its weights; that must not change one bit of a result.
+# The oracle takes the solver's long-step gate and calls its _long_step, and
+# its primal step reads the leaving value as the flips left it.
 
 
 def _oracle_dual(self, z, movable):
@@ -814,8 +819,11 @@ def _oracle_dual(self, z, movable):
         mag = -g[idx]
         slack = np.maximum(dirn[idx] * z[idx], 0.0)
         ratio = slack / mag
-        ok = (ratio <= ((slack + _OPT_TOL) / mag).min()).nonzero()[0]
+        relaxed = (slack + _OPT_TOL) / mag
+        ok = (ratio <= relaxed.min()).nonzero()[0]
         k = ok[mag[ok].argmax()]
+        if mag[k] * span[idx[k]] < viol[p] and not self._bland:
+            k = self._long_step(k, idx, mag, ratio, relaxed, viol[p], span, dirn)
         q, t = int(idx[k]), float(ratio[k])
 
         self.iterations += 1
@@ -825,7 +833,7 @@ def _oracle_dual(self, z, movable):
         leaving = self.basis[p]
         dirn[leaving] = s if movable[leaving] else 0.0
         dirn[q], free[q] = 0.0, False
-        self._exchange(p, q, d, (xb[p] - target) / d[p], s < 0)
+        self._exchange(p, q, d, (self.xval[leaving] - target) / d[p], s < 0)
     raise SimplexBreakdown("dual iteration limit")
 
 
@@ -937,7 +945,7 @@ def test_kernel_products_have_the_bits_of_the_full_products(monkeypatch):
     monkeypatch.setattr(BoundedSimplex, "_times_F", spy_times_F)
     monkeypatch.setattr(BoundedSimplex, "_column", spy_column)
     rng = np.random.default_rng(61)
-    for _ in range(20):
+    for _ in range(30):
         form = _kernel_lp(rng, int(rng.integers(64, 161)))
         lp = BoundedSimplex(form)
         if lp.solve().status is LpStatus.OPTIMAL:
@@ -1041,7 +1049,8 @@ def test_kept_weights_equal_fresh_ones_at_every_dual_iteration(monkeypatch):
 # Python-level wrappers (ndarray.any, np.array_equal, ndarray.min) and tested
 # each status apart, and bnb's fractional and pick_branch_var as they were
 # when they used np.round and np.flatnonzero.  The trimmed solver must give
-# the same bits: every LpResult, warm start, factor and tree.
+# the same bits: every LpResult, warm start, factor and tree.  As above, the
+# oracle's _dual takes the long-step gate and calls the solver's _long_step.
 
 
 def _wrapped_solve_from(self, basis, status):
@@ -1124,8 +1133,11 @@ def _wrapped_dual(self, z, movable):
         mag = -g[idx]
         slack = np.maximum(dirn[idx] * z[idx], 0.0)
         ratio = slack / mag
-        ok = (ratio <= ((slack + _OPT_TOL) / mag).min()).nonzero()[0]
+        relaxed = (slack + _OPT_TOL) / mag
+        ok = (ratio <= relaxed.min()).nonzero()[0]
         k = ok[mag[ok].argmax()]
+        if mag[k] * span[idx[k]] < viol[p] and not self._bland:
+            k = self._long_step(k, idx, mag, ratio, relaxed, viol[p], span, dirn)
         q, t = int(idx[k]), float(ratio[k])
 
         self.iterations += 1
@@ -1135,7 +1147,7 @@ def _wrapped_dual(self, z, movable):
         leaving = self.basis[p]
         dirn[leaving] = s if movable[leaving] else 0.0
         dirn[q], free[q] = 0.0, False
-        self._exchange(p, q, d, (xb[p] - target) / d[p], s < 0)
+        self._exchange(p, q, d, (self.xval[leaving] - target) / d[p], s < 0)
     raise SimplexBreakdown("dual iteration limit")
 
 
@@ -1256,3 +1268,100 @@ def test_branch_and_bound_matches_the_wrapped_oracle(monkeypatch):
     mine, want = _both_wrapped(monkeypatch, outcomes, insts)
     assert mine == want
     assert sum(nodes for _, nodes, *_ in mine) > 1000
+
+
+# ---- the long step ----------------------------------------------------------
+# When Harris's candidate cannot close the leaving row's gap over its whole
+# range, the dual ratio test passes the breakpoints of boxed columns and flips
+# them to their other bound, all in one pivot.
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _perfbench_instances(monkeypatch):
+    """The benchmark's instance generators (``perfbench/instances.py``); nothing is written there."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    return importlib.import_module("instances")
+
+
+def test_long_step_cuts_the_root_lp_of_a_large_knapsack(monkeypatch):
+    # 600 binaries under 200 packing rows: 818 pivots without flips
+    instances = _perfbench_instances(monkeypatch)
+    res = solve_lp(instances.knapsack(np.random.default_rng(0), "k", 600, 200))
+    assert res.status is LpStatus.OPTIMAL
+    assert res.iterations <= 460 and res.flips > 0
+
+
+def test_equal_weight_knapsack_takes_a_few_pivots(monkeypatch):
+    # one row 3 sum(x) <= 3k + 1: every column flips to 1 but the one that
+    # enters at a third; about n/2 pivots without flips
+    instances = _perfbench_instances(monkeypatch)
+    inst, _ = instances.equal_weight_knapsack(np.random.default_rng(3), "e", 100)
+    res = solve_lp(inst)
+    assert res.status is LpStatus.OPTIMAL and res.iterations <= 3 and res.flips > 40
+
+
+def _flipping_forms(rng):
+    """Boxed LPs of 1 to 100 rows, below and from the row rule, and a few unboxed ones."""
+    forms = [to_standard_form(_bounded_lp(rng)) for _ in range(40)]
+    forms += [_kernel_lp(rng, int(rng.integers(18, 101))) for _ in range(40)]
+    return forms + [_unboxed_lp(rng, int(rng.integers(3, 30))) for _ in range(20)]
+
+
+def test_basic_values_after_a_long_step_equal_a_fresh_solve(monkeypatch):
+    checked = collections.Counter()
+    long_step = BoundedSimplex._long_step
+
+    def spy(self, *args):
+        flips = self.flips
+        k = long_step(self, *args)
+        if self.flips > flips:
+            nonbasic = self.status != BASIC
+            rhs = -(self.F[:, nonbasic] @ self.xval[nonbasic])
+            fresh = np.linalg.solve(self.F[:, self.basis], rhs)
+            scale = max(1.0, float(np.abs(fresh).max()), float(np.abs(self.xval[nonbasic]).max()))
+            assert np.abs(self.xval[self.basis] - fresh).max() <= 1e-9 * scale
+            checked["long steps"] += 1
+            checked["flips"] += self.flips - flips
+        return k
+
+    monkeypatch.setattr(BoundedSimplex, "_long_step", spy)
+    rng = np.random.default_rng(71)
+    for form in _flipping_forms(rng):
+        _branched_solves(form, 4)
+    assert checked["long steps"] > 150 and checked["flips"] > 200, checked
+
+
+def test_a_bland_attempt_never_flips(monkeypatch):
+    calls = []
+    long_step = BoundedSimplex._long_step
+    monkeypatch.setattr(BoundedSimplex, "_long_step", lambda self, *a: calls.append(self._bland) or long_step(self, *a))
+    instances = _perfbench_instances(monkeypatch)
+    form = to_standard_form(instances.equal_weight_knapsack(np.random.default_rng(3), "e", 100)[0])
+    assert BoundedSimplex(form).solve().flips > 0 and calls
+    calls.clear()
+    breakdowns = _injected_dual_breakdowns(monkeypatch)
+    breakdowns[:] = [True]  # the first attempt breaks down: the slack basis under Bland's rule
+    res = BoundedSimplex(form).solve()
+    assert breakdowns == [] and res.status is LpStatus.OPTIMAL
+    assert res.flips == 0 and calls == [] and res.iterations > 40
+
+
+def test_lps_that_flip_match_highs():
+    pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(73)
+    seen = collections.Counter()
+    for form in _flipping_forms(rng):
+        mine = BoundedSimplex(form).solve()
+        ref = _highs(form, form.c)
+        if mine.flips == 0:
+            continue
+        seen[mine.status] += 1
+        if ref.status == 0:
+            assert mine.status is LpStatus.OPTIMAL
+            assert mine.objective == pytest.approx(ref.fun, abs=1e-6, rel=1e-6)
+            _assert_feasible(form, form.lb, form.ub, mine.point)
+        else:
+            assert mine.status is {2: LpStatus.INFEASIBLE, 3: LpStatus.UNBOUNDED}[ref.status]
+    assert seen[LpStatus.OPTIMAL] > 20 and seen[LpStatus.INFEASIBLE] > 3, seen

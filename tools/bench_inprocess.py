@@ -3,24 +3,28 @@
     python3 tools/bench_inprocess.py --parent HEAD~1 --change HEAD --out BENCH_N.json --work DIR
 
 Both revisions are exported with ``git archive`` into ``--work`` (as by
-``tools/bench_pairs.py``).  The file named by ``--out`` gains four sections,
+``tools/bench_pairs.py``).  The file named by ``--out`` gains these sections,
 each replacing a section of the same name; the rest of the file is kept:
 
-- ``tree_solve_seconds_per_family``: every ``tree`` job of seeds 11-20 is
-  solved by ``branch_and_bound`` with the options ``run_suite`` would pick,
-  ``REPS`` times with the parent's package and ``REPS`` times with the
-  change's, in one process, alternating which side goes first; each side's
-  fastest run counts.  Seconds are summed by family (the instance name
-  without its digits).
-- ``tree_seed_11_solve_microseconds``: the same for seed 11, with every
-  ``BoundedSimplex.solve`` call timed; a call's fastest run counts, and the
-  medians are grouped by final status and pivots (``2+`` for two or more).
+- ``tree_solve_seconds_per_family`` and ``root_solve_seconds_per_family``:
+  every job of that workload and seeds 11-20 is solved by
+  ``branch_and_bound`` with the options ``run_suite`` would pick, ``REPS``
+  times with the parent's package and ``REPS`` times with the change's, in
+  one process, alternating which side goes first; each side's fastest run
+  counts.  Seconds and ticks are summed by family (the instance name without
+  its digits).  A side's runs of one job must give the same result.
+- ``tree_seed_11_solve_microseconds``: the ``tree`` jobs of seed 11, with
+  every ``BoundedSimplex.solve`` call timed; a call's fastest run counts, and
+  each side's medians are grouped by final status and pivots (``2+`` for two
+  or more), beside its pivots and long-step flips.
 - ``traced_<workload>_seed_11``: ``perfbench/run.py --trace 1`` on each
   workload of ``BENCHMARK.json`` at seed 11, one run from each copy, the
   change first.
 - ``identical_results``: one untimed pass (``perfbench/workloads.run_pass``) of
   each workload of ``BENCHMARK.json`` and seeds 11-20, in a fresh process per
-  side, comparing every job's status, objective (``float.hex``), nodes and ticks.
+  side, counting the jobs whose status, objective (``float.hex``), nodes and
+  ticks are equal, and the jobs whose status is equal and whose objective
+  lies within ``1e-9 * max(1, |objective|)`` of the parent's.
 
 All timed seconds except the traced ones are raw host seconds.  The
 ``signatures`` subcommand prints one pass's job signatures from a checkout; the
@@ -49,6 +53,8 @@ ROOT = bench_pairs.ROOT
 REPS = 3  # timed runs per side and job; the fastest counts
 SEEDS = list(range(11, 21))  # the seeds of tools/bench_pairs.py's ten default pairs
 SIDES = ("parent", "change")
+TIMED = ("tree", "root")  # the workloads solved in-process, family by family
+OBJ_TOL = 1e-9  # relative (to max(1, |objective|)): how far an objective may move and still agree
 TRACED = ("bnb.s", "bnb.self_s", "simplex.s", "simplex.solves", "simplex.iters", "simplex.us_per_iter",
           "simplex.root_iters", "simplex.cut_lp_iters", "simplex.tree_iters", "presolve.s", "cuts.gomory_s",
           "cuts.cover_s", "runner.solution_write_s", "runner.self_s", "mps.parse_s", "trace.overhead_share")
@@ -103,6 +109,18 @@ def interleaved(jobs: list[dict], run) -> list[dict]:
     return out
 
 
+def agree(parent: list, change: list) -> bool:
+    """Two job signatures with the same status, and objectives within ``OBJ_TOL``
+    relative, or both without one."""
+    (status_p, obj_p, *_), (status_c, obj_c, *_) = parent[-4:], change[-4:]
+    if status_p != status_c or (obj_p is None) != (obj_c is None):
+        return False
+    if obj_p is None:
+        return True
+    a, b = float.fromhex(obj_p), float.fromhex(obj_c)
+    return abs(a - b) <= OBJ_TOL * max(1.0, abs(a))
+
+
 def solve_job(side: Side, job) -> tuple[float, list]:
     inst, opts = job
     t0 = time.perf_counter()
@@ -112,48 +130,54 @@ def solve_job(side: Side, job) -> tuple[float, list]:
                               o.nodes, o.deterministic_ticks)
 
 
-def family_rows(seed_jobs: dict[int, list[tuple[str, dict]]]) -> dict:
-    """``seed_jobs[seed]``: (instance name, {side: fastest seconds}) per job."""
+def family_rows(seed_jobs: dict[int, list[tuple[str, dict, dict]]]) -> dict:
+    """``seed_jobs[seed]``: (instance name, {side: fastest seconds}, {side: ticks}) per job."""
     seeds = sorted(seed_jobs)
     sums = defaultdict(lambda: {seed: {s: 0.0 for s in SIDES} for seed in seeds})
+    ticks = defaultdict(lambda: {s: 0 for s in SIDES})
     models = defaultdict(set)
     for seed in seeds:
-        for name, best in seed_jobs[seed]:
+        for name, best, job_ticks in seed_jobs[seed]:
             for key in (family(name), "all_jobs"):
                 for s in SIDES:
                     sums[key][seed][s] += best[s]
+                    ticks[key][s] += job_ticks[s]
             models[family(name)].add((seed, name))
 
-    def row(per_seed):
+    def row(key):
+        per_seed, t = sums[key], ticks[key]
         ratios = [per_seed[seed]["change"] / per_seed[seed]["parent"] for seed in seeds]
         parent_s = sum(v["parent"] for v in per_seed.values())
         change_s = sum(v["change"] for v in per_seed.values())
         return {"parent_s": parent_s, "change_s": change_s, "change_over_parent": change_s / parent_s,
                 "median_seed_ratio": statistics.median(ratios),
-                "change_faster_seeds": sum(r < 1 for r in ratios), "seeds": len(seeds), "seed_ratios": ratios}
+                "change_faster_seeds": sum(r < 1 for r in ratios), "seeds": len(seeds), "seed_ratios": ratios,
+                "parent_ticks": t["parent"], "change_ticks": t["change"],
+                "ticks_change_over_parent": t["change"] / t["parent"] if t["parent"] else None}
 
-    jobs = [best for seed in seeds for _, best in seed_jobs[seed]]
+    jobs = [best for seed in seeds for _, best, _ in seed_jobs[seed]]
     return {
-        "families": {f: {"models_per_seed": len(models[f]) // len(seeds), **row(sums[f])}
-                     for f in sorted(models)},
-        "all_jobs": {**row(sums["all_jobs"]), "change_faster_jobs": sum(b["change"] < b["parent"] for b in jobs),
+        "families": {f: {"models_per_seed": len(models[f]) // len(seeds), **row(f)} for f in sorted(models)},
+        "all_jobs": {**row("all_jobs"), "change_faster_jobs": sum(b["change"] < b["parent"] for b in jobs),
                      "jobs": len(jobs)},
     }
 
 
-def outcome_rows(calls: dict[str, list[tuple[str, int, float]]]) -> dict:
-    """``calls[side]``: (final status, pivots, fastest seconds) per solve, the
-    same solves in the same order on both sides."""
+def outcome_rows(calls: dict[str, list[tuple[str, int, int, float]]]) -> dict:
+    """``calls[side]``: (final status, pivots, flips, fastest seconds) per
+    solve of that side; a change that moves pivots may change the solves."""
     buckets = defaultdict(lambda: {s: [] for s in SIDES})
     for s in SIDES:
-        for status, pivots, seconds in calls[s]:
+        for status, pivots, _, seconds in calls[s]:
             buckets[(status, min(pivots, 2))][s].append(seconds)
     return {
-        "solves": len(calls["change"]),
-        "total_s": {s: sum(c[2] for c in calls[s]) for s in SIDES},
+        **{key: {s: sum(c[i] for c in calls[s]) for s in SIDES}
+           for i, key in ((1, "pivots"), (2, "flips"), (3, "total_s"))},
+        "solves": {s: len(calls[s]) for s in SIDES},
         "by_outcome": [
-            {"status": status, "pivots": "2+" if pivots == 2 else pivots, "solves": len(b["change"]),
-             **{f"{s}_us": statistics.median(b[s]) * 1e6 for s in SIDES}}
+            {"status": status, "pivots": "2+" if pivots == 2 else pivots,
+             **{f"{s}_solves": len(b[s]) for s in SIDES},
+             **{f"{s}_us": statistics.median(b[s]) * 1e6 if b[s] else None for s in SIDES}}
             for (status, pivots), b in sorted(buckets.items())
         ],
     }
@@ -161,7 +185,7 @@ def outcome_rows(calls: dict[str, list[tuple[str, int, float]]]) -> dict:
 
 def spy_on_solves(sides: dict) -> dict[str, list]:
     """Wrap each side's ``BoundedSimplex.solve`` to record (status, pivots,
-    seconds) per call into the returned lists, which the caller clears."""
+    flips, seconds) per call into the returned lists, which the caller clears."""
     record = {s: [] for s in SIDES}
     for s, side in sides.items():
         cls = side.simplex.BoundedSimplex
@@ -170,15 +194,16 @@ def spy_on_solves(sides: dict) -> dict[str, list]:
         def timed(self, *args, _solve=solve, _log=record[s], **kwargs):
             t0 = time.perf_counter()
             r = _solve(self, *args, **kwargs)
-            _log.append((r.status.value, r.iterations, time.perf_counter() - t0))
+            seconds = time.perf_counter() - t0
+            _log.append((r.status.value, r.iterations, getattr(r, "flips", 0), seconds))  # 0 before the long step
             return r
 
         cls.solve = timed
     return record
 
 
-def build_jobs(workloads, sides: dict, seed: int, directory: Path) -> list[tuple[str, dict]]:
-    wl = workloads.build("tree", seed, directory)
+def build_jobs(workloads, workload: str, sides: dict, seed: int, directory: Path) -> list[tuple[str, dict]]:
+    wl = workloads.build(workload, seed, directory)
     store_path = directory / "store.json"
     return [(name, {s: side.job(path, store_path, wl.adapt, wl.dataset.time_limit_s) for s, side in sides.items()})
             for name, path in wl.paths.items()]
@@ -188,16 +213,21 @@ def timed_sections(copies: dict, seeds: list[int], work: Path) -> dict:
     sys.path[:0] = [str(copies["change"] / "src"), str(copies["change"] / "perfbench")]
     workloads = importlib.import_module("workloads")
     sides = {s: Side(f"{s}_milpbench", copies[s]) for s in SIDES}
-    seed_jobs = {}
-    for seed in seeds:
-        jobs = build_jobs(workloads, sides, seed, work / f"tree-{seed}")
-        runs = interleaved([job for _, job in jobs], lambda s, job: solve_job(sides[s], job))
-        for (name, _), r in zip(jobs, runs):
-            sigs = {tuple(sig) for s in SIDES for _, sig in r[s]}
-            if len(sigs) != 1:
-                raise SystemExit(f"tree seed {seed} {name}: results differ: {sorted(sigs)}")
-        seed_jobs[seed] = [(name, {s: min(t for t, _ in r[s]) for s in SIDES}) for (name, _), r in zip(jobs, runs)]
-        print("tree", seed, {s: round(sum(b[s] for _, b in seed_jobs[seed]), 4) for s in SIDES}, flush=True)
+    families = {}
+    for workload in TIMED:
+        seed_jobs = {}
+        for seed in seeds:
+            jobs = build_jobs(workloads, workload, sides, seed, work / f"{workload}-{seed}")
+            runs = interleaved([job for _, job in jobs], lambda s, job: solve_job(sides[s], job))
+            seed_jobs[seed] = []
+            for (name, _), r in zip(jobs, runs):
+                for s in SIDES:
+                    if len({tuple(sig) for _, sig in r[s]}) != 1:
+                        raise SystemExit(f"{workload} seed {seed} {name}: the {s}'s runs differ")
+                seed_jobs[seed].append((name, {s: min(t for t, _ in r[s]) for s in SIDES},
+                                        {s: r[s][0][1][3] for s in SIDES}))
+            print(workload, seed, {s: round(sum(b[s] for _, b, _ in seed_jobs[seed]), 4) for s in SIDES}, flush=True)
+        families[workload] = family_rows(seed_jobs)
 
     record = spy_on_solves(sides)
 
@@ -206,15 +236,14 @@ def timed_sections(copies: dict, seeds: list[int], work: Path) -> dict:
         solve_job(sides[s], job)
         return list(record[s])
 
-    jobs = build_jobs(workloads, sides, seeds[0], work / f"solves-{seeds[0]}")
+    jobs = build_jobs(workloads, "tree", sides, seeds[0], work / f"solves-{seeds[0]}")
     calls = {s: [] for s in SIDES}
     for (name, _), r in zip(jobs, interleaved([job for _, job in jobs], solve_calls)):
-        outcomes = {tuple(c[:2] for c in run) for s in SIDES for run in r[s]}
-        if len(outcomes) != 1:
-            raise SystemExit(f"tree seed {seeds[0]} {name}: the solves' statuses or pivots differ")
         for s in SIDES:
-            calls[s] += [(*c[:2], min(run[k][2] for run in r[s])) for k, c in enumerate(r[s][0])]
-    return {"families": family_rows(seed_jobs), "solves": outcome_rows(calls)}
+            if len({tuple(c[:3] for c in run) for run in r[s]}) != 1:
+                raise SystemExit(f"tree seed {seeds[0]} {name}: the {s}'s runs differ in their solves")
+            calls[s] += [(*c[:3], min(run[k][3] for run in r[s])) for k, c in enumerate(r[s][0])]
+    return {"families": families, "solves": outcome_rows(calls)}
 
 
 def signatures(checkout: Path, workload: str, seed: int) -> list:
@@ -230,9 +259,9 @@ def signatures(checkout: Path, workload: str, seed: int) -> list:
 
 
 def identical_section(copies: dict, workloads: list[str], seeds: list[int]) -> dict:
-    compared, identical = {}, {}
+    compared, identical, agreeing = {}, {}, {}
     for workload in workloads:
-        compared[workload] = identical[workload] = 0
+        compared[workload] = identical[workload] = agreeing[workload] = 0
         for seed in seeds:
             sigs = {}
             for s in SIDES:
@@ -241,8 +270,10 @@ def identical_section(copies: dict, workloads: list[str], seeds: list[int]) -> d
                 sigs[s] = json.loads(subprocess.run(cmd, check=True, capture_output=True, text=True).stdout)
             compared[workload] += max(len(sigs[s]) for s in SIDES)
             identical[workload] += sum(a == b for a, b in zip(sigs["parent"], sigs["change"]))
-        print(workload, "identical", identical[workload], "of", compared[workload], flush=True)
-    return {"jobs_compared": compared, "identical": identical}
+            agreeing[workload] += sum(a[:3] == b[:3] and agree(a, b) for a, b in zip(sigs["parent"], sigs["change"]))
+        print(workload, "identical", identical[workload], "agreeing", agreeing[workload], "of", compared[workload],
+              flush=True)
+    return {"jobs_compared": compared, "identical": identical, "same_status_and_objective": agreeing}
 
 
 def main(argv=None) -> int:
@@ -283,18 +314,20 @@ def main(argv=None) -> int:
     identical = identical_section(copies, workloads, SEEDS)
 
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
-    doc["tree_solve_seconds_per_family"] = {
-        "how": f"{command}, in-process, {span}: each tree job solved by branch_and_bound with the options "
-               f"run_suite would pick, {REPS} times with each revision's package, alternating which goes first; "
-               f"the fastest of each side's runs counts (raw host seconds). Every job's status, objective "
-               f"(float.hex), nodes and ticks were equal on both sides. seed_ratios is change/parent of a "
-               f"family's summed seconds, per seed.",
-        **timed["families"],
-    }
+    for workload in TIMED:
+        doc[f"{workload}_solve_seconds_per_family"] = {
+            "how": f"{command}, in-process, {span}: each {workload} job solved by branch_and_bound with the "
+                   f"options run_suite would pick, {REPS} times with each revision's package, alternating which "
+                   f"goes first; the fastest of each side's runs counts (raw host seconds), and each side's runs "
+                   f"of a job gave one result. Ticks are summed beside the seconds. seed_ratios is change/parent "
+                   f"of a family's summed seconds, per seed.",
+            **timed["families"][workload],
+        }
     doc[f"tree_seed_{SEEDS[0]}_solve_microseconds"] = {
         "how": f"{command}, in-process, tree seed {SEEDS[0]}: every BoundedSimplex.solve call timed, each job "
-               f"run {REPS} times per side with the sides interleaved, the fastest of a call's runs kept; median "
-               f"raw host microseconds by final status and pivots (2+ stands for 2 or more).",
+               f"run {REPS} times per side with the sides interleaved, the fastest of a call's runs kept; each "
+               f"side's solves, pivots, long-step flips and seconds, and its median raw host microseconds by "
+               f"final status and pivots (2+ stands for 2 or more).",
         **timed["solves"],
     }
     for workload in workloads:
@@ -307,8 +340,9 @@ def main(argv=None) -> int:
         }
     doc["identical_results"] = {
         "how": f"{command}: one untimed pass (perfbench/workloads.run_pass) of each workload, {span}, from "
-               f"each side's copy in its own process, comparing every job's status, objective (float.hex), "
-               f"nodes and ticks.",
+               f"each side's copy in its own process: identical counts the jobs whose status, objective "
+               f"(float.hex), nodes and ticks are equal; same_status_and_objective those whose status is equal "
+               f"and whose objective is within {OBJ_TOL:g}*max(1, |parent objective|).",
         **identical,
     }
     args.out.write_text(json.dumps(bench_pairs._rounded(doc), indent=1) + "\n")
