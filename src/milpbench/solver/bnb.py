@@ -4,6 +4,16 @@ Gomory and cover cuts are separated at the root; node selection and
 branching follow the configured strategies with fixed index-based tie
 breaking.  The clock is consulted only for termination, so two runs with
 identical inputs traverse identical trees.
+
+Objective integrality, a structural rule with no option: when every
+continuous column costs 0 and every integer column's cost is an integer below
+2^53, every feasible objective (before the constant) is a multiple of the gcd
+of those costs, the objective's step.  Every bound the search compares or
+reports is then rounded up to the next multiple (``_Search.rounded``), so a
+node whose LP bound cannot beat the incumbent on that lattice is pruned, and
+an OPTIMAL solve at gap 0 reports its objective as its bound (Achterberg,
+*Constraint Integer Programming*, 2007).  Cuts add rows, not columns, so the
+step holds for the whole search.
 """
 
 from __future__ import annotations
@@ -21,7 +31,7 @@ from ..instance import Instance
 from .cuts import cover_cuts, gomory_cuts
 from .options import BranchRule, NodeStrategy, ReferenceSolverOptions
 from .presolve import presolve
-from .simplex import _INT_TOL, BASIC, BoundedSimplex, LpResult, LpStatus, SimplexBreakdown, WarmStart
+from .simplex import _INT_TOL, _STEP_TOL, BASIC, BoundedSimplex, LpResult, LpStatus, SimplexBreakdown, WarmStart
 from .standard_form import StandardForm, to_standard_form
 
 _COVER_ROUNDS = 5
@@ -63,6 +73,19 @@ def compute_gap(incumbent_obj: Optional[float], best_bound: float) -> float:
     return abs(incumbent_obj - best_bound) / max(1e-10, abs(incumbent_obj))
 
 
+def objective_step(form: StandardForm) -> Optional[float]:
+    """The gcd of the integer columns' costs when every continuous column
+    costs 0 and each of those costs is an integer below 2^53, so that every
+    feasible ``c @ x`` is a multiple of it; None otherwise, and for an
+    all-zero objective."""
+    c, is_int = form.c, form.is_int
+    cost = np.abs(c[is_int])
+    if (np.count_nonzero(c[~is_int]) or not np.count_nonzero(cost)
+            or np.count_nonzero(cost != np.floor(cost)) or cost.max() >= 2.0 ** 53):
+        return None
+    return float(np.gcd.reduce(cost.astype(np.int64)))
+
+
 @dataclass
 class _Node:
     bound_est: float
@@ -89,6 +112,7 @@ class _Search:
         self.form = form
         self.splx = BoundedSimplex(form)
         self.int_idx = np.flatnonzero(form.is_int)
+        self.step = objective_step(form)
         self.clock = clock
         self.deadline = deadline
         self.ticks = 0
@@ -197,19 +221,31 @@ class _Search:
             self.incumbent_obj = obj
             self.x_inc = snapped
 
+    def rounded(self, bound: float) -> float:
+        """``bound`` raised to the next multiple of the objective's step, up to
+        ``_STEP_TOL`` of a step; ``bound`` itself when there is no step."""
+        step = self.step
+        if step is None or not math.isfinite(bound):
+            return bound
+        k = bound / step
+        return step * math.ceil(k - _STEP_TOL * max(1.0, abs(k)))
+
     def prunes(self, bound: float) -> bool:
-        """No point under ``bound`` can beat the incumbent by more than the tolerance."""
+        """No point under ``bound`` can beat the incumbent by more than the
+        tolerance; with an objective step, none can once ``bound`` rounded up
+        to the step reaches it."""
         inc = self.incumbent_obj
-        return inc is not None and bound >= inc - 1e-9 * max(1.0, abs(inc))
+        return inc is not None and self.rounded(bound) >= inc - 1e-9 * max(1.0, abs(inc))
 
     def push(self, node: _Node) -> None:
         key = (node.bound_est, -node.depth, node.node_id) if self.best_first else (-node.depth, node.node_id)
         heapq.heappush(self.open_nodes, (key, node))
 
     def open_bound(self) -> float:
+        """The least bound over the open nodes, rounded to the objective's step."""
         if self.best_first:  # the least key holds the least bound
-            return self.open_nodes[0][1].bound_est if self.open_nodes else math.inf
-        return min((node.bound_est for _, node in self.open_nodes), default=math.inf)
+            return self.rounded(self.open_nodes[0][1].bound_est if self.open_nodes else math.inf)
+        return self.rounded(min((node.bound_est for _, node in self.open_nodes), default=math.inf))
 
     def branch(self, parent_obj: float, depth: int, lb, ub, x_frac, cand, warm: WarmStart) -> None:
         j = self.pick_branch_var(x_frac, cand)
@@ -296,8 +332,8 @@ class _Search:
 
     def run(self, proven_infeasible: bool) -> tuple[SolveStatus, float]:
         """Search to the end: how it ended, and the bound proven over every
-        node not yet solved, internal (minimizing) and before the incumbent
-        is counted."""
+        node not yet solved, internal (minimizing), rounded to the objective's
+        step and before the incumbent is counted."""
         if proven_infeasible:
             return SolveStatus.INFEASIBLE, math.inf
         lb, ub = self.form.lb.copy(), self.form.ub.copy()
@@ -314,7 +350,8 @@ class _Search:
         if cand.size == 0:
             self.accept_candidate(res.point, lb, ub)
             # an integral point that the row check rejects is an error
-            return SolveStatus.OPTIMAL if self.incumbent_obj is not None else SolveStatus.ERROR, res.objective
+            return (SolveStatus.OPTIMAL if self.incumbent_obj is not None else SolveStatus.ERROR,
+                    self.rounded(res.objective))
         if self.opts.diving:
             self.dive(lb, ub, res.point, res.warm)
         # the dive's LPs reuse splx: the tree starts from the root's basis
@@ -329,7 +366,7 @@ class _Search:
             node = heapq.heappop(self.open_nodes)[1]
             status = self.visit(node)
             if status is not None:  # the popped node is not solved: its bound still counts
-                return status, min(self.open_bound(), node.bound_est)
+                return status, min(self.open_bound(), self.rounded(node.bound_est))
         if self.incumbent_obj is None:
             return SolveStatus.INFEASIBLE, math.inf
         return SolveStatus.OPTIMAL, self.open_bound()

@@ -78,17 +78,21 @@ def contradictory_bounds_instance() -> Instance:
     )
 
 
-def chain_instance(n: int, name: Optional[str] = None) -> Instance:
+def chain_instance(n: int, name: Optional[str] = None, off_lattice: bool = False) -> Instance:
     """min -sum(x)  s.t.  2*sum(x) <= 2n-1 over n binaries.
 
-    The LP bound stays n-0.5 along an n-deep chain, so plain search walks
-    about 2n nodes while one Gomory round proves sum(x) <= n-1 at the root.
+    The LP bound is -(n-0.5), which rounds up to the incumbent -(n-1) on the
+    objective's step of 1, so the search settles the chain at the root or
+    its first children.  ``off_lattice`` gives x0 the cost -1.5, so the
+    objective has no step: the LP bound stays above the incumbent along an
+    n-deep chain, and plain search walks 2n+1 nodes while one Gomory round
+    proves sum(x) <= n-1 at the root.
     """
     return binary_instance(
         name or f"chain{n:03d}",
         n,
         [make_row("cap", [(j, 2.0) for j in range(n)], Relation.LE, 2.0 * n - 1.0)],
-        [(j, -1.0) for j in range(n)],
+        [(j, -1.5 if off_lattice and j == 0 else -1.0) for j in range(n)],
     )
 
 

@@ -229,7 +229,7 @@ def test_criterion_default_vs_adapted_end_to_end(tmp_path):
         sizes = list(range(40, 80, 2))
         assert len(sizes) == 20
         names = [f"demo{n:03d}" for n in sizes]
-        paths = [write_instance(tmp_path, chain_instance(n, name=nm)) for n, nm in zip(sizes, names)]
+        paths = [write_instance(tmp_path, chain_instance(n, name=nm, off_lattice=True)) for n, nm in zip(sizes, names)]
         store = load_store(
             json.dumps(
                 {

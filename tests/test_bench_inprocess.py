@@ -79,3 +79,33 @@ def test_agree_takes_equal_statuses_and_objectives_within_the_tolerance():
     assert not agree(sig("optimal", 1.0), sig("time_limit", 1.0))
     assert agree(sig("infeasible", None), sig("infeasible", None))
     assert not agree(sig("time_limit", None), sig("time_limit", 2.0))
+
+
+def test_outcome_rows_split_each_bucket_by_long_step_flips():
+    calls = {
+        "parent": [("infeasible", 1, 0, 4e-6), ("infeasible", 1, 0, 6e-6)],
+        "change": [("infeasible", 1, 2, 9e-6), ("infeasible", 1, 0, 5e-6), ("infeasible", 1, 1, 7e-6)],
+    }
+    (row,) = bench_inprocess.outcome_rows(calls)["by_outcome"]
+    assert (row["parent_solves"], row["parent_flipped_solves"]) == (2, 0)
+    assert row["parent_flipped_us"] is None and row["parent_unflipped_us"] == pytest.approx(5.0)
+    assert (row["change_solves"], row["change_flipped_solves"]) == (3, 2)
+    assert row["change_flipped_us"] == pytest.approx(8.0) and row["change_unflipped_us"] == pytest.approx(5.0)
+    assert row["change_us"] == pytest.approx(7.0)
+
+
+def test_traced_sides_alternate_and_keep_each_run_beside_the_medians(monkeypatch):
+    monkeypatch.setattr(bench_inprocess, "TRACED", ("bnb.s", "simplex.iters"))
+    order = []
+
+    def run(side):
+        order.append(side)
+        return {"correct": side == "parent" or len(order) < 6, "bnb.s": float(len(order)), "simplex.iters": 7}
+
+    sides = bench_inprocess.traced_sides(run)
+    assert order == ["parent", "change", "change", "parent", "parent", "change"]
+    assert [r["bnb.s"] for r in sides["parent"]["runs"]] == [1.0, 4.0, 5.0]
+    assert [r["bnb.s"] for r in sides["change"]["runs"]] == [2.0, 3.0, 6.0]
+    assert (sides["parent"]["bnb.s"], sides["change"]["bnb.s"]) == (4.0, 3.0)
+    assert sides["parent"]["simplex.iters"] == sides["change"]["simplex.iters"] == 7
+    assert sides["parent"]["correct"] and not sides["change"]["correct"]

@@ -15,6 +15,7 @@ from milpbench.solver import (
     compute_gap,
 )
 from milpbench.solver import bnb
+from milpbench.solver.presolve import presolve
 from milpbench.solver.simplex import BoundedSimplex, SimplexBreakdown, solve_lp
 from milpbench.solver.standard_form import to_standard_form
 from milpbench.validate import check_feasibility
@@ -30,6 +31,7 @@ from _helpers import (
     market_split_instance,
     parity_infeasible_instance,
     random_binary_instance,
+    random_mixed_instance,
     two_row_knapsack,
 )
 
@@ -213,11 +215,11 @@ def test_rel_gap_early_stop():
 
 
 def test_chain_instance_gomory_collapses_tree():
-    inst = chain_instance(30)
+    inst = chain_instance(30, off_lattice=True)
     plain = branch_and_bound(inst, ReferenceSolverOptions())
     cut = branch_and_bound(inst, ReferenceSolverOptions(gomory_rounds=1))
-    assert plain.incumbent.objective == pytest.approx(-29.0, abs=1e-6)
-    assert cut.incumbent.objective == pytest.approx(-29.0, abs=1e-6)
+    assert plain.incumbent.objective == pytest.approx(-29.5, abs=1e-6)
+    assert cut.incumbent.objective == pytest.approx(-29.5, abs=1e-6)
     assert cut.nodes < plain.nodes / 5
 
 
@@ -272,7 +274,7 @@ def test_maximization_sense_restored():
 
 def test_node_lps_start_from_the_parent_basis():
     # a cold node LP repeats phase 1 from the bound box, about 30 pivots a node here
-    out = branch_and_bound(chain_instance(60), ReferenceSolverOptions())
+    out = branch_and_bound(chain_instance(60, off_lattice=True), ReferenceSolverOptions())
     assert out.status is SolveStatus.OPTIMAL
     assert out.deterministic_ticks / out.nodes <= 3
 
@@ -302,7 +304,7 @@ def _flaky_attempts(monkeypatch, solve_call, fail_attempts):
 
 
 def test_node_breakdown_is_retried_under_blands_rule(monkeypatch):
-    inst = chain_instance(10)
+    inst = chain_instance(10, off_lattice=True)
     want = branch_and_bound(inst, ReferenceSolverOptions())
     assert want.status is SolveStatus.OPTIMAL and want.nodes > 5
     # the third node LP: its warm and slack attempts break down
@@ -314,7 +316,7 @@ def test_node_breakdown_is_retried_under_blands_rule(monkeypatch):
 
 
 def test_node_breakdown_after_the_retry_is_an_error(monkeypatch):
-    inst = chain_instance(10)
+    inst = chain_instance(10, off_lattice=True)
     flags = _flaky_attempts(monkeypatch, 4, {1, 2, 3})
     out = branch_and_bound(inst, ReferenceSolverOptions())
     assert flags == [False, False, True]
@@ -323,13 +325,13 @@ def test_node_breakdown_after_the_retry_is_an_error(monkeypatch):
 
 def test_an_error_exit_keeps_the_unsolved_nodes_bound(monkeypatch):
     # the second node LP breaks down on every attempt after the first node
-    # found the incumbent -9; that node was popped but never solved, so its
-    # bound, the root's -9.5, still counts
+    # found the incumbent -9.5; that node was popped but never solved, so its
+    # bound, the root's -10, still counts
     flags = _flaky_attempts(monkeypatch, 3, {1, 2, 3})
-    out = branch_and_bound(chain_instance(10), ReferenceSolverOptions())
+    out = branch_and_bound(chain_instance(10, off_lattice=True), ReferenceSolverOptions())
     assert flags == [False, False, True]
-    assert out.status is SolveStatus.ERROR and out.incumbent.objective == -9.0
-    assert out.best_bound <= -9.5 and out.gap > 0
+    assert out.status is SolveStatus.ERROR and out.incumbent.objective == -9.5
+    assert out.best_bound <= -10.0 and out.gap > 0
 
 
 _CUTS_AND_DIVE = ReferenceSolverOptions(gomory_rounds=3, cover_cuts=True, diving=True)
@@ -379,7 +381,9 @@ def test_first_tree_node_starts_from_the_root_basis_not_the_dive(monkeypatch):
     monkeypatch.setattr(BoundedSimplex, "solve", spy)
     monkeypatch.setattr(bnb._Search, "add_cut_rows", lambda *a: cut_rounds.append(len(calls)) or add_cut_rows(*a))
     monkeypatch.setattr(bnb, "_Node", lambda *a: first_node.append(len(calls)) or node(*a))
-    out = branch_and_bound(two_row_knapsack(), _CUTS_AND_DIVE)
+    # seed 1's dive finds an incumbent that its rounded root bound proves
+    # optimal, so no tree node solves an LP there
+    out = branch_and_bound(two_row_knapsack(seed=2), _CUTS_AND_DIVE)
     assert out.status is SolveStatus.OPTIMAL and cut_rounds
     dive = cut_rounds[-1] + 1
     tree = first_node[0]
@@ -391,7 +395,8 @@ def test_first_tree_node_starts_from_the_root_basis_not_the_dive(monkeypatch):
 
 def test_cut_rounds_stop_at_the_deadline(monkeypatch):
     # the clock reads 0 at the start and 1 before the first cut round, when a
-    # limit of 1 has run out: no round is separated, and the root LP's bound stands
+    # limit of 1 has run out: no round is separated, and the root LP's bound,
+    # rounded up to the objective's step of 1, stands
     separated = []
     gomory, cover = bnb.gomory_cuts, bnb.cover_cuts
     monkeypatch.setattr(bnb, "gomory_cuts", lambda *a: separated.append("gomory") or gomory(*a))
@@ -400,7 +405,7 @@ def test_cut_rounds_stop_at_the_deadline(monkeypatch):
     out = branch_and_bound(inst, replace(_CUTS_AND_DIVE, time_limit_s=1), clock=counting_clock())
     assert separated == []
     assert out.status is SolveStatus.TIME_LIMIT and out.incumbent is None
-    assert out.best_bound == pytest.approx(solve_lp(inst).objective, abs=1e-9)
+    assert out.best_bound == math.ceil(solve_lp(inst).objective)
 
 
 def _mixed_model(seed: int = 7):
@@ -428,7 +433,8 @@ _PIN_OPTIONS = {
 # (nodes, deterministic_ticks) per option set; a change that alters pivots or
 # the node order on purpose updates these and says so
 _TREE_PINS = {
-    "chain": {"best_bound": (29, 28), "depth_first_pseudocost": (29, 28), "diving": (29, 29)},
+    "chain": {"best_bound": (2, 2), "depth_first_pseudocost": (2, 2), "diving": (1, 2)},
+    "chain_off_lattice": {"best_bound": (29, 28), "depth_first_pseudocost": (29, 28), "diving": (29, 29)},
     "knapsack": {"best_bound": (17, 25), "depth_first_pseudocost": (17, 26), "diving": (17, 32)},
     "market_split": {"best_bound": (297, 325), "depth_first_pseudocost": (387, 362), "diving": (297, 334)},
     "mixed": {"best_bound": (6, 6), "depth_first_pseudocost": (6, 6), "diving": (5, 6)},
@@ -437,6 +443,7 @@ _TREE_PINS = {
 
 _PIN_MODELS = {
     "chain": lambda: chain_instance(14),
+    "chain_off_lattice": lambda: chain_instance(14, off_lattice=True),
     "knapsack": two_row_knapsack,
     "market_split": lambda: market_split_instance(seed=5, n=12, m=2),
     "mixed": _mixed_model,
@@ -480,3 +487,105 @@ def test_branching_tie_goes_to_the_lower_index(rule):
     x = np.array([0.2, 0.0, 0.25, 0.75, 0.1, 0.0])
     assert search.pick_branch_var(x, np.array([0, 2, 3, 4])) == 2
     assert search.pick_branch_var(x, np.array([3, 4])) == 3
+
+
+_INT, _CONT = VarKind.INTEGER, VarKind.CONTINUOUS
+
+
+def _costed(costs, kinds, sense=Sense.MINIMIZE, rows=()):
+    """Columns in [0, 5] of the given kinds and costs."""
+    variables = tuple(Variable(f"x{j}", 0.0, 5.0, kind) for j, kind in enumerate(kinds))
+    return Instance("costed", sense, variables, tuple(rows), tuple(enumerate(costs)))
+
+
+@pytest.mark.parametrize("costs, kinds, sense, step", [
+    ([4.0, 6.0], [_INT, _INT], Sense.MINIMIZE, 2.0),
+    ([-4.0, 6.0, 0.0], [_INT, _INT, _CONT], Sense.MINIMIZE, 2.0),  # a continuous column at cost 0
+    ([4.0, 6.0, 1.0], [_INT, _INT, _CONT], Sense.MINIMIZE, None),  # a costed continuous column
+    ([4.0, 0.5], [_INT, _INT], Sense.MINIMIZE, None),
+    ([0.0, 0.0], [_INT, _CONT], Sense.MINIMIZE, None),  # an all-zero objective
+    ([3.0, 6.0], [_INT, _INT], Sense.MAXIMIZE, 3.0),
+    ([2.0 ** 53, 2.0], [_INT, _INT], Sense.MINIMIZE, None),
+])
+def test_objective_step_is_the_gcd_of_the_integer_costs(costs, kinds, sense, step):
+    assert bnb.objective_step(to_standard_form(_costed(costs, kinds, sense))) == step
+
+
+def test_a_column_that_presolve_fixes_keeps_its_cost_in_the_step():
+    # x1 >= 5 fixes x1 at its upper bound 5; presolve keeps every column, so
+    # its cost 6 still counts, and the optimum 4*0 + 6*5 is found and proven
+    inst = _costed([4.0, 6.0], [_INT, _INT], rows=[make_row("fix", [(1, 1.0)], Relation.GE, 5.0)])
+    opts = ReferenceSolverOptions(presolve_bound_tighten=True)
+    fixed = presolve(inst, opts).instance.variables[1]
+    assert fixed.lower == fixed.upper == 5.0
+    assert bnb.objective_step(to_standard_form(presolve(inst, opts).instance)) == 2.0
+    out = branch_and_bound(inst, opts)
+    assert out.status is SolveStatus.OPTIMAL and out.incumbent.objective == out.best_bound == 30.0
+
+
+def test_rounded_bounds_stay_on_their_integral_value():
+    # a bound read a little above k·step stays k·step; a bound between two
+    # multiples goes up to the next one; no step leaves a bound as it is
+    search = bnb._Search(to_standard_form(_costed([2.0, 4.0], [_INT, _INT])), ReferenceSolverOptions())
+    assert search.step == 2.0
+    got = [search.rounded(b) for b in (6.0, 6.0 + 1e-9, 6.0 * (1 + 1e-12), 6.0 + 1e-6, 5.0, 6.0 + 0.01,
+                                       -9.0, -10.0 + 1e-7, 2e6 + 1e-3, math.inf, -math.inf)]
+    assert got == [6.0, 6.0, 6.0, 6.0, 6.0, 8.0, -8.0, -10.0, 2e6, math.inf, -math.inf]
+    search.incumbent_obj = 8.0
+    assert not search.prunes(6.0 + 1e-9) and search.prunes(6.5)
+    no_step = bnb._Search(to_standard_form(_costed([2.0, 0.5], [_INT, _INT])), ReferenceSolverOptions())
+    assert no_step.step is None and no_step.rounded(5.25) == 5.25
+
+
+def test_an_lp_bound_on_an_integer_up_to_float_noise_is_not_rounded_past_it():
+    # x = y and 0.7x + 0.7y >= 2.1: the root LP reads 3.0000000000000004 at
+    # x = y = 1.5, and the integer optimum is 4.  Stopped before any node, the
+    # search reports the root's bound as 3, not 4; run to the end, it proves 4
+    inst = _costed([1.0, 1.0], [_INT, _INT], rows=[
+        make_row("r", [(0, 0.7), (1, 0.7)], Relation.GE, 2.1),
+        make_row("d", [(0, 1.0), (1, -1.0)], Relation.EQ, 0.0),
+    ])
+    assert solve_lp(inst).objective > 3.0
+    stopped = branch_and_bound(inst, ReferenceSolverOptions(time_limit_s=1), clock=counting_clock())
+    assert stopped.status is SolveStatus.TIME_LIMIT and stopped.best_bound == 3.0
+    out = branch_and_bound(inst, ReferenceSolverOptions())
+    assert out.status is SolveStatus.OPTIMAL and out.incumbent.objective == out.best_bound == 4.0
+
+
+def test_chains_settle_at_the_root_on_the_objectives_step():
+    for n in range(1, 121):
+        out = branch_and_bound(chain_instance(n), ReferenceSolverOptions())
+        assert out.status is SolveStatus.OPTIMAL and out.incumbent.objective == -(n - 1) == out.best_bound
+        assert out.nodes <= 3, n
+
+
+def _enumerable(inst: Instance) -> bool:
+    """Every column integral, over at most 4,096 points."""
+    return all(v.is_integral for v in inst.variables) and math.prod(
+        v.upper - v.lower + 1 for v in inst.variables) <= 4096
+
+
+def test_rounded_search_matches_enumeration_and_proves_its_bound():
+    # every OPTIMAL outcome at gap 0 reports its objective as its bound, with
+    # or without a step; models with continuous columns check that alone
+    rng = np.random.default_rng(2507)
+    heavy = ReferenceSolverOptions(gomory_rounds=2, cover_cuts=True, presolve_bound_tighten=True, diving=True,
+                                   node_strategy=NodeStrategy.DEPTH_FIRST, branch_rule=BranchRule.PSEUDOCOST)
+    stepped = enumerated = 0
+    for k in range(400):
+        inst = random_binary_instance(rng, max_vars=8, max_rows=5) if k % 2 else random_mixed_instance(rng)
+        stepped += bnb.objective_step(to_standard_form(inst)) is not None
+        want = None
+        if all(v.kind is VarKind.BINARY for v in inst.variables):
+            want = enumerate_binary_optimum(inst)
+        elif _enumerable(inst):
+            want = enumerate_box_integer_optimum(inst)
+        enumerated += want is not None
+        out = branch_and_bound(inst, heavy if k % 4 < 2 else ReferenceSolverOptions())
+        if want is not None:
+            assert out.status.value == want[0], inst.name
+            if want[0] == "optimal":
+                assert out.incumbent.objective == pytest.approx(want[1], abs=1e-9), inst.name
+        if out.status is SolveStatus.OPTIMAL:
+            assert out.best_bound == out.incumbent.objective and out.gap == 0.0, inst.name
+    assert stepped > 200 and enumerated > 250

@@ -16,10 +16,12 @@ each replacing a section of the same name; the rest of the file is kept:
 - ``tree_seed_11_solve_microseconds``: the ``tree`` jobs of seed 11, with
   every ``BoundedSimplex.solve`` call timed; a call's fastest run counts, and
   each side's medians are grouped by final status and pivots (``2+`` for two
-  or more), beside its pivots and long-step flips.
+  or more), beside its pivots and long-step flips; each group also splits
+  into the solves that flipped a column and those that did not.
 - ``traced_<workload>_seed_11``: ``perfbench/run.py --trace 1`` on each
-  workload of ``BENCHMARK.json`` at seed 11, one run from each copy, the
-  change first.
+  workload of ``BENCHMARK.json`` at seed 11, ``REPS`` runs from each copy,
+  alternating which side goes first; each run is kept beside each metric's
+  median.
 - ``identical_results``: one untimed pass (``perfbench/workloads.run_pass``) of
   each workload of ``BENCHMARK.json`` and seeds 11-20, in a fresh process per
   side, counting the jobs whose status, objective (``float.hex``), nodes and
@@ -163,13 +165,25 @@ def family_rows(seed_jobs: dict[int, list[tuple[str, dict, dict]]]) -> dict:
     }
 
 
+def _median_us(seconds: list[float]):
+    return statistics.median(seconds) * 1e6 if seconds else None
+
+
 def outcome_rows(calls: dict[str, list[tuple[str, int, int, float]]]) -> dict:
     """``calls[side]``: (final status, pivots, flips, fastest seconds) per
-    solve of that side; a change that moves pivots may change the solves."""
+    solve of that side; a change that moves pivots may change the solves.
+    Each (status, pivots) row also splits its solves into those that flipped
+    a column in a long step and those that did not."""
     buckets = defaultdict(lambda: {s: [] for s in SIDES})
     for s in SIDES:
-        for status, pivots, _, seconds in calls[s]:
-            buckets[(status, min(pivots, 2))][s].append(seconds)
+        for status, pivots, flips, seconds in calls[s]:
+            buckets[(status, min(pivots, 2))][s].append((flips > 0, seconds))
+
+    def split(solves: list[tuple[bool, float]], s: str) -> dict:
+        return {f"{s}_flipped_solves": sum(flipped for flipped, _ in solves),
+                f"{s}_flipped_us": _median_us([t for flipped, t in solves if flipped]),
+                f"{s}_unflipped_us": _median_us([t for flipped, t in solves if not flipped])}
+
     return {
         **{key: {s: sum(c[i] for c in calls[s]) for s in SIDES}
            for i, key in ((1, "pivots"), (2, "flips"), (3, "total_s"))},
@@ -177,7 +191,8 @@ def outcome_rows(calls: dict[str, list[tuple[str, int, int, float]]]) -> dict:
         "by_outcome": [
             {"status": status, "pivots": "2+" if pivots == 2 else pivots,
              **{f"{s}_solves": len(b[s]) for s in SIDES},
-             **{f"{s}_us": statistics.median(b[s]) * 1e6 if b[s] else None for s in SIDES}}
+             **{f"{s}_us": _median_us([t for _, t in b[s]]) for s in SIDES},
+             **{k: v for s in SIDES for k, v in split(b[s], s).items()}}
             for (status, pivots), b in sorted(buckets.items())
         ],
     }
@@ -246,6 +261,17 @@ def timed_sections(copies: dict, seeds: list[int], work: Path) -> dict:
     return {"families": families, "solves": outcome_rows(calls)}
 
 
+def traced_sides(run) -> dict:
+    """``run(side)``: one traced run's ``{"correct": ..., metric: value}``.
+    ``REPS`` runs per side through ``interleaved``, so the sides alternate
+    which goes first; per side, whether every run was correct, each metric's
+    median over the runs, and the runs."""
+    runs = interleaved([{s: s for s in SIDES}], lambda s, _: run(s))[0]
+    return {s: {"correct": all(r["correct"] for r in runs[s]),
+                **{k: statistics.median(r[k] for r in runs[s]) for k in TRACED}, "runs": runs[s]}
+            for s in SIDES}
+
+
 def signatures(checkout: Path, workload: str, seed: int) -> list:
     """One untimed pass of ``workload`` from ``checkout``: a signature per job."""
     sys.path[:0] = [str(checkout / "src"), str(checkout / "perfbench")]
@@ -305,12 +331,12 @@ def main(argv=None) -> int:
 
     workloads = [w["name"] for w in spec["workloads"]]
     timed = timed_sections(copies, SEEDS, args.work)
-    traced = {}
-    for workload in workloads:
-        traced[workload] = {}
-        for s in ("change", "parent"):
-            result, _ = bench_pairs.run_once(copies[s], workload, SEEDS[0], spec["run_seconds"], trace=1)
-            traced[workload][s] = {"correct": result["correct"], **{k: result["metrics"][k]["value"] for k in TRACED}}
+    def traced_run(workload: str, s: str) -> dict:
+        result, _ = bench_pairs.run_once(copies[s], workload, SEEDS[0], spec["run_seconds"], trace=1)
+        print("traced", workload, s, result["metrics"]["bnb.s"]["value"], flush=True)
+        return {"correct": result["correct"], **{k: result["metrics"][k]["value"] for k in TRACED}}
+
+    traced = {workload: traced_sides(lambda s, w=workload: traced_run(w, s)) for workload in workloads}
     identical = identical_section(copies, workloads, SEEDS)
 
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
@@ -327,15 +353,19 @@ def main(argv=None) -> int:
         "how": f"{command}, in-process, tree seed {SEEDS[0]}: every BoundedSimplex.solve call timed, each job "
                f"run {REPS} times per side with the sides interleaved, the fastest of a call's runs kept; each "
                f"side's solves, pivots, long-step flips and seconds, and its median raw host microseconds by "
-               f"final status and pivots (2+ stands for 2 or more).",
+               f"final status and pivots (2+ stands for 2 or more); each row also splits a side's solves into "
+               f"those that flipped a column in a long step (flipped_solves, flipped_us) and the rest "
+               f"(unflipped_us).",
         **timed["solves"],
     }
     for workload in workloads:
         doc[f"traced_{workload}_seed_{SEEDS[0]}"] = {
             "how": f"{command}: python3 perfbench/run.py --workload {workload} --seed {SEEDS[0]} --seconds "
-                   f"{spec['run_seconds']:g} --trace 1, one run from each copy, change then parent. Seconds are "
-                   f"reference seconds; simplex.us_per_iter is raw host time. The tracer wraps each solve, so "
-                   f"its fixed cost per call narrows the traced ratio.",
+                   f"{spec['run_seconds']:g} --trace 1, {REPS} runs from each copy, alternating which goes "
+                   f"first (parent, change, change, parent, parent, change); each metric is the median of a "
+                   f"side's runs, which are kept under runs. Seconds are reference seconds; "
+                   f"simplex.us_per_iter is raw host time. The tracer wraps each solve, so its fixed cost per "
+                   f"call narrows the traced ratio.",
             **traced[workload],
         }
     doc["identical_results"] = {
