@@ -84,9 +84,9 @@ def chain_instance(n: int, name: Optional[str] = None, off_lattice: bool = False
     The LP bound is -(n-0.5), which rounds up to the incumbent -(n-1) on the
     objective's step of 1, so the search settles the chain at the root or
     its first children.  ``off_lattice`` gives x0 the cost -1.5, so the
-    objective has no step: the LP bound stays above the incumbent along an
-    n-deep chain, and plain search walks 2n+1 nodes while one Gomory round
-    proves sum(x) <= n-1 at the root.
+    objective has no step: the LP bound stays half a unit below the
+    incumbent along an n-deep chain, and plain search walks 2n+1 nodes while
+    one Gomory round proves sum(x) <= n-1 at the root.
     """
     return binary_instance(
         name or f"chain{n:03d}",

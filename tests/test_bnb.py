@@ -204,14 +204,14 @@ def test_gap_formula():
 
 
 def test_rel_gap_early_stop():
-    inst = chain_instance(12)
+    inst = chain_instance(12, off_lattice=True)
     exact = branch_and_bound(inst, ReferenceSolverOptions())
     loose = branch_and_bound(inst, ReferenceSolverOptions(rel_gap=0.10))
     assert exact.status is loose.status is SolveStatus.OPTIMAL
     assert loose.gap <= 0.10 + 1e-12
     assert loose.nodes <= exact.nodes
-    # the true optimum is n-1 = 11; the loose run may stop with the weaker bound
-    assert exact.incumbent.objective == pytest.approx(-11.0, abs=1e-9)
+    # the true optimum is -1.5 - (n-2) = -11.5; the loose run may stop with the weaker bound
+    assert exact.incumbent.objective == pytest.approx(-11.5, abs=1e-9)
 
 
 def test_chain_instance_gomory_collapses_tree():

@@ -331,6 +331,7 @@ def main(argv=None) -> int:
 
     workloads = [w["name"] for w in spec["workloads"]]
     timed = timed_sections(copies, SEEDS, args.work)
+
     def traced_run(workload: str, s: str) -> dict:
         result, _ = bench_pairs.run_once(copies[s], workload, SEEDS[0], spec["run_seconds"], trace=1)
         print("traced", workload, s, result["metrics"]["bnb.s"]["value"], flush=True)
