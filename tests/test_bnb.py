@@ -516,9 +516,9 @@ def test_a_column_that_presolve_fixes_keeps_its_cost_in_the_step():
     # its cost 6 still counts, and the optimum 4*0 + 6*5 is found and proven
     inst = _costed([4.0, 6.0], [_INT, _INT], rows=[make_row("fix", [(1, 1.0)], Relation.GE, 5.0)])
     opts = ReferenceSolverOptions(presolve_bound_tighten=True)
-    fixed = presolve(inst, opts).instance.variables[1]
-    assert fixed.lower == fixed.upper == 5.0
-    assert bnb.objective_step(to_standard_form(presolve(inst, opts).instance)) == 2.0
+    reduced = presolve(inst, opts).instance
+    assert reduced.variables[1].lower == reduced.variables[1].upper == 5.0
+    assert bnb.objective_step(to_standard_form(reduced)) == 2.0
     out = branch_and_bound(inst, opts)
     assert out.status is SolveStatus.OPTIMAL and out.incumbent.objective == out.best_bound == 30.0
 
