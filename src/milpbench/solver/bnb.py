@@ -5,15 +5,17 @@ branching follow the configured strategies with fixed index-based tie
 breaking.  The clock is consulted only for termination, so two runs with
 identical inputs traverse identical trees.
 
-Objective integrality, a structural rule with no option: when every
-continuous column costs 0 and every integer column's cost is an integer below
-2^53, every feasible objective (before the constant) is a multiple of the gcd
-of those costs, the objective's step.  Every bound the search compares or
-reports is then rounded up to the next multiple (``_Search.rounded``), so a
-node whose LP bound cannot beat the incumbent on that lattice is pruned, and
-an OPTIMAL solve at gap 0 reports its objective as its bound (Achterberg,
-*Constraint Integer Programming*, 2007).  Cuts add rows, not columns, so the
-step holds for the whole search.
+Objective integrality, a structural rule with no option: when every column
+is bounded, every continuous column costs 0 and every integer column's cost
+is an integer below 2^53, every feasible objective (before the constant) is
+a multiple of the gcd of those costs, the objective's step.  Every bound the
+search compares or reports is then rounded up to the next multiple, less the
+LP's possible over-read (``step_tolerance``) and never below itself
+(``_Search.rounded``), so a node whose LP bound cannot beat the incumbent on
+that lattice is pruned, and an OPTIMAL solve at gap 0 reports its objective
+as its bound (Achterberg, *Constraint Integer Programming*, 2007).  Cuts add
+rows, not columns, so the step holds for the whole search; their row columns
+widen the tolerance.
 """
 
 from __future__ import annotations
@@ -31,7 +33,8 @@ from ..instance import Instance
 from .cuts import cover_cuts, gomory_cuts
 from .options import BranchRule, NodeStrategy, ReferenceSolverOptions
 from .presolve import presolve
-from .simplex import _INT_TOL, _STEP_TOL, BASIC, BoundedSimplex, LpResult, LpStatus, SimplexBreakdown, WarmStart
+from .simplex import (_INT_TOL, _OPT_TOL, _STEP_TOL, BASIC, BoundedSimplex, LpResult, LpStatus,
+                      SimplexBreakdown, WarmStart)
 from .standard_form import StandardForm, to_standard_form
 
 _COVER_ROUNDS = 5
@@ -76,14 +79,27 @@ def compute_gap(incumbent_obj: Optional[float], best_bound: float) -> float:
 def objective_step(form: StandardForm) -> Optional[float]:
     """The gcd of the integer columns' costs when every continuous column
     costs 0 and each of those costs is an integer below 2^53, so that every
-    feasible ``c @ x`` is a multiple of it; None otherwise, and for an
-    all-zero objective."""
+    feasible ``c @ x`` is a multiple of it; None otherwise, for an all-zero
+    objective, and when a column is unbounded: no tolerance then covers how
+    far an LP bound may read high (``step_tolerance``)."""
     c, is_int = form.c, form.is_int
     cost = np.abs(c[is_int])
     if (np.count_nonzero(c[~is_int]) or not np.count_nonzero(cost)
-            or np.count_nonzero(cost != np.floor(cost)) or cost.max() >= 2.0 ** 53):
+            or np.count_nonzero(cost != np.floor(cost)) or cost.max() >= 2.0 ** 53
+            or not np.all(np.isfinite(form.ub - form.lb))):
         return None
     return float(np.gcd.reduce(cost.astype(np.int64)))
+
+
+def step_tolerance(form: StandardForm, step: float) -> float:
+    """How far, in steps, an OPTIMAL LP bound over ``form`` may read above
+    its true minimum: ``_STEP_TOL`` plus ``_OPT_TOL`` times the most that all
+    columns could move, in objective units per step.  A structural column
+    moves at most its range, a row column at most its row's range or its
+    activity's over the column box (see ``_STEP_TOL`` in simplex.py)."""
+    span = form.ub - form.lb
+    row_span = np.minimum(form.rup - form.rlo, np.abs(form.A) @ span)
+    return _STEP_TOL + _OPT_TOL * float(span.sum() + row_span.sum()) / step
 
 
 @dataclass
@@ -113,6 +129,7 @@ class _Search:
         self.splx = BoundedSimplex(form)
         self.int_idx = np.flatnonzero(form.is_int)
         self.step = objective_step(form)
+        self.step_tol = step_tolerance(form, self.step) if self.step else 0.0
         self.clock = clock
         self.deadline = deadline
         self.ticks = 0
@@ -152,6 +169,8 @@ class _Search:
             rup=np.concatenate([f.rup, np.full(len(cuts), np.inf)]),
         )
         self.splx = BoundedSimplex(self.form)
+        if self.step:  # the cuts' row columns can move too
+            self.step_tol = step_tolerance(self.form, self.step)
         return np.concatenate([basis, new_rows]), np.concatenate([status, np.full(len(cuts), BASIC, np.int8)])
 
     def rows_ok(self, x: np.ndarray, tol: float = _INT_TOL) -> bool:
@@ -222,13 +241,15 @@ class _Search:
             self.x_inc = snapped
 
     def rounded(self, bound: float) -> float:
-        """``bound`` raised to the next multiple of the objective's step, up to
-        ``_STEP_TOL`` of a step; ``bound`` itself when there is no step."""
+        """``bound`` raised to the next multiple of the objective's step, once
+        ``step_tol`` steps and the rounding of ``bound`` itself (1e-12 of it)
+        are taken off; never below ``bound``, which is returned as it is when
+        there is no step."""
         step = self.step
         if step is None or not math.isfinite(bound):
             return bound
         k = bound / step
-        return step * math.ceil(k - _STEP_TOL * max(1.0, abs(k)))
+        return max(bound, step * math.ceil(k - self.step_tol - 1e-12 * abs(k)))
 
     def prunes(self, bound: float) -> bool:
         """No point under ``bound`` can beat the incumbent by more than the

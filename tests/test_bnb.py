@@ -493,8 +493,10 @@ _INT, _CONT = VarKind.INTEGER, VarKind.CONTINUOUS
 
 
 def _costed(costs, kinds, sense=Sense.MINIMIZE, rows=()):
-    """Columns in [0, 5] of the given kinds and costs."""
-    variables = tuple(Variable(f"x{j}", 0.0, 5.0, kind) for j, kind in enumerate(kinds))
+    """Columns in [0, 5] of the given kinds and costs; a kind of None is a
+    continuous column in [0, inf)."""
+    variables = tuple(Variable(f"x{j}", 0.0, math.inf, _CONT) if kind is None else Variable(f"x{j}", 0.0, 5.0, kind)
+                      for j, kind in enumerate(kinds))
     return Instance("costed", sense, variables, tuple(rows), tuple(enumerate(costs)))
 
 
@@ -506,6 +508,7 @@ def _costed(costs, kinds, sense=Sense.MINIMIZE, rows=()):
     ([0.0, 0.0], [_INT, _CONT], Sense.MINIMIZE, None),  # an all-zero objective
     ([3.0, 6.0], [_INT, _INT], Sense.MAXIMIZE, 3.0),
     ([2.0 ** 53, 2.0], [_INT, _INT], Sense.MINIMIZE, None),
+    ([4.0, 6.0, 0.0], [_INT, _INT, None], Sense.MINIMIZE, None),  # an unbounded continuous column
 ])
 def test_objective_step_is_the_gcd_of_the_integer_costs(costs, kinds, sense, step):
     assert bnb.objective_step(to_standard_form(_costed(costs, kinds, sense))) == step
@@ -524,17 +527,49 @@ def test_a_column_that_presolve_fixes_keeps_its_cost_in_the_step():
 
 
 def test_rounded_bounds_stay_on_their_integral_value():
-    # a bound read a little above k·step stays k·step; a bound between two
-    # multiples goes up to the next one; no step leaves a bound as it is
+    # a bound read a little above k·step stays as it was read, never lifted to
+    # the next multiple; a bound between two multiples goes up to the next one;
+    # no step leaves a bound as it is
     search = bnb._Search(to_standard_form(_costed([2.0, 4.0], [_INT, _INT])), ReferenceSolverOptions())
     assert search.step == 2.0
-    got = [search.rounded(b) for b in (6.0, 6.0 + 1e-9, 6.0 * (1 + 1e-12), 6.0 + 1e-6, 5.0, 6.0 + 0.01,
-                                       -9.0, -10.0 + 1e-7, 2e6 + 1e-3, math.inf, -math.inf)]
-    assert got == [6.0, 6.0, 6.0, 6.0, 6.0, 8.0, -8.0, -10.0, 2e6, math.inf, -math.inf]
+    bounds = (6.0, 6.0 + 1e-9, 6.0 * (1 + 1e-12), 6.0 + 1e-6, 5.0, 6.0 + 0.01,
+              -9.0, -10.0 + 1e-7, 2e6 - 1e-3, 2e6 + 1e-3, math.inf, -math.inf)
+    got = [search.rounded(b) for b in bounds]
+    assert got == [6.0, 6.0 + 1e-9, 6.0 * (1 + 1e-12), 6.0 + 1e-6, 6.0, 8.0,
+                   -8.0, -10.0 + 1e-7, 2e6, 2e6 + 2.0, math.inf, -math.inf]
     search.incumbent_obj = 8.0
     assert not search.prunes(6.0 + 1e-9) and search.prunes(6.5)
     no_step = bnb._Search(to_standard_form(_costed([2.0, 0.5], [_INT, _INT])), ReferenceSolverOptions())
     assert no_step.step is None and no_step.rounded(5.25) == 5.25
+
+
+@pytest.mark.parametrize("inc", [3e6, -3e6, 3e7, -3e7])
+def test_large_bounds_round_up_and_prune_at_the_incumbent(inc):
+    # far from 0, rounding takes off only the float noise of the bound: a
+    # bound at or above the incumbent, or a fraction of a step under it,
+    # prunes; one a whole step under it does not
+    search = bnb._Search(to_standard_form(_costed([1.0, 1.0], [_INT, _INT])), ReferenceSolverOptions())
+    search.incumbent_obj = inc
+    for b in (inc - 1.5, inc - 1.0, inc - 0.5, inc - 1e-3, inc, inc + 0.5, inc + 1.0):
+        assert search.rounded(b) >= b
+        assert search.prunes(b) is (b > inc - 1.0), b
+    assert search.rounded(inc - 0.5) == inc
+
+
+def test_the_step_tolerance_grows_with_how_far_the_columns_can_move():
+    # _OPT_TOL of every column's range, and of each row column's reach over
+    # the box, per step: ranges 5 + 5 and a row reaching 2*5 + 3*5, at step 2
+    inst = _costed([2.0, 4.0], [_INT, _INT], rows=[make_row("r", [(0, 2.0), (1, -3.0)], Relation.LE, 4.0)])
+    search = bnb._Search(to_standard_form(inst), ReferenceSolverOptions())
+    assert search.step_tol == pytest.approx(bnb._STEP_TOL + bnb._OPT_TOL * (10.0 + 25.0) / 2.0)
+    # integer columns in [0, 1e7] reach 2e7 over their ranges alone, so the
+    # tolerance spans 0.01 of a step: a bound 0.005 above a multiple is left
+    # as read, one 0.5 above it is raised to the next multiple
+    wide = Instance("wide", Sense.MINIMIZE, (Variable("x", 0.0, 1e7, _INT), Variable("y", 0.0, 1e7, _INT)), (),
+                    ((0, 1.0), (1, 1.0)))
+    search = bnb._Search(to_standard_form(wide), ReferenceSolverOptions())
+    assert search.step_tol == pytest.approx(bnb._STEP_TOL + 0.02)
+    assert search.rounded(7.005) == 7.005 and search.rounded(7.5) == 8.0
 
 
 def test_an_lp_bound_on_an_integer_up_to_float_noise_is_not_rounded_past_it():
@@ -547,7 +582,7 @@ def test_an_lp_bound_on_an_integer_up_to_float_noise_is_not_rounded_past_it():
     ])
     assert solve_lp(inst).objective > 3.0
     stopped = branch_and_bound(inst, ReferenceSolverOptions(time_limit_s=1), clock=counting_clock())
-    assert stopped.status is SolveStatus.TIME_LIMIT and stopped.best_bound == 3.0
+    assert stopped.status is SolveStatus.TIME_LIMIT and stopped.best_bound == pytest.approx(3.0, abs=1e-12)
     out = branch_and_bound(inst, ReferenceSolverOptions())
     assert out.status is SolveStatus.OPTIMAL and out.incumbent.objective == out.best_bound == 4.0
 
