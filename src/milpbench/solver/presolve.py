@@ -1,30 +1,34 @@
 """Presolve reductions: iterated single-row bound tightening and coefficient
 reduction on rows with binary support.
 
-The first bound pass visits every row; a later one visits only the rows that
-can change: those coefficient reduction rewrote and those holding a column
-whose bound moved after the row's last visit began.  Coefficient reduction
-reruns on the same rows.  Any other row would read the bounds its last visit
-read, so the result, ``passes`` included, is the one a sweep over every row
-gives.  A visit costs O(row_nnz): per row it keeps the finite part of the
-minimum and the maximum activity and a count of the infinite contributions
-to each, so the activity of a coefficient's other terms is the row total
-less its own term (Achterberg, Bixby, Gu, Rothberg and Weninger, "Presolve
-reductions in MIP", INFORMS J. Comput. 32, 2020).  A visit skips its
-per-coefficient loop when every term is finite and the largest
-|a_j|(u_j - l_j) fits inside both activity slacks by a margin far above
-rounding, so that no bound can move (SCIP's "maxactdelta" test); a row
-holding an integer column with a fractional bound, which the loop rounds, is
-not skipped.  Coefficients are visited by index, and a bound that moves
-updates its row's sums at once: later coefficients of the same row and later
-rows see it in the same pass.  A row with a finite term above ``_HUGE`` in
-magnitude sums the other terms afresh for each coefficient, O(row_nnz^2),
-because taking a huge term back out of a total loses the digits of the small
-ones.
+The bound pass is ``propagate``: one sweep in row order over the marked
+rows.  A column whose bound moves marks the rows that hold it, so a later one
+is visited in the same sweep and an earlier one, the visited row included, in
+the next.  A row is ``(terms, rlo, rup)``: the nonzero ``(column,
+coefficient)`` terms in index order and the activity interval, which a
+standard form's ``np.flatnonzero(A[i])``, ``rlo[i]`` and ``rup[i]`` also give.
+Presolve builds them once and rebuilds a row that coefficient reduction
+rewrites.  Its first sweep visits every row, a later one the rewritten rows
+and those a moved column marked, and coefficient reduction reruns on the same
+rows.  Any other row would read the bounds its last visit read, so the
+result, ``passes`` included, is the one a sweep over every row gives.
 
-Both passes preserve the variable space, so the back map is an identity on
-variable names; redundant rows may be dropped.  Disabled passes leave the
-instance structurally untouched.
+A visit costs O(row_nnz): per row it keeps the finite part of the minimum
+and the maximum activity and a count of the infinite contributions to each,
+so the activity of a coefficient's other terms is the row total less its own
+term (Achterberg, Bixby, Gu, Rothberg and Weninger, "Presolve reductions in
+MIP", INFORMS J. Comput. 32, 2020).  A visit skips its per-coefficient loop
+when every term is finite and the largest |a_j|(u_j - l_j) fits inside both
+activity slacks by a margin far above rounding, so that no bound can move
+(SCIP's "maxactdelta" test); a row holding an integer column with a
+fractional bound, which the loop rounds, is not skipped.  Coefficients are
+visited by index, and a moved bound updates its row's sums at once.  A row
+with a finite term above ``_HUGE`` in magnitude sums the other terms afresh
+for each coefficient, O(row_nnz^2), because taking a huge term back out of a
+total loses the digits of the small ones.
+
+Both passes keep the variables; redundant rows may be dropped.  Disabled
+passes leave the instance structurally untouched.
 """
 
 from __future__ import annotations
@@ -45,14 +49,9 @@ _HUGE = 1e6  # a row term this large is never taken back out of a row total
 
 @dataclass(frozen=True)
 class BackMap:
-    """Maps a reduced-space solution to the full space (identity here:
-    reductions never remove variables)."""
+    """The names of the rows presolve dropped; no reduction removes a variable."""
 
-    var_names: tuple[str, ...]
     dropped_rows: tuple[str, ...]
-
-    def to_full(self, values: dict[str, float]) -> dict[str, float]:
-        return {name: values[name] for name in self.var_names}
 
 
 @dataclass(frozen=True)
@@ -84,22 +83,15 @@ def _split(parts):
 
 def _swap(total, n_inf, old, new):
     """``_split`` of a row after one term moved from ``old`` to ``new``."""
-    if -INF < old < INF:
-        total -= old
-    else:
-        n_inf -= 1
-    if -INF < new < INF:
-        total += new
-    else:
-        n_inf += 1
-    return total, n_inf
+    total, n_inf = (total - old, n_inf) if -INF < old < INF else (total, n_inf - 1)
+    return (total + new, n_inf) if -INF < new < INF else (total, n_inf + 1)
 
 
 def _tighten_row(row, lb, ub, is_int, rounding) -> tuple[list[int], bool]:
-    """Tighten the bounds of ``row``'s columns from the row, in place; returns
-    the columns whose bound moved and whether some column's bounds crossed.
-    ``rounding`` holds the integer columns whose bounds may be non-integral."""
-    terms = [(j, a) for j, a in row.coefficients if a != 0.0]
+    """Tighten the bounds of ``row``'s columns in place; returns the moved
+    columns and whether some column's bounds crossed.  ``rounding`` holds the
+    integer columns whose bounds may be non-integral."""
+    terms, rlo, rup = row
     if not terms:
         return [], False
     # each term's contribution to the row's min and max activity; an infinite
@@ -113,17 +105,16 @@ def _tighten_row(row, lb, ub, is_int, rounding) -> tuple[list[int], bool]:
             # no term's range |a_j|(u_j - l_j) reaches past a slack of the
             # row, so no limit cuts into a bound; the margin dwarfs the
             # rounding of the loop's sums
-            rlo, rup = row.interval()
             slack = min(rup - lo_sum, hi_sum - rlo) * (1.0 - _EPS)
             if max(max(map(sub, his, los)), 0.0) + _EPS * (abs(lo_sum) + abs(hi_sum) + big) <= slack:
                 return [], False
-    return _tighten_terms(row, terms, los, his, lb, ub, is_int)
+    return _tighten_terms(row, los, his, lb, ub, is_int)
 
 
-def _tighten_terms(row, terms, los, his, lb, ub, is_int) -> tuple[list[int], bool]:
+def _tighten_terms(row, los, his, lb, ub, is_int) -> tuple[list[int], bool]:
     """The per-coefficient loop of ``_tighten_row``; ``los``/``his`` are the
     terms' contributions to the row's min and max activity."""
-    rlo, rup = row.interval()
+    terms, rlo, rup = row
     direct = any(_HUGE < abs(c) < INF for c in los + his)
     lo_sum, lo_inf = _split(los)
     hi_sum, hi_inf = _split(his)
@@ -135,8 +126,7 @@ def _tighten_terms(row, terms, los, his, lb, ub, is_int) -> tuple[list[int], boo
             olo = (lo_sum - clo if lo_inf == 0 else -INF) if -INF < clo < INF else (lo_sum if lo_inf == 1 else -INF)
             ohi = (hi_sum - chi if hi_inf == 0 else INF) if -INF < chi < INF else (hi_sum if hi_inf == 1 else INF)
         # a*x_j <= rup - olo   and   a*x_j >= rlo - ohi
-        lo = new_lo = lb[j]
-        up = new_hi = ub[j]
+        lo, up = new_lo, new_hi = lb[j], ub[j]
         if -INF < rup < INF and olo > -INF:
             limit = (rup - olo) / a
             if a > 0:
@@ -181,7 +171,6 @@ def _reduce_row(row: LinearRow, lb, ub, is_int) -> tuple[LinearRow | None, bool]
     sign = 1.0 if row.relation is Relation.LE else -1.0
     coeffs = {j: sign * a for j, a in row.coefficients}
     rhs = sign * row.rhs
-
     umax = 0.0  # an infinite bound makes it infinite or nan
     for j, a in coeffs.items():
         if a != 0.0:
@@ -190,25 +179,21 @@ def _reduce_row(row: LinearRow, lb, ub, is_int) -> tuple[LinearRow | None, bool]
         return row, False
     if umax <= rhs + _EPS:
         return None, True  # redundant
-
     changed = False
     for j in sorted(coeffs):
         a = coeffs[j]
         if a == 0.0 or not is_int[j] or lb[j] != 0.0 or ub[j] != 1.0:
             continue
-        if a > 0:
-            # constraint binds only through x_j = 1
+        if a > 0:  # the row binds only through x_j = 1
             if umax - a < rhs < umax:
                 new_a = umax - rhs
                 rhs = umax - a
                 umax = umax - a + new_a
                 coeffs[j] = new_a
                 changed = True
-        else:
-            # complemented variable carries weight -a; rhs and umax unchanged
-            if umax < rhs - a and rhs < umax:
-                coeffs[j] = rhs - umax
-                changed = True
+        elif umax < rhs - a and rhs < umax:  # x_j complemented carries weight -a; rhs and umax stay
+            coeffs[j] = rhs - umax
+            changed = True
     if not changed:
         return row, False
     out = tuple(sorted((j, float(sign * a)) for j, a in coeffs.items() if a != 0.0))
@@ -216,57 +201,70 @@ def _reduce_row(row: LinearRow, lb, ub, is_int) -> tuple[LinearRow | None, bool]
 
 
 def _column_rows(rows, n) -> list[list[int]]:
-    """The indices of the rows in which each of the ``n`` columns has a nonzero coefficient."""
+    """The indices of the rows in which each of the ``n`` columns has a term."""
     col_rows: list[list[int]] = [[] for _ in range(n)]
     for i, row in enumerate(rows):
-        for j, a in row.coefficients:
-            if a != 0.0:
-                col_rows[j].append(i)
+        for j, _ in row[0] if row else ():
+            col_rows[j].append(i)
     return col_rows
+
+
+def propagate(rows, lb, ub, is_int, rounding, col_rows, marked, touched) -> tuple[list[int], bool]:
+    """The bound sweep over the rows flagged in ``marked`` (None is a dropped
+    row); returns the moved columns and whether some column's bounds crossed.
+    A visit clears its row's flag; a moved column flags its rows in ``marked``
+    and ``touched``.  An empty ``col_rows`` is filled at the first move."""
+    moved: list[int] = []
+    for i, row in enumerate(rows):
+        if row is None or not marked[i]:
+            continue
+        marked[i] = False
+        cols, infeasible = _tighten_row(row, lb, ub, is_int, rounding)
+        if cols and not col_rows:
+            col_rows += _column_rows(rows, len(lb))
+        for j in cols:
+            for k in col_rows[j]:
+                marked[k] = touched[k] = True
+        moved += cols
+        if infeasible:
+            return moved, True
+    return moved, False
+
+
+def _bound_row(row: LinearRow):
+    """``row`` as ``propagate`` reads it."""
+    return [t for t in row.coefficients if t[1] != 0.0], *row.interval()
 
 
 def presolve(inst: Instance, opts: ReferenceSolverOptions, deadline: float = math.inf,
              clock: Callable[[], float] = time.monotonic) -> PresolveResult:
     """Apply the enabled reductions; identity when both toggles are off.
     No pass starts once ``clock()`` reaches ``deadline``; each leaves a valid reduction."""
-    names = tuple(v.name for v in inst.variables)
     if not (opts.presolve_bound_tighten or opts.presolve_coeff_reduce):
-        return PresolveResult(inst, BackMap(names, ()), False, 0)
+        return PresolveResult(inst, BackMap(()), False, 0)
 
     lb = [float(v.lower) for v in inst.variables]
     ub = [float(v.upper) for v in inst.variables]
     is_int = [v.is_integral for v in inst.variables]
     rows: list[LinearRow | None] = list(inst.rows)  # None once dropped
-    col_rows: list[list[int]] | None = None  # the rows of each column, built at the first moved bound
+    bound_rows = [_bound_row(row) for row in rows]  # the same rows as propagate reads them
+    col_rows: list[list[int]] = []  # the rows of each column, built at the first moved bound
     # rows the next bound pass and the next coefficient reduction must visit
     visit, reduce = [True] * len(rows), [True] * len(rows)
     # integer columns with a fractional bound, which a visit rounds (inf % 1 is nan)
     rounding = {j for j in range(len(lb)) if is_int[j] and (lb[j] % 1 > 0 or ub[j] % 1 > 0)}
-    dropped: list[str] = []
-    passes = 0
+    dropped, passes = [], 0
     infeasible = any(lo > up + _EPS for lo, up in zip(lb, ub))
 
     while not infeasible and passes < _MAX_PASSES:
         if clock() >= deadline:
             break
         passes += 1
-        changed = False
-        if opts.presolve_bound_tighten:
-            for i, row in enumerate(rows):
-                if row is None or not visit[i]:
-                    continue
-                visit[i] = False
-                moved, infeasible = _tighten_row(row, lb, ub, is_int, rounding)
-                if moved and col_rows is None:
-                    col_rows = _column_rows(inst.rows, len(lb))
-                for j in moved:
-                    for k in col_rows[j]:
-                        visit[k] = reduce[k] = True
-                changed = changed or bool(moved)
-                if infeasible:
-                    break
-            if infeasible:
-                break
+        moved, infeasible = (propagate(bound_rows, lb, ub, is_int, rounding, col_rows, visit, reduce)
+                             if opts.presolve_bound_tighten else ([], False))
+        if infeasible:
+            break
+        changed = bool(moved)
         if opts.presolve_coeff_reduce:
             for i, row in enumerate(rows):
                 if row is None or not reduce[i]:
@@ -275,8 +273,10 @@ def presolve(inst: Instance, opts: ReferenceSolverOptions, deadline: float = mat
                 reduced, row_changed = _reduce_row(row, lb, ub, is_int)
                 if reduced is None:
                     dropped.append(row.name)
+                    bound_rows[i] = None
                 elif row_changed:
                     visit[i] = reduce[i] = True
+                    bound_rows[i] = _bound_row(reduced)
                 changed = changed or row_changed
                 rows[i] = reduced
         if not changed:
@@ -284,4 +284,4 @@ def presolve(inst: Instance, opts: ReferenceSolverOptions, deadline: float = mat
 
     variables = tuple(Variable(v.name, float(lb[j]), float(ub[j]), v.kind) for j, v in enumerate(inst.variables))
     reduced = replace(inst, variables=variables, rows=tuple(row for row in rows if row is not None))
-    return PresolveResult(reduced, BackMap(names, tuple(dropped)), infeasible, passes)
+    return PresolveResult(reduced, BackMap(tuple(dropped)), infeasible, passes)

@@ -7,8 +7,11 @@ enumerated points.
 
 from __future__ import annotations
 
+import importlib
 import itertools
 import math
+import sys
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -17,12 +20,18 @@ from milpbench.instance import Instance, Relation, Sense, Variable, VarKind, mak
 from milpbench.mps import write_mps
 
 INF = math.inf
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def perfbench_instances(monkeypatch):
+    """The benchmark's instance generators (``perfbench/instances.py``); nothing is written there."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    return importlib.import_module("instances")
 
 
 def write_instance(directory, inst: Instance) -> str:
     """Serialize an instance to <dir>/<name>.mps and return the path."""
-    from pathlib import Path
-
     path = Path(directory) / f"{inst.name}.mps"
     path.write_text(write_mps(inst))
     return str(path)

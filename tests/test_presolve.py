@@ -7,8 +7,9 @@ import pytest
 
 from milpbench.instance import INF, Instance, LinearRow, Relation, Sense, Variable, VarKind, make_row
 from milpbench.solver import ReferenceSolverOptions, SolveStatus, bnb, branch_and_bound, presolve
+from milpbench.solver.standard_form import to_standard_form
 
-from _helpers import binary_instance, counting_clock
+from _helpers import binary_instance, counting_clock, perfbench_instances
 
 presolve_module = importlib.import_module("milpbench.solver.presolve")
 
@@ -46,11 +47,6 @@ def test_disabled_passes_are_identity():
     res = presolve(inst, OFF)
     assert res.instance == inst
     assert res.passes == 0
-    assert res.back_map.to_full({"x0": 1.0, "x1": 0.0, "x2": 1.0}) == {
-        "x0": 1.0,
-        "x1": 0.0,
-        "x2": 1.0,
-    }
 
 
 def test_crossed_tightened_bounds_proven_infeasible():
@@ -150,15 +146,14 @@ def _reference_activity(coeffs, lb, ub):
 
 
 def _reference_tighten(rows, lb, ub, is_int):
-    """The O(sum of row_nnz^2) pass: the other terms' activity is summed afresh
-    for every coefficient."""
+    """The O(sum of row_nnz^2) pass over ``(terms, rlo, rup)`` rows: the other
+    terms' activity is summed afresh for every coefficient."""
     changed = False
-    for row in rows:
-        rlo, rup = row.interval()
-        for j, a in row.coefficients:
+    for terms, rlo, rup in rows:
+        for j, a in terms:
             if a == 0.0:
                 continue
-            olo, ohi = _reference_activity([(k, v) for k, v in row.coefficients if k != j], lb, ub)
+            olo, ohi = _reference_activity([(k, v) for k, v in terms if k != j], lb, ub)
             new_lo, new_hi = lb[j], ub[j]
             if math.isfinite(rup) and olo > -INF:
                 limit = (rup - olo) / a
@@ -191,9 +186,9 @@ def _reference_tighten(rows, lb, ub, is_int):
 def _reference_row(row, lb, ub, is_int, rounding):
     """``_reference_tighten`` on one row, in the seam of ``presolve._tighten_row``:
     returns the columns whose bound moved and the infeasible flag."""
-    before = [(lb[j], ub[j]) for j, _ in row.coefficients]
+    before = [(lb[j], ub[j]) for j, _ in row[0]]
     _, infeasible = _reference_tighten([row], lb, ub, is_int)
-    return [j for (j, _), b in zip(row.coefficients, before) if b != (lb[j], ub[j])], infeasible
+    return [j for (j, _), b in zip(row[0], before) if b != (lb[j], ub[j])], infeasible
 
 
 def _reference_presolve(inst, opts, monkeypatch):
@@ -304,7 +299,7 @@ class _CountingList(list):
 def test_bound_pass_cost_is_linear_in_row_length():
     # one dense row, every bound moves: 2x_0 + ... + 2x_{n-1} <= n with x_j in [0, 1000]
     n = 400
-    row = make_row("cap", [(j, 2.0) for j in range(n)], Relation.LE, float(n))
+    row = ([(j, 2.0) for j in range(n)], -INF, float(n))
     lb, ub, is_int = _CountingList([0.0] * n), _CountingList([1000.0] * n), [True] * n
     assert presolve_module._tighten_row(row, lb, ub, is_int, set()) == (list(range(n)), False)
     assert ub == [float(n // 2)] * n
@@ -502,8 +497,7 @@ def _oracle_presolve(inst, opts):
             break
     variables = tuple(Variable(v.name, float(lb[j]), float(ub[j]), v.kind) for j, v in enumerate(inst.variables))
     reduced = replace(inst, variables=variables, rows=tuple(rows))
-    names = tuple(v.name for v in inst.variables)
-    return presolve_module.PresolveResult(reduced, presolve_module.BackMap(names, tuple(dropped)), infeasible, passes)
+    return presolve_module.PresolveResult(reduced, presolve_module.BackMap(tuple(dropped)), infeasible, passes)
 
 
 @pytest.mark.parametrize("opts", [TIGHTEN, BOTH_ON], ids=["tighten", "both"])
@@ -581,6 +575,33 @@ def test_edge_models_match_the_full_sweep_oracle(model, opts):
     assert presolve(inst, opts) == _oracle_presolve(inst, opts)
 
 
+def _benchmark_models(gen):
+    """The benchmark's model shapes at its sizes: ``root``'s interval covers,
+    chains, equal-weight knapsacks and facility locations, and ``protocol``'s
+    tiny mixed models."""
+    rng = np.random.default_rng(2026)
+    kinds = (VarKind.BINARY, VarKind.INTEGER, VarKind.CONTINUOUS)
+    models = [gen.interval_cover(rng, f"cover{k}", 120, 360) for k in range(3)]
+    models += [gen.chain(f"chain{n}", n)[0] for n in (5, 300)]
+    models += [gen.equal_weight_knapsack(rng, f"knap{n}", n)[0] for n in (20, 100, 200)]
+    models += [gen.facility_location(rng, f"facility{k}", 6, 15) for k in range(3)]
+    for k in range(200):
+        mixed = tuple(kinds[i] for i in rng.choice(3, size=int(rng.integers(2, 9)), p=(0.4, 0.3, 0.3)))
+        models.append(gen.tiny_mixed(rng, f"mix{k:03d}", mixed, int(rng.integers(1, 5))))
+    return models
+
+
+@pytest.mark.parametrize("opts", [TIGHTEN, BOTH_ON], ids=["tighten", "both"])
+def test_benchmark_models_match_the_full_sweep_oracle(opts, monkeypatch):
+    outcomes = set()
+    for inst in _benchmark_models(perfbench_instances(monkeypatch)):
+        want = _oracle_presolve(inst, opts)
+        assert presolve(inst, opts) == want
+        outcomes.add((want.proven_infeasible, want.instance != inst, bool(want.back_map.dropped_rows)))
+    assert outcomes >= {(True, True, False), (False, True, False), (False, False, False)}
+    assert opts is TIGHTEN or (False, True, True) in outcomes
+
+
 def test_edge_model_outcomes():
     both = {name: presolve(inst, BOTH_ON) for name, inst in _EDGE_MODELS.items()}
     frac = both["fractional-integer-bounds"].instance.variables[0]
@@ -594,13 +615,64 @@ def test_edge_model_outcomes():
     assert crossed.proven_infeasible and crossed.passes == 2
 
 
+# ---- propagate over the rows of a standard form -----------------------------
+
+
+def _form_sweeps(inst):
+    """Sweep the rows of ``to_standard_form(inst)`` with ``propagate`` until no
+    row is marked, within presolve's 50 passes; (lb, ub, infeasible, passes)."""
+    form = to_standard_form(inst)
+    rows = []
+    for i in range(form.m):
+        a = form.A[i].tolist()
+        terms = [(j, a[j]) for j in np.flatnonzero(form.A[i]).tolist()]
+        rows.append((terms, float(form.rlo[i]), float(form.rup[i])))
+    lb, ub, is_int = form.lb.tolist(), form.ub.tolist(), form.is_int.tolist()
+    col_rows, marked, passes, infeasible = [], [True] * form.m, 0, False
+    while any(marked) and passes < 50 and not infeasible:
+        passes += 1
+        _, infeasible = presolve_module.propagate(rows, lb, ub, is_int, set(), col_rows, marked, [False] * form.m)
+    return lb, ub, infeasible, passes
+
+
+def _integral_integer_bounds(inst):
+    return not any(v.is_integral and (v.lower % 1 > 0 or v.upper % 1 > 0) for v in inst.variables)
+
+
+def test_propagate_over_standard_form_rows_is_presolves_bound_pass():
+    # the same rows built from the dense form: bounds to the bit, the
+    # infeasible flag and the pass count equal presolve's own
+    rng = np.random.default_rng(2026)
+    models = [make(rng) for make in (_random_integer_instance, _random_float_instance) for _ in range(600)]
+    models += [inst for inst in _EDGE_MODELS.values() if _integral_integer_bounds(inst)]
+    verdicts = set()
+    for inst in models:
+        lb, ub, infeasible, passes = _form_sweeps(inst)
+        res = presolve(inst, TIGHTEN)
+        assert [float.hex(v.lower) for v in res.instance.variables] == [float.hex(x) for x in lb]
+        assert [float.hex(v.upper) for v in res.instance.variables] == [float.hex(x) for x in ub]
+        assert (res.proven_infeasible, res.passes) == (infeasible, passes)
+        verdicts.add((infeasible, passes > 2))
+    assert len(models) == 1205
+    assert verdicts == {(True, False), (True, True), (False, False), (False, True)}
+
+
 def _spy_visits(monkeypatch):
-    """Record the rows each bound pass visits and the rows whose
-    per-coefficient loop runs; the clock marks the start of each pass."""
-    passes, loops = [], []
-    row_visit, row_loop = presolve_module._tighten_row, presolve_module._tighten_terms
-    monkeypatch.setattr(presolve_module, "_tighten_row", lambda row, *a: passes[-1].append(row.name) or row_visit(row, *a))
-    monkeypatch.setattr(presolve_module, "_tighten_terms", lambda row, *a: loops.append(row.name) or row_loop(row, *a))
+    """Record the indices of the rows each bound pass visits and of the rows
+    whose per-coefficient loop runs; the clock marks the start of each pass.
+    A row is found by identity in the rows ``propagate`` last swept."""
+    passes, loops, swept = [], [], []
+    sweep, row_visit, row_loop = (presolve_module.propagate, presolve_module._tighten_row,
+                                   presolve_module._tighten_terms)
+
+    def index(row):
+        return next(i for i, r in enumerate(swept[-1]) if r is row)
+
+    monkeypatch.setattr(presolve_module, "propagate", lambda rows, *a: swept.append(rows) or sweep(rows, *a))
+    monkeypatch.setattr(presolve_module, "_tighten_row",
+                        lambda row, *a: passes[-1].append(index(row)) or row_visit(row, *a))
+    monkeypatch.setattr(presolve_module, "_tighten_terms",
+                        lambda row, *a: loops.append(index(row)) or row_loop(row, *a))
     return passes, loops, lambda: passes.append([]) or 0.0
 
 
@@ -619,8 +691,8 @@ def test_rows_with_room_skip_their_loop_when_no_bound_moves(monkeypatch):
     )
     res = presolve(inst, TIGHTEN, math.inf, clock)
     assert res.instance == inst and res.passes == 1
-    assert passes == [["cap", "cover", "one", "wide"]]
-    assert loops == ["one"]
+    assert passes == [[0, 1, 2, 3]]  # cap, cover, one, wide
+    assert loops == [2]  # one
 
 
 def test_second_pass_visits_only_the_rows_of_the_moved_column(monkeypatch):
@@ -637,14 +709,18 @@ def test_second_pass_visits_only_the_rows_of_the_moved_column(monkeypatch):
     )
     res = presolve(inst, TIGHTEN, math.inf, clock)
     assert [v.upper for v in res.instance.variables] == [2.0, 10.0, 10.0]
-    assert passes == [["a", "b", "c", "cap"], ["a", "c", "cap"]]
-    assert loops == ["cap"]  # in pass 2, 2x0 <= 5 has room for x0 in [0, 2]
+    assert passes == [[0, 1, 2, 3], [0, 2, 3]]  # a, b, c, cap; then a, c, cap
+    assert loops == [3]  # cap; in pass 2, 2x0 <= 5 has room for x0 in [0, 2]
 
 
 def test_a_pass_revisits_a_rewritten_row_and_stops_at_a_crossing(monkeypatch):
     passes, _, clock = _spy_visits(monkeypatch)
+    seen, visit = [], presolve_module._tighten_row
+    monkeypatch.setattr(presolve_module, "_tighten_row", lambda row, *a: seen.append(row) or visit(row, *a))
     presolve(_EDGE_MODELS["rewritten-row"], BOTH_ON, math.inf, clock)
-    assert passes == [["r"], ["r"]]
+    assert passes == [[0], [0]]  # r
+    # the second visit reads the row as coefficient reduction rewrote it
+    assert seen == [([(0, 4.0), (1, 4.0), (2, 1.0)], -INF, 6.0), ([(0, 3.0), (1, 3.0), (2, 1.0)], -INF, 4.0)]
     passes.clear()
     presolve(_EDGE_MODELS["infeasible-mid-pass"], TIGHTEN, math.inf, clock)
-    assert passes == [["a", "b", "c", "d", "e"], ["a", "b"]]
+    assert passes == [[0, 1, 2, 3, 4], [0, 1]]  # a, b, c, d, e; then a, b

@@ -1,9 +1,6 @@
 import collections
-import importlib
 import math
-import sys
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,7 +26,7 @@ from milpbench.solver.simplex import (
 )
 from milpbench.solver.standard_form import StandardForm, to_standard_form
 
-from _helpers import market_split_instance, random_lp_instance, random_mixed_instance
+from _helpers import market_split_instance, perfbench_instances, random_lp_instance, random_mixed_instance
 
 
 def test_single_variable_bound_optimum():
@@ -1275,19 +1272,9 @@ def test_branch_and_bound_matches_the_wrapped_oracle(monkeypatch):
 # range, the dual ratio test passes the breakpoints of boxed columns and flips
 # them to their other bound, all in one pivot.
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-
-
-def _perfbench_instances(monkeypatch):
-    """The benchmark's instance generators (``perfbench/instances.py``); nothing is written there."""
-    monkeypatch.syspath_prepend(str(PERFBENCH))
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    return importlib.import_module("instances")
-
-
 def test_long_step_cuts_the_root_lp_of_a_large_knapsack(monkeypatch):
     # 600 binaries under 200 packing rows: 818 pivots without flips
-    instances = _perfbench_instances(monkeypatch)
+    instances = perfbench_instances(monkeypatch)
     res = solve_lp(instances.knapsack(np.random.default_rng(0), "k", 600, 200))
     assert res.status is LpStatus.OPTIMAL
     assert res.iterations <= 460 and res.flips > 0
@@ -1296,7 +1283,7 @@ def test_long_step_cuts_the_root_lp_of_a_large_knapsack(monkeypatch):
 def test_equal_weight_knapsack_takes_a_few_pivots(monkeypatch):
     # one row 3 sum(x) <= 3k + 1: every column flips to 1 but the one that
     # enters at a third; about n/2 pivots without flips
-    instances = _perfbench_instances(monkeypatch)
+    instances = perfbench_instances(monkeypatch)
     inst, _ = instances.equal_weight_knapsack(np.random.default_rng(3), "e", 100)
     res = solve_lp(inst)
     assert res.status is LpStatus.OPTIMAL and res.iterations <= 3 and res.flips > 40
@@ -1337,7 +1324,7 @@ def test_a_bland_attempt_never_flips(monkeypatch):
     calls = []
     long_step = BoundedSimplex._long_step
     monkeypatch.setattr(BoundedSimplex, "_long_step", lambda self, *a: calls.append(self._bland) or long_step(self, *a))
-    instances = _perfbench_instances(monkeypatch)
+    instances = perfbench_instances(monkeypatch)
     form = to_standard_form(instances.equal_weight_knapsack(np.random.default_rng(3), "e", 100)[0])
     assert BoundedSimplex(form).solve().flips > 0 and calls
     calls.clear()
