@@ -33,7 +33,7 @@ from ..instance import Instance
 from .cuts import cover_cuts, gomory_cuts
 from .options import BranchRule, NodeStrategy, ReferenceSolverOptions
 from .presolve import presolve
-from .simplex import (_INT_TOL, _OPT_TOL, _STEP_TOL, BASIC, BoundedSimplex, LpResult, LpStatus,
+from .simplex import (_INT_TOL, _OPT_TOL, BASIC, BoundedSimplex, LpResult, LpStatus,
                       SimplexBreakdown, WarmStart)
 from .standard_form import StandardForm, to_standard_form
 
@@ -91,12 +91,24 @@ def objective_step(form: StandardForm) -> Optional[float]:
     return float(np.gcd.reduce(cost.astype(np.int64)))
 
 
+# the search rounds a bound up to the next multiple of the objective's step,
+# less a tolerance in steps of which this is the floor.  An OPTIMAL LP may
+# over-read its true minimum: c @ x exceeds it by at most the reduced costs left
+# up to _OPT_TOL on their improving side times how far their nonbasic columns
+# could still move, plus the rounding of c @ x; a basic value up to _FEAS_TOL
+# outside its bound has a zero reduced cost and adds nothing.  step_tolerance
+# adds _OPT_TOL times the most every column could move, per step, to this
+# floor, and rounded takes off 1e-12 of the bound for its rounding, so an
+# integral bound read a little high is never lifted by a whole step
+_STEP_TOL = 1e-6
+
+
 def step_tolerance(form: StandardForm, step: float) -> float:
     """How far, in steps, an OPTIMAL LP bound over ``form`` may read above
     its true minimum: ``_STEP_TOL`` plus ``_OPT_TOL`` times the most that all
     columns could move, in objective units per step.  A structural column
     moves at most its range, a row column at most its row's range or its
-    activity's over the column box (see ``_STEP_TOL`` in simplex.py)."""
+    activity's over the column box (see ``_STEP_TOL``)."""
     span = form.ub - form.lb
     row_span = np.minimum(form.rup - form.rlo, np.abs(form.A) @ span)
     return _STEP_TOL + _OPT_TOL * float(span.sum() + row_span.sum()) / step

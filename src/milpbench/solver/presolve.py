@@ -1,29 +1,32 @@
 """Presolve reductions: iterated single-row bound tightening and coefficient
 reduction on rows with binary support.
 
-The bound pass is ``propagate``: one sweep in row order over the marked
-rows.  A column whose bound moves marks the rows that hold it, so a later one
-is visited in the same sweep and an earlier one, the visited row included, in
-the next.  A row is ``(terms, rlo, rup)``: the nonzero ``(column,
-coefficient)`` terms in index order and the activity interval, which a
-standard form's ``np.flatnonzero(A[i])``, ``rlo[i]`` and ``rup[i]`` also give.
-Presolve builds them once and rebuilds a row that coefficient reduction
-rewrites.  Its first sweep visits every row, a later one the rewritten rows
-and those a moved column marked, and coefficient reduction reruns on the same
-rows.  Any other row would read the bounds its last visit read, so the
-result, ``passes`` included, is the one a sweep over every row gives.
+The bound pass is ``propagate``: one sweep in row order over the marked rows.
+A column whose bound moves marks the rows that hold it, so a later one is
+visited in the same sweep and an earlier one, the visited row included, in the
+next.  A row is ``(terms, rlo, rup)``: the nonzero ``(column, coefficient)``
+terms in index order and the activity interval, which a standard form's
+``np.flatnonzero(A[i])``, ``rlo[i]`` and ``rup[i]`` also give.  Presolve reads
+each ``LinearRow`` into one such list at entry, and both passes work on it
+alone: coefficient reduction rewrites a <= or >= row in place.  At exit a row
+never rewritten is its input ``LinearRow``, and a rewritten one becomes
+``LinearRow(name, tuple(terms), relation, rup if <= else rlo)``.  The first
+sweep visits every row, a later one the rewritten rows and those a moved
+column marked, and coefficient reduction reruns on the same rows.  Any other
+row would read the bounds its last visit read, so the result, ``passes``
+included, is the one a sweep over every row gives.
 
-A visit costs O(row_nnz): per row it keeps the finite part of the minimum
-and the maximum activity and a count of the infinite contributions to each,
-so the activity of a coefficient's other terms is the row total less its own
-term (Achterberg, Bixby, Gu, Rothberg and Weninger, "Presolve reductions in
-MIP", INFORMS J. Comput. 32, 2020).  A visit skips its per-coefficient loop
-when every term is finite and the largest |a_j|(u_j - l_j) fits inside both
+A visit costs O(row_nnz): per row it keeps the finite part of the minimum and
+the maximum activity and a count of the infinite contributions to each, so the
+activity of a coefficient's other terms is the row total less its own term
+(Achterberg, Bixby, Gu, Rothberg and Weninger, "Presolve reductions in MIP",
+INFORMS J. Comput. 32, 2020).  A visit skips its per-coefficient loop when
+every term is finite and the largest |a_j|(u_j - l_j) fits inside both
 activity slacks by a margin far above rounding, so that no bound can move
-(SCIP's "maxactdelta" test); a row holding an integer column with a
-fractional bound, which the loop rounds, is not skipped.  Coefficients are
-visited by index, and a moved bound updates its row's sums at once.  A row
-with a finite term above ``_HUGE`` in magnitude sums the other terms afresh
+(SCIP's "maxactdelta" test); a row holding an integer column with a fractional
+bound, which the loop rounds, is not skipped.  Coefficients are visited by
+index, and a moved bound updates its row's sums at once.  A row with a finite
+term above ``_HUGE`` in magnitude sums the other terms' contributions afresh
 for each coefficient, O(row_nnz^2), because taking a huge term back out of a
 total loses the digits of the small ones.
 
@@ -33,10 +36,11 @@ passes leave the instance structurally untouched.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, replace
-from operator import sub
+from operator import add, sub
 from typing import Callable
 
 from ..instance import INF, Instance, LinearRow, Relation, Variable
@@ -62,19 +66,6 @@ class PresolveResult:
     passes: int
 
 
-def _activity_bounds(coeffs, lb, ub):
-    """(min, max) of a row activity over the variable box; inf-aware."""
-    lo = hi = 0.0
-    for j, a in coeffs:
-        if a > 0:
-            lo += a * lb[j] if math.isfinite(lb[j]) else -INF
-            hi += a * ub[j] if math.isfinite(ub[j]) else INF
-        elif a < 0:
-            lo += a * ub[j] if math.isfinite(ub[j]) else -INF
-            hi += a * lb[j] if math.isfinite(lb[j]) else INF
-    return lo, hi
-
-
 def _split(parts):
     """(sum of the finite terms, count of the infinite ones)."""
     finite = [c for c in parts if -INF < c < INF]
@@ -85,6 +76,13 @@ def _swap(total, n_inf, old, new):
     """``_split`` of a row after one term moved from ``old`` to ``new``."""
     total, n_inf = (total - old, n_inf) if -INF < old < INF else (total, n_inf - 1)
     return (total + new, n_inf) if -INF < new < INF else (total, n_inf + 1)
+
+
+def _others(parts, k, inf):
+    """The sum of ``parts`` but its ``k``-th entry, added in index order, or
+    ``inf``, that side's infinity, if one of those entries is not finite."""
+    rest = parts[:k] + parts[k + 1:]
+    return functools.reduce(add, rest, 0.0) if all(-INF < c < INF for c in rest) else inf
 
 
 def _tighten_row(row, lb, ub, is_int, rounding) -> tuple[list[int], bool]:
@@ -116,12 +114,11 @@ def _tighten_terms(row, los, his, lb, ub, is_int) -> tuple[list[int], bool]:
     terms' contributions to the row's min and max activity."""
     terms, rlo, rup = row
     direct = any(_HUGE < abs(c) < INF for c in los + his)
-    lo_sum, lo_inf = _split(los)
-    hi_sum, hi_inf = _split(his)
+    (lo_sum, lo_inf), (hi_sum, hi_inf) = _split(los), _split(his)
     moved = []
-    for (j, a), clo, chi in zip(terms, los, his):
+    for k, ((j, a), clo, chi) in enumerate(zip(terms, los, his)):
         if direct:
-            olo, ohi = _activity_bounds([t for t in terms if t[0] != j], lb, ub)
+            olo, ohi = _others(los, k, -INF), _others(his, k, INF)
         else:  # the row total less the own term
             olo = (lo_sum - clo if lo_inf == 0 else -INF) if -INF < clo < INF else (lo_sum if lo_inf == 1 else -INF)
             ohi = (hi_sum - chi if hi_inf == 0 else INF) if -INF < chi < INF else (hi_sum if hi_inf == 1 else INF)
@@ -154,50 +151,44 @@ def _tighten_terms(row, los, his, lb, ub, is_int) -> tuple[list[int], bool]:
             moved.append(j)
             if lb[j] > ub[j] + _EPS:
                 return moved, True
-            if not direct:  # later coefficients of this row see the new bounds
-                nlo, nhi = a * (lb[j] if a > 0 else ub[j]), a * (ub[j] if a > 0 else lb[j])
-                if nlo != clo:
-                    lo_sum, lo_inf = _swap(lo_sum, lo_inf, clo, nlo)
-                if nhi != chi:
-                    hi_sum, hi_inf = _swap(hi_sum, hi_inf, chi, nhi)
+            # later coefficients of this row see the new bounds
+            los[k] = nlo = a * (lb[j] if a > 0 else ub[j])
+            his[k] = nhi = a * (ub[j] if a > 0 else lb[j])
+            if nlo != clo and not direct:
+                lo_sum, lo_inf = _swap(lo_sum, lo_inf, clo, nlo)
+            if nhi != chi and not direct:
+                hi_sum, hi_inf = _swap(hi_sum, hi_inf, chi, nhi)
     return moved, False
 
 
-def _reduce_row(row: LinearRow, lb, ub, is_int) -> tuple[LinearRow | None, bool]:
-    """Coefficient reduction on one <=/>= row; returns (new row or None if
-    redundant, changed)."""
-    if row.relation not in (Relation.LE, Relation.GE):
-        return row, False
-    sign = 1.0 if row.relation is Relation.LE else -1.0
-    coeffs = {j: sign * a for j, a in row.coefficients}
-    rhs = sign * row.rhs
-    umax = 0.0  # an infinite bound makes it infinite or nan
-    for j, a in coeffs.items():
-        if a != 0.0:
-            umax += a * (ub[j] if a > 0 else lb[j])
+def _reduce_row(row, lb, ub, is_int):
+    """Coefficient reduction on a <= or >= row, whose other side is infinite;
+    returns ``row`` itself, its rewrite, or None if it is redundant."""
+    terms, rlo, rup = row
+    sign, rhs = (1.0, rup) if rlo == -INF else (-1.0, -rlo)  # a >= row is reduced as its negation
+    coeffs = [(j, sign * a) for j, a in terms]
+    # the row's maximum activity, added in index order; an infinite bound makes it infinite or nan
+    umax = functools.reduce(add, [a * (ub[j] if a > 0 else lb[j]) for j, a in coeffs], 0.0)
     if not math.isfinite(umax):
-        return row, False
+        return row
     if umax <= rhs + _EPS:
-        return None, True  # redundant
+        return None
     changed = False
-    for j in sorted(coeffs):
-        a = coeffs[j]
-        if a == 0.0 or not is_int[j] or lb[j] != 0.0 or ub[j] != 1.0:
+    for k, (j, a) in enumerate(coeffs):
+        if not is_int[j] or lb[j] != 0.0 or ub[j] != 1.0:
             continue
         if a > 0:  # the row binds only through x_j = 1
-            if umax - a < rhs < umax:
-                new_a = umax - rhs
-                rhs = umax - a
-                umax = umax - a + new_a
-                coeffs[j] = new_a
+            if umax - a < rhs < umax:  # a becomes umax - rhs, and rhs umax - a
+                coeffs[k] = (j, umax - rhs)
+                rhs, umax = umax - a, umax - a + (umax - rhs)
                 changed = True
         elif umax < rhs - a and rhs < umax:  # x_j complemented carries weight -a; rhs and umax stay
-            coeffs[j] = rhs - umax
+            coeffs[k] = (j, rhs - umax)
             changed = True
     if not changed:
-        return row, False
-    out = tuple(sorted((j, float(sign * a)) for j, a in coeffs.items() if a != 0.0))
-    return LinearRow(row.name, out, row.relation, float(sign * rhs), None), True
+        return row
+    terms = [(j, float(sign * a)) for j, a in coeffs]
+    return (terms, -INF, float(rhs)) if sign > 0 else (terms, float(-rhs), INF)
 
 
 def _column_rows(rows, n) -> list[list[int]]:
@@ -231,11 +222,6 @@ def propagate(rows, lb, ub, is_int, rounding, col_rows, marked, touched) -> tupl
     return moved, False
 
 
-def _bound_row(row: LinearRow):
-    """``row`` as ``propagate`` reads it."""
-    return [t for t in row.coefficients if t[1] != 0.0], *row.interval()
-
-
 def presolve(inst: Instance, opts: ReferenceSolverOptions, deadline: float = math.inf,
              clock: Callable[[], float] = time.monotonic) -> PresolveResult:
     """Apply the enabled reductions; identity when both toggles are off.
@@ -243,45 +229,45 @@ def presolve(inst: Instance, opts: ReferenceSolverOptions, deadline: float = mat
     if not (opts.presolve_bound_tighten or opts.presolve_coeff_reduce):
         return PresolveResult(inst, BackMap(()), False, 0)
 
-    lb = [float(v.lower) for v in inst.variables]
-    ub = [float(v.upper) for v in inst.variables]
+    lb, ub = [float(v.lower) for v in inst.variables], [float(v.upper) for v in inst.variables]
     is_int = [v.is_integral for v in inst.variables]
-    rows: list[LinearRow | None] = list(inst.rows)  # None once dropped
-    bound_rows = [_bound_row(row) for row in rows]  # the same rows as propagate reads them
+    # the one row list, as propagate reads it; None once dropped
+    rows = [([t for t in row.coefficients if t[1] != 0.0], *row.interval()) for row in inst.rows]
+    reducible = {i for i, row in enumerate(inst.rows) if row.relation in (Relation.LE, Relation.GE)}
     col_rows: list[list[int]] = []  # the rows of each column, built at the first moved bound
     # rows the next bound pass and the next coefficient reduction must visit
     visit, reduce = [True] * len(rows), [True] * len(rows)
     # integer columns with a fractional bound, which a visit rounds (inf % 1 is nan)
     rounding = {j for j in range(len(lb)) if is_int[j] and (lb[j] % 1 > 0 or ub[j] % 1 > 0)}
-    dropped, passes = [], 0
+    dropped, rewritten, passes = [], set(), 0
     infeasible = any(lo > up + _EPS for lo, up in zip(lb, ub))
 
     while not infeasible and passes < _MAX_PASSES:
         if clock() >= deadline:
             break
         passes += 1
-        moved, infeasible = (propagate(bound_rows, lb, ub, is_int, rounding, col_rows, visit, reduce)
+        moved, infeasible = (propagate(rows, lb, ub, is_int, rounding, col_rows, visit, reduce)
                              if opts.presolve_bound_tighten else ([], False))
         if infeasible:
             break
         changed = bool(moved)
         if opts.presolve_coeff_reduce:
             for i, row in enumerate(rows):
-                if row is None or not reduce[i]:
-                    continue
-                reduce[i] = False
-                reduced, row_changed = _reduce_row(row, lb, ub, is_int)
-                if reduced is None:
-                    dropped.append(row.name)
-                    bound_rows[i] = None
-                elif row_changed:
-                    visit[i] = reduce[i] = True
-                    bound_rows[i] = _bound_row(reduced)
-                changed = changed or row_changed
-                rows[i] = reduced
+                if row is None or not reduce[i] or i not in reducible:
+                    continue  # by relation: a RANGE row of infinite width also has one infinite side
+                rows[i] = _reduce_row(row, lb, ub, is_int)
+                reduce[i] = rows[i] is not row  # a rewritten row is visited and reduced again
+                if rows[i] is None:
+                    dropped.append(i)
+                elif reduce[i]:
+                    visit[i] = True
+                    rewritten.add(i)
+                changed = changed or reduce[i]
         if not changed:
             break
 
     variables = tuple(Variable(v.name, float(lb[j]), float(ub[j]), v.kind) for j, v in enumerate(inst.variables))
-    reduced = replace(inst, variables=variables, rows=tuple(row for row in rows if row is not None))
-    return PresolveResult(reduced, BackMap(tuple(dropped)), infeasible, passes)
+    out = tuple(LinearRow(old.name, tuple(row[0]), old.relation, row[2] if old.relation is Relation.LE else row[1])
+                if i in rewritten else old for i, (old, row) in enumerate(zip(inst.rows, rows)) if row is not None)
+    back_map = BackMap(tuple(inst.rows[i].name for i in dropped))
+    return PresolveResult(replace(inst, variables=variables, rows=out), back_map, infeasible, passes)

@@ -85,16 +85,6 @@ _FEAS_TOL = 1e-7  # primal: how far a basic value may lie outside its bounds
 _BOX = 1e4
 _OPT_TOL = 1e-9  # dual: how far a reduced cost may lie on its improving side
 _INT_TOL = 1e-6  # integrality tolerance (bnb's); as the bound tolerance, no fractional value is out of bounds
-# bnb rounds a bound up to the next multiple of the objective's step, less a
-# tolerance in steps of which this is the floor.  An OPTIMAL LP may over-read
-# its true minimum: c @ x exceeds it by at most the reduced costs left up to
-# _OPT_TOL on their improving side times how far their nonbasic columns could
-# still move, plus the rounding of c @ x; a basic value up to _FEAS_TOL outside
-# its bound has a zero reduced cost and adds nothing.  bnb.step_tolerance adds
-# _OPT_TOL times the most every column could move, per step, to this floor, and
-# rounded takes off 1e-12 of the bound for its rounding, so an integral bound
-# read a little high is never lifted by a whole step
-_STEP_TOL = 1e-6
 # the direction in which a nonbasic column may move off its bound, by status:
 # +1 up from its lower bound, -1 down from its upper bound, 0 for free (either
 # way) and basic columns.  A node LP of a few rows is a fixed cost of about a

@@ -1,7 +1,11 @@
 import importlib.util
+import math
 from pathlib import Path
 
 import pytest
+
+from milpbench.instance import Instance, Relation, Sense, Variable, VarKind, make_row
+from milpbench.solver import ReferenceSolverOptions, presolve
 
 _spec = importlib.util.spec_from_file_location(
     "bench_inprocess", Path(__file__).resolve().parent.parent / "tools" / "bench_inprocess.py"
@@ -109,3 +113,20 @@ def test_traced_sides_alternate_and_keep_each_run_beside_the_medians(monkeypatch
     assert (sides["parent"]["bnb.s"], sides["change"]["bnb.s"]) == (4.0, 3.0)
     assert sides["parent"]["simplex.iters"] == sides["change"]["simplex.iters"] == 7
     assert sides["parent"]["correct"] and not sides["change"]["correct"]
+
+
+def test_presolve_digests_agree_on_equal_results_and_tell_one_ulp_apart():
+    def presolved(x_upper):
+        inst = Instance(
+            "tiny",
+            Sense.MINIMIZE,
+            (Variable("x", 0.0, x_upper, VarKind.CONTINUOUS), Variable("y", 0.0, 4.0, VarKind.INTEGER)),
+            (make_row("r", [(0, 1.0), (1, 2.0)], Relation.LE, 20.0),),  # redundant: dropped, no bound moves
+        )
+        return presolve(inst, ReferenceSolverOptions(presolve_bound_tighten=True, presolve_coeff_reduce=True))
+
+    same, again, apart = presolved(5.0), presolved(5.0), presolved(math.nextafter(5.0, 0.0))
+    assert same is not again and bench_inprocess.digest(same) == bench_inprocess.digest(again)
+    assert apart.instance.variables[0].upper == math.nextafter(5.0, 0.0)
+    assert bench_inprocess.digest(apart) != bench_inprocess.digest(same)
+    assert list(bench_inprocess.PRESOLVE_SETS) == ["job", "tighten", "reduce", "both"]

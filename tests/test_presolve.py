@@ -531,6 +531,22 @@ _EDGE_MODELS = {
         [make_row("r", [(0, 1.0), (1, 1.0), (2, 2.0)], Relation.LE, 12.5),
          make_row("s", [(0, 1.0), (2, -1.0)], Relation.GE, -10.0)],
     ),
+    # x's term is above _HUGE; the one visit moves x to [0, 4], and y, which
+    # then reads x's new contribution, to [1, 10]: 2 passes.  Read from the
+    # visit's start, x's old term would leave y for a second visit: 3 passes
+    "huge-row-moves-in-one-visit": _mixed(
+        "huge1",
+        [("x", -3e6, 20.0, VarKind.INTEGER), ("y", 0.5, 10.0, VarKind.CONTINUOUS), ("z", 0.0, 1.0, VarKind.CONTINUOUS)],
+        [make_row("r", [(0, 2.0), (1, 1.0), (2, 1.0)], Relation.EQ, 10.0)],
+    ),
+    # 3x + 3y <= 4 as a RANGE row of infinite width: coefficient reduction,
+    # which reduces only <= and >= rows, leaves it; reducing every row with
+    # one infinite side would rewrite it to 2x + 2y <= 2
+    "infinite-range-row": _mixed(
+        "range",
+        [("x", 0.0, 1.0, VarKind.BINARY), ("y", 0.0, 1.0, VarKind.BINARY)],
+        [make_row("r", [(0, 3.0), (1, 3.0)], Relation.RANGE, 4.0, INF)],
+    ),
     # y's lower bound is infinite: y's own term is the row's one infinite one
     "one-infinite-term": _mixed(
         "inf1",
@@ -607,6 +623,11 @@ def test_edge_model_outcomes():
     frac = both["fractional-integer-bounds"].instance.variables[0]
     assert (frac.lower, frac.upper) == (1.0, 3.0)
     assert [(v.lower, v.upper) for v in both["huge-row"].instance.variables[:1]] == [(-10.0, 13.0)]
+    one_visit = both["huge-row-moves-in-one-visit"]
+    assert [(v.lower, v.upper) for v in one_visit.instance.variables[:2]] == [(0.0, 4.0), (1.0, 10.0)]
+    assert one_visit.passes == 2
+    ranged = both["infinite-range-row"]
+    assert ranged.instance.rows == _EDGE_MODELS["infinite-range-row"].rows and ranged.passes == 1
     assert both["one-infinite-term"].instance.variables[1].upper == 10.0
     assert 0.85 - 1e-8 < both["rounding-at-the-slack"].instance.variables[-1].upper < 0.85 - 1e-9
     rewritten = both["rewritten-row"].instance.rows[0]
@@ -653,7 +674,7 @@ def test_propagate_over_standard_form_rows_is_presolves_bound_pass():
         assert [float.hex(v.upper) for v in res.instance.variables] == [float.hex(x) for x in ub]
         assert (res.proven_infeasible, res.passes) == (infeasible, passes)
         verdicts.add((infeasible, passes > 2))
-    assert len(models) == 1205
+    assert len(models) == 1207
     assert verdicts == {(True, False), (True, True), (False, False), (False, True)}
 
 

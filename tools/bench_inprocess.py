@@ -30,12 +30,20 @@ each replacing a section of the same name; the rest of the file is kept:
 
 All timed seconds except the traced ones are raw host seconds.  The
 ``signatures`` subcommand prints one pass's job signatures from a checkout; the
-identity section runs it once per side, workload and seed.
+identity section runs it once per side, workload and seed.  The ``presolve``
+subcommand prints, for every model of one workload and seed, the sha256 of
+``repr(PresolveResult)`` under four option sets (``PRESOLVE_SETS``); ``repr``
+writes floats exactly, so two checkouts whose digests agree presolve to the
+bit.  Run it once per checkout, each in its own process, and compare::
+
+    python3 tools/bench_inprocess.py presolve --checkout DIR --workload root --seed 11
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import hashlib
 import importlib
 import importlib.util
 import json
@@ -60,6 +68,8 @@ OBJ_TOL = 1e-9  # relative (to max(1, |objective|)): how far an objective may mo
 TRACED = ("bnb.s", "bnb.self_s", "simplex.s", "simplex.solves", "simplex.iters", "simplex.us_per_iter",
           "simplex.root_iters", "simplex.cut_lp_iters", "simplex.tree_iters", "presolve.s", "cuts.gomory_s",
           "cuts.cover_s", "runner.solution_write_s", "runner.self_s", "mps.parse_s", "trace.overhead_share")
+# the presolve subcommand's option sets: (bound tightening, coefficient reduction), None for the job's own
+PRESOLVE_SETS = {"job": None, "tighten": (True, False), "reduce": (False, True), "both": (True, True)}
 
 
 class Side:
@@ -77,6 +87,7 @@ class Side:
         self.instance = importlib.import_module(f"{name}.instance")
         self.bnb = importlib.import_module(f"{name}.solver.bnb")
         self.simplex = importlib.import_module(f"{name}.solver.simplex")
+        self.presolve = importlib.import_module(f"{name}.solver.presolve")
 
     def job(self, path: str, store_path: Path, adapt: bool, limit_s: float):
         """The instance at ``path`` and the options ``run_suite`` would solve it with."""
@@ -284,6 +295,29 @@ def signatures(checkout: Path, workload: str, seed: int) -> list:
             for j in result.jobs]
 
 
+def digest(result) -> str:
+    """sha256 of ``repr(result)``; ``repr`` writes floats exactly, so one differing bit changes it."""
+    return hashlib.sha256(repr(result).encode()).hexdigest()
+
+
+def presolve_digests(checkout: Path, workload: str, seed: int) -> list:
+    """[model, option set, ``digest`` of its ``PresolveResult``] for every model
+    of ``workload`` from ``checkout``, under each of ``PRESOLVE_SETS``."""
+    sys.path[:0] = [str(checkout / "src"), str(checkout / "perfbench")]
+    workloads = importlib.import_module("workloads")
+    side = Side("side_milpbench", checkout)
+    out = []
+    with tempfile.TemporaryDirectory() as d:
+        wl = workloads.build(workload, seed, Path(d))
+        for name, path in wl.paths.items():
+            inst, opts = side.job(path, Path(d) / "store.json", wl.adapt, wl.dataset.time_limit_s)
+            for label, toggles in PRESOLVE_SETS.items():
+                run = opts if toggles is None else dataclasses.replace(
+                    opts, presolve_bound_tighten=toggles[0], presolve_coeff_reduce=toggles[1])
+                out.append([name, label, digest(side.presolve.presolve(inst, run))])
+    return out
+
+
 def identical_section(copies: dict, workloads: list[str], seeds: list[int]) -> dict:
     compared, identical, agreeing = {}, {}, {}
     for workload in workloads:
@@ -304,13 +338,14 @@ def identical_section(copies: dict, workloads: list[str], seeds: list[int]) -> d
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    if argv[:1] == ["signatures"]:
-        ap = argparse.ArgumentParser(prog="bench_inprocess.py signatures")
+    subcommands = {"signatures": signatures, "presolve": presolve_digests}
+    if argv[:1] and argv[0] in subcommands:
+        ap = argparse.ArgumentParser(prog=f"bench_inprocess.py {argv[0]}")
         ap.add_argument("--checkout", required=True, type=Path)
         ap.add_argument("--workload", required=True)
         ap.add_argument("--seed", required=True, type=int)
         args = ap.parse_args(argv[1:])
-        print(json.dumps(signatures(args.checkout.resolve(), args.workload, args.seed)))
+        print(json.dumps(subcommands[argv[0]](args.checkout.resolve(), args.workload, args.seed)))
         return 0
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True, help="git revision of the parent")
