@@ -413,8 +413,8 @@ def branch_and_bound(
     """Exact tree search honoring the configured options."""
     t0 = clock()
     deadline = t0 + opts.time_limit_s
-    pres = presolve(inst, opts, deadline, clock)
-    form = to_standard_form(pres.instance)
+    pres = presolve(to_standard_form(inst), opts, deadline, clock)
+    form = pres.form
     search = _Search(form, opts, clock, deadline)
     status, bound = search.run(pres.proven_infeasible)
 

@@ -1,20 +1,15 @@
-"""Presolve reductions: iterated single-row bound tightening and coefficient
-reduction on rows with binary support.
+"""Presolve on a standard form: iterated single-row bound tightening and
+coefficient reduction on rows with binary support.
 
 The bound pass is ``propagate``: one sweep in row order over the marked rows.
 A column whose bound moves marks the rows that hold it, so a later one is
 visited in the same sweep and an earlier one, the visited row included, in the
-next.  A row is ``(terms, rlo, rup)``: the nonzero ``(column, coefficient)``
-terms in index order and the activity interval, which a standard form's
-``np.flatnonzero(A[i])``, ``rlo[i]`` and ``rup[i]`` also give.  Presolve reads
-each ``LinearRow`` into one such list at entry, and both passes work on it
-alone: coefficient reduction rewrites a <= or >= row in place.  At exit a row
-never rewritten is its input ``LinearRow``, and a rewritten one becomes
-``LinearRow(name, tuple(terms), relation, rup if <= else rlo)``.  The first
-sweep visits every row, a later one the rewritten rows and those a moved
-column marked, and coefficient reduction reruns on the same rows.  Any other
-row would read the bounds its last visit read, so the result, ``passes``
-included, is the one a sweep over every row gives.
+next.  Both passes work on one list of ``form_rows``: coefficient reduction
+rewrites a row in place, and the exit writes the kept rows back into the form.
+The first sweep visits every row, a later one the rewritten rows and those a
+moved column marked, and coefficient reduction reruns on the same rows.  Any
+other row would read the bounds its last visit read, so the result,
+``passes`` included, is the one a sweep over every row gives.
 
 A visit costs O(row_nnz): per row it keeps the finite part of the minimum and
 the maximum activity and a count of the infinite contributions to each, so the
@@ -23,15 +18,14 @@ activity of a coefficient's other terms is the row total less its own term
 INFORMS J. Comput. 32, 2020).  A visit skips its per-coefficient loop when
 every term is finite and the largest |a_j|(u_j - l_j) fits inside both
 activity slacks by a margin far above rounding, so that no bound can move
-(SCIP's "maxactdelta" test); a row holding an integer column with a fractional
-bound, which the loop rounds, is not skipped.  Coefficients are visited by
-index, and a moved bound updates its row's sums at once.  A row with a finite
-term above ``_HUGE`` in magnitude sums the other terms' contributions afresh
-for each coefficient, O(row_nnz^2), because taking a huge term back out of a
-total loses the digits of the small ones.
+(SCIP's "maxactdelta" test).  Coefficients are visited by index, and a moved
+bound updates its row's sums at once.  A row with a finite term above
+``_HUGE`` in magnitude sums the other terms' contributions afresh for each
+coefficient, O(row_nnz^2), because taking a huge term back out of a total
+loses the digits of the small ones.
 
 Both passes keep the variables; redundant rows may be dropped.  Disabled
-passes leave the instance structurally untouched.
+passes return the input form.
 """
 
 from __future__ import annotations
@@ -43,8 +37,11 @@ from dataclasses import dataclass, replace
 from operator import add, sub
 from typing import Callable
 
-from ..instance import INF, Instance, LinearRow, Relation, Variable
+import numpy as np
+
+from ..instance import INF
 from .options import ReferenceSolverOptions
+from .standard_form import StandardForm
 
 _MAX_PASSES = 50
 _EPS = 1e-9
@@ -53,14 +50,14 @@ _HUGE = 1e6  # a row term this large is never taken back out of a row total
 
 @dataclass(frozen=True)
 class BackMap:
-    """The names of the rows presolve dropped; no reduction removes a variable."""
+    """The input positions of the rows presolve dropped; no reduction removes a variable."""
 
-    dropped_rows: tuple[str, ...]
+    dropped_rows: tuple[int, ...]
 
 
 @dataclass(frozen=True)
 class PresolveResult:
-    instance: Instance
+    form: StandardForm
     back_map: BackMap
     proven_infeasible: bool
     passes: int
@@ -85,10 +82,9 @@ def _others(parts, k, inf):
     return functools.reduce(add, rest, 0.0) if all(-INF < c < INF for c in rest) else inf
 
 
-def _tighten_row(row, lb, ub, is_int, rounding) -> tuple[list[int], bool]:
+def _tighten_row(row, lb, ub, is_int) -> tuple[list[int], bool]:
     """Tighten the bounds of ``row``'s columns in place; returns the moved
-    columns and whether some column's bounds crossed.  ``rounding`` holds the
-    integer columns whose bounds may be non-integral."""
+    columns and whether some column's bounds crossed."""
     terms, rlo, rup = row
     if not terms:
         return [], False
@@ -99,7 +95,7 @@ def _tighten_row(row, lb, ub, is_int, rounding) -> tuple[list[int], bool]:
     lo_sum, hi_sum = sum(los, 0.0), sum(his, 0.0)
     if -INF < lo_sum < INF and -INF < hi_sum < INF:  # every term is finite
         big = max(max(map(abs, los)), max(map(abs, his)))
-        if big <= _HUGE and (not rounding or rounding.isdisjoint([j for j, _ in terms])):
+        if big <= _HUGE:
             # no term's range |a_j|(u_j - l_j) reaches past a slack of the
             # row, so no limit cuts into a bound; the margin dwarfs the
             # rounding of the loop's sums
@@ -162,8 +158,8 @@ def _tighten_terms(row, los, his, lb, ub, is_int) -> tuple[list[int], bool]:
 
 
 def _reduce_row(row, lb, ub, is_int):
-    """Coefficient reduction on a <= or >= row, whose other side is infinite;
-    returns ``row`` itself, its rewrite, or None if it is redundant."""
+    """Coefficient reduction on a row with exactly one infinite side; returns
+    ``row`` itself, its rewrite, or None if it is redundant."""
     terms, rlo, rup = row
     sign, rhs = (1.0, rup) if rlo == -INF else (-1.0, -rlo)  # a >= row is reduced as its negation
     coeffs = [(j, sign * a) for j, a in terms]
@@ -200,7 +196,7 @@ def _column_rows(rows, n) -> list[list[int]]:
     return col_rows
 
 
-def propagate(rows, lb, ub, is_int, rounding, col_rows, marked, touched) -> tuple[list[int], bool]:
+def propagate(rows, lb, ub, is_int, col_rows, marked, touched) -> tuple[list[int], bool]:
     """The bound sweep over the rows flagged in ``marked`` (None is a dropped
     row); returns the moved columns and whether some column's bounds crossed.
     A visit clears its row's flag; a moved column flags its rows in ``marked``
@@ -210,7 +206,7 @@ def propagate(rows, lb, ub, is_int, rounding, col_rows, marked, touched) -> tupl
         if row is None or not marked[i]:
             continue
         marked[i] = False
-        cols, infeasible = _tighten_row(row, lb, ub, is_int, rounding)
+        cols, infeasible = _tighten_row(row, lb, ub, is_int)
         if cols and not col_rows:
             col_rows += _column_rows(rows, len(lb))
         for j in cols:
@@ -222,52 +218,56 @@ def propagate(rows, lb, ub, is_int, rounding, col_rows, marked, touched) -> tupl
     return moved, False
 
 
-def presolve(inst: Instance, opts: ReferenceSolverOptions, deadline: float = math.inf,
+def form_rows(form: StandardForm) -> list:
+    """The rows of ``form`` as ``propagate`` reads them: ``(terms, rlo, rup)``, the
+    nonzero ``(column, coefficient)`` terms of a row of ``A`` in index order and its interval."""
+    r, c = np.nonzero(form.A)  # row by row, each row's columns in index order
+    terms = list(zip(c.tolist(), form.A[r, c].tolist()))
+    ends = np.cumsum(np.bincount(r, minlength=form.m)).tolist()
+    return [(terms[s:e], lo, up) for s, e, lo, up in zip([0] + ends, ends, form.rlo.tolist(), form.rup.tolist())]
+
+
+def presolve(form: StandardForm, opts: ReferenceSolverOptions, deadline: float = math.inf,
              clock: Callable[[], float] = time.monotonic) -> PresolveResult:
     """Apply the enabled reductions; identity when both toggles are off.
     No pass starts once ``clock()`` reaches ``deadline``; each leaves a valid reduction."""
     if not (opts.presolve_bound_tighten or opts.presolve_coeff_reduce):
-        return PresolveResult(inst, BackMap(()), False, 0)
+        return PresolveResult(form, BackMap(()), False, 0)
 
-    lb, ub = [float(v.lower) for v in inst.variables], [float(v.upper) for v in inst.variables]
-    is_int = [v.is_integral for v in inst.variables]
-    # the one row list, as propagate reads it; None once dropped
-    rows = [([t for t in row.coefficients if t[1] != 0.0], *row.interval()) for row in inst.rows]
-    reducible = {i for i, row in enumerate(inst.rows) if row.relation in (Relation.LE, Relation.GE)}
+    lb, ub, is_int = form.lb.tolist(), form.ub.tolist(), form.is_int.tolist()
+    entry = form_rows(form)
+    rows = list(entry)  # the one row list, as propagate reads it; None once dropped
     col_rows: list[list[int]] = []  # the rows of each column, built at the first moved bound
     # rows the next bound pass and the next coefficient reduction must visit
     visit, reduce = [True] * len(rows), [True] * len(rows)
-    # integer columns with a fractional bound, which a visit rounds (inf % 1 is nan)
-    rounding = {j for j in range(len(lb)) if is_int[j] and (lb[j] % 1 > 0 or ub[j] % 1 > 0)}
-    dropped, rewritten, passes = [], set(), 0
+    dropped, passes = [], 0
     infeasible = any(lo > up + _EPS for lo, up in zip(lb, ub))
 
-    while not infeasible and passes < _MAX_PASSES:
-        if clock() >= deadline:
-            break
+    while not infeasible and passes < _MAX_PASSES and clock() < deadline:
         passes += 1
-        moved, infeasible = (propagate(rows, lb, ub, is_int, rounding, col_rows, visit, reduce)
+        moved, infeasible = (propagate(rows, lb, ub, is_int, col_rows, visit, reduce)
                              if opts.presolve_bound_tighten else ([], False))
         if infeasible:
             break
         changed = bool(moved)
         if opts.presolve_coeff_reduce:
             for i, row in enumerate(rows):
-                if row is None or not reduce[i] or i not in reducible:
-                    continue  # by relation: a RANGE row of infinite width also has one infinite side
+                if row is None or not reduce[i] or (row[1] == -INF) == (row[2] == INF):
+                    continue  # only a row with exactly one infinite side is reduced
                 rows[i] = _reduce_row(row, lb, ub, is_int)
                 reduce[i] = rows[i] is not row  # a rewritten row is visited and reduced again
+                visit[i] |= reduce[i]
                 if rows[i] is None:
                     dropped.append(i)
-                elif reduce[i]:
-                    visit[i] = True
-                    rewritten.add(i)
                 changed = changed or reduce[i]
         if not changed:
             break
 
-    variables = tuple(Variable(v.name, float(lb[j]), float(ub[j]), v.kind) for j, v in enumerate(inst.variables))
-    out = tuple(LinearRow(old.name, tuple(row[0]), old.relation, row[2] if old.relation is Relation.LE else row[1])
-                if i in rewritten else old for i, (old, row) in enumerate(zip(inst.rows, rows)) if row is not None)
-    back_map = BackMap(tuple(inst.rows[i].name for i in dropped))
-    return PresolveResult(replace(inst, variables=variables, rows=out), back_map, infeasible, passes)
+    kept = [i for i, row in enumerate(rows) if row is not None]
+    A, rlo, rup = form.A[kept], form.rlo[kept], form.rup[kept]
+    for k, i in enumerate(kept):
+        if rows[i] is not entry[i]:  # rewritten: its entries go back into the form
+            terms, rlo[k], rup[k] = rows[i]
+            A[k, [j for j, _ in terms]] = [a for _, a in terms]
+    out = replace(form, A=A, rlo=rlo, rup=rup, lb=np.array(lb, dtype=float), ub=np.array(ub, dtype=float))
+    return PresolveResult(out, BackMap(tuple(dropped)), infeasible, passes)

@@ -6,6 +6,7 @@ import pytest
 
 from milpbench.instance import Instance, Relation, Sense, Variable, VarKind, make_row
 from milpbench.solver import ReferenceSolverOptions, presolve
+from milpbench.solver.standard_form import to_standard_form
 
 _spec = importlib.util.spec_from_file_location(
     "bench_inprocess", Path(__file__).resolve().parent.parent / "tools" / "bench_inprocess.py"
@@ -123,10 +124,25 @@ def test_presolve_digests_agree_on_equal_results_and_tell_one_ulp_apart():
             (Variable("x", 0.0, x_upper, VarKind.CONTINUOUS), Variable("y", 0.0, 4.0, VarKind.INTEGER)),
             (make_row("r", [(0, 1.0), (1, 2.0)], Relation.LE, 20.0),),  # redundant: dropped, no bound moves
         )
-        return presolve(inst, ReferenceSolverOptions(presolve_bound_tighten=True, presolve_coeff_reduce=True))
+        res = presolve(to_standard_form(inst), ReferenceSolverOptions(presolve_bound_tighten=True,
+                                                                       presolve_coeff_reduce=True))
+        return res.form, res.back_map.dropped_rows, res.proven_infeasible, res.passes
 
     same, again, apart = presolved(5.0), presolved(5.0), presolved(math.nextafter(5.0, 0.0))
-    assert same is not again and bench_inprocess.digest(same) == bench_inprocess.digest(again)
-    assert apart.instance.variables[0].upper == math.nextafter(5.0, 0.0)
-    assert bench_inprocess.digest(apart) != bench_inprocess.digest(same)
+    assert same[0] is not again[0] and bench_inprocess.digest(*same) == bench_inprocess.digest(*again)
+    assert same[1] == (0,) and apart[0].ub[0] == math.nextafter(5.0, 0.0)
+    assert bench_inprocess.digest(*apart) != bench_inprocess.digest(*same)
     assert list(bench_inprocess.PRESOLVE_SETS) == ["job", "tighten", "reduce", "both"]
+
+
+def test_presolve_digests_read_every_entry_of_a_large_form():
+    # 40 rows over 30 columns: numpy's repr elides an array of more than 1,000 entries
+    def form(middle):
+        variables = tuple(Variable(f"x{j}", 0.0, 4.0, VarKind.INTEGER) for j in range(30))
+        rows = tuple(make_row(f"r{i}", [(j, middle if (i, j) == (20, 15) else 1.0 + j) for j in range(30)],
+                              Relation.LE, 50.0) for i in range(40))
+        return to_standard_form(Instance("wide", Sense.MINIMIZE, variables, rows))
+
+    one, other = form(2.0), form(math.nextafter(2.0, 3.0))
+    assert repr(one.A) == repr(other.A)
+    assert bench_inprocess.digest(one, (), False, 0) != bench_inprocess.digest(other, (), False, 0)

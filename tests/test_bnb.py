@@ -136,6 +136,23 @@ def test_presolve_and_heuristics_preserve_optimum():
             assert out.incumbent.objective == pytest.approx(want_obj, abs=1e-6)
 
 
+def test_presolve_reads_the_rows_as_the_lp_does():
+    # a repeated column: max x over integer x in [1, 5] with x, x <= 3; with
+    # presolve off, with bound tightening and with both passes the rows are
+    # read one way, so status and objective agree, whichever reading that is
+    inst = Instance(
+        "repeat",
+        Sense.MAXIMIZE,
+        (Variable("x", 1.0, 5.0, VarKind.INTEGER),),
+        (make_row("r", [(0, 1.0), (0, 1.0)], Relation.LE, 3.0),),
+        objective=((0, 1.0),),
+    )
+    outs = [branch_and_bound(inst, ReferenceSolverOptions(presolve_bound_tighten=tighten, presolve_coeff_reduce=reduce))
+            for tighten, reduce in ((False, False), (True, False), (True, True))]
+    assert len({(out.status, out.incumbent.objective) for out in outs}) == 1
+    assert outs[0].status is SolveStatus.OPTIMAL
+
+
 def test_determinism_nodes_incumbent_ticks():
     rng = np.random.default_rng(5150)
     for _ in range(10):
@@ -519,9 +536,9 @@ def test_a_column_that_presolve_fixes_keeps_its_cost_in_the_step():
     # its cost 6 still counts, and the optimum 4*0 + 6*5 is found and proven
     inst = _costed([4.0, 6.0], [_INT, _INT], rows=[make_row("fix", [(1, 1.0)], Relation.GE, 5.0)])
     opts = ReferenceSolverOptions(presolve_bound_tighten=True)
-    reduced = presolve(inst, opts).instance
-    assert reduced.variables[1].lower == reduced.variables[1].upper == 5.0
-    assert bnb.objective_step(to_standard_form(reduced)) == 2.0
+    reduced = presolve(to_standard_form(inst), opts).form
+    assert reduced.lb[1] == reduced.ub[1] == 5.0
+    assert bnb.objective_step(reduced) == 2.0
     out = branch_and_bound(inst, opts)
     assert out.status is SolveStatus.OPTIMAL and out.incumbent.objective == out.best_bound == 30.0
 

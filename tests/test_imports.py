@@ -35,7 +35,8 @@ def test_unused_imports_are_found():
 
 def test_no_module_imports_a_name_it_never_reads():
     found = {}
-    for path in sorted([*ROOT.joinpath("src").rglob("*.py"), *ROOT.joinpath("tests").rglob("*.py")]):
+    for path in sorted([*ROOT.joinpath("src").rglob("*.py"), *ROOT.joinpath("tests").rglob("*.py"),
+                        *ROOT.joinpath("tools").glob("*.py")]):
         unused = unused_imports(path.read_text())
         if unused:
             found[str(path.relative_to(ROOT))] = unused

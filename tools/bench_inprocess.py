@@ -31,10 +31,13 @@ each replacing a section of the same name; the rest of the file is kept:
 All timed seconds except the traced ones are raw host seconds.  The
 ``signatures`` subcommand prints one pass's job signatures from a checkout; the
 identity section runs it once per side, workload and seed.  The ``presolve``
-subcommand prints, for every model of one workload and seed, the sha256 of
-``repr(PresolveResult)`` under four option sets (``PRESOLVE_SETS``); ``repr``
-writes floats exactly, so two checkouts whose digests agree presolve to the
-bit.  Run it once per checkout, each in its own process, and compare::
+subcommand prints, for every model of one workload and seed, a digest of the
+presolved standard form under four option sets (``PRESOLVE_SETS``): the
+``float.hex`` of every entry, so two checkouts whose digests agree presolve to
+the bit.  A checkout whose presolve still returns an ``Instance`` has it
+mapped through its ``to_standard_form``, and its dropped row names to their
+positions, so its digests compare with a later checkout's.  Run it once per
+checkout, each in its own process, and compare::
 
     python3 tools/bench_inprocess.py presolve --checkout DIR --workload root --seed 11
 """
@@ -88,6 +91,7 @@ class Side:
         self.bnb = importlib.import_module(f"{name}.solver.bnb")
         self.simplex = importlib.import_module(f"{name}.solver.simplex")
         self.presolve = importlib.import_module(f"{name}.solver.presolve")
+        self.standard_form = importlib.import_module(f"{name}.solver.standard_form")
 
     def job(self, path: str, store_path: Path, adapt: bool, limit_s: float):
         """The instance at ``path`` and the options ``run_suite`` would solve it with."""
@@ -295,13 +299,32 @@ def signatures(checkout: Path, workload: str, seed: int) -> list:
             for j in result.jobs]
 
 
-def digest(result) -> str:
-    """sha256 of ``repr(result)``; ``repr`` writes floats exactly, so one differing bit changes it."""
-    return hashlib.sha256(repr(result).encode()).hexdigest()
+def presolved(side: Side, inst, opts) -> tuple:
+    """``side``'s presolve of ``inst``: (form, dropped row positions, infeasible flag, passes).
+    A ``PresolveResult`` that still holds an ``Instance`` is mapped to its standard form."""
+    if "form" in side.presolve.PresolveResult.__dataclass_fields__:
+        result = side.presolve.presolve(side.standard_form.to_standard_form(inst), opts)
+        form, dropped = result.form, result.back_map.dropped_rows
+    else:
+        result = side.presolve.presolve(inst, opts)
+        form = side.standard_form.to_standard_form(result.instance)
+        position = {row.name: i for i, row in enumerate(inst.rows)}
+        dropped = tuple(position[name] for name in result.back_map.dropped_rows)
+    return form, dropped, result.proven_infeasible, result.passes
+
+
+def digest(form, dropped, infeasible, passes) -> str:
+    """sha256 of a presolved form: the shape and the ``float.hex`` of every entry
+    of each float array, ``is_int``, and the dropped rows, flag and passes."""
+    h = hashlib.sha256()
+    for array in (form.c, form.A, form.rlo, form.rup, form.lb, form.ub):
+        h.update(repr((array.shape, [float.hex(x) for x in array.ravel().tolist()])).encode())
+    h.update(repr((form.is_int.tolist(), tuple(dropped), infeasible, passes)).encode())
+    return h.hexdigest()
 
 
 def presolve_digests(checkout: Path, workload: str, seed: int) -> list:
-    """[model, option set, ``digest`` of its ``PresolveResult``] for every model
+    """[model, option set, ``digest`` of its presolved form] for every model
     of ``workload`` from ``checkout``, under each of ``PRESOLVE_SETS``."""
     sys.path[:0] = [str(checkout / "src"), str(checkout / "perfbench")]
     workloads = importlib.import_module("workloads")
@@ -314,7 +337,7 @@ def presolve_digests(checkout: Path, workload: str, seed: int) -> list:
             for label, toggles in PRESOLVE_SETS.items():
                 run = opts if toggles is None else dataclasses.replace(
                     opts, presolve_bound_tighten=toggles[0], presolve_coeff_reduce=toggles[1])
-                out.append([name, label, digest(side.presolve.presolve(inst, run))])
+                out.append([name, label, digest(*presolved(side, inst, run))])
     return out
 
 
