@@ -4,12 +4,12 @@ coefficient reduction on rows with binary support.
 The bound pass is ``propagate``: one sweep in row order over the marked rows.
 A column whose bound moves marks the rows that hold it, so a later one is
 visited in the same sweep and an earlier one, the visited row included, in the
-next.  Both passes work on one list of ``form_rows``: coefficient reduction
-rewrites a row in place, and the exit writes the kept rows back into the form.
-The first sweep visits every row, a later one the rewritten rows and those a
-moved column marked, and coefficient reduction reruns on the same rows.  Any
-other row would read the bounds its last visit read, so the result,
-``passes`` included, is the one a sweep over every row gives.
+next.  Both passes work on one list of ``form_rows``; coefficient reduction
+rewrites a row in place, and the exit slices out the kept rows and writes
+back the rewritten ones.  The first sweep visits every row, a later one the
+rewritten rows and those a moved column marked, and coefficient reduction
+reruns on the same rows; any other row would read the bounds its last visit
+read, so the result, ``passes`` included, is a full sweep's.
 
 A visit costs O(row_nnz): per row it keeps the finite part of the minimum and
 the maximum activity and a count of the infinite contributions to each, so the
