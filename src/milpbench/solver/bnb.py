@@ -16,6 +16,16 @@ that lattice is pruned, and an OPTIMAL solve at gap 0 reports its objective
 as its bound (Achterberg, *Constraint Integer Programming*, 2007).  Cuts add
 rows, not columns, so the step holds for the whole search; their row columns
 widen the tolerance.
+
+Node bound propagation, a structural rule with no option, as CPLEX presolves
+at every node by default: before a node's LP, ``presolve.propagate`` sweeps
+the form's rows (root cuts included, built at the first node visited) from
+those of the branched column until no row is flagged, at most
+``_MAX_PASSES`` times.  A child whose bounds cross is settled without an LP;
+like a child pruned by its bound it is not a node, so ``nodes`` counts the
+root and the nodes whose LP ran.  Moved bounds go into new arrays for that
+node and its children, since siblings share their parent's arrays.  The dive
+does not propagate.
 """
 
 from __future__ import annotations
@@ -32,7 +42,7 @@ import numpy as np
 from ..instance import Instance
 from .cuts import cover_cuts, gomory_cuts
 from .options import BranchRule, NodeStrategy, ReferenceSolverOptions
-from .presolve import presolve
+from .presolve import _MAX_PASSES, _column_rows, form_rows, presolve, propagate
 from .simplex import (_INT_TOL, _OPT_TOL, BASIC, BoundedSimplex, LpResult, LpStatus,
                       SimplexBreakdown, WarmStart)
 from .standard_form import StandardForm, to_standard_form
@@ -158,6 +168,11 @@ class _Search:
         self.pc_dn = self.pc_up.copy()
         self.pc_up_count = np.zeros(form.n)
         self.pc_dn_count = np.zeros(form.n)
+        # propagate's rows of form, their column index and is_int as a list,
+        # built at the first node visited, after the root's cuts
+        self.rows: Optional[list] = None
+        self.col_rows: list[list[int]] = []
+        self.int_list: list[bool] = []
 
     def lp(self, lb: np.ndarray, ub: np.ndarray, warm: Optional[WarmStart] = None) -> LpResult:
         """Solve ``splx`` under these bounds, from ``warm`` when given; its
@@ -336,15 +351,44 @@ class _Search:
                 break
             x, warm = res.point, res.warm
 
+    def propagated(self, node: _Node) -> Optional[tuple[np.ndarray, np.ndarray]]:
+        """The node's bounds after ``propagate`` sweeps from the rows of its
+        branched column until no row is flagged, at most ``_MAX_PASSES``
+        times: new arrays when a bound moved, the node's own otherwise, and
+        None when some column's bounds cross."""
+        if self.rows is None:
+            self.rows = form_rows(self.form)
+            self.col_rows = _column_rows(self.rows, self.form.n)
+            self.int_list = self.form.is_int.tolist()
+        marked = [False] * len(self.rows)
+        for i in self.col_rows[node.branch_var]:
+            marked[i] = True
+        lb, ub = node.lb.tolist(), node.ub.tolist()
+        moved = False
+        for _ in range(_MAX_PASSES):
+            if not any(marked):
+                break
+            # the tree keeps no touched rows, so marked stands in for them
+            cols, infeasible = propagate(self.rows, lb, ub, self.int_list, self.col_rows, marked, marked)
+            if infeasible:
+                return None
+            moved = moved or bool(cols)
+        return (np.array(lb), np.array(ub)) if moved else (node.lb, node.ub)
+
     def visit(self, node: _Node) -> Optional[SolveStatus]:
-        """Decide a popped node's fate: pruned by its bound, infeasible,
-        pruned after its LP, integral (offered as the incumbent) or branched.
-        Returns ``None`` to go on, or ``ERROR`` when its LP breaks down or
-        is unbounded."""
+        """Decide a popped node's fate: pruned by its bound, settled by
+        bound propagation (its bounds cross), infeasible, pruned after its
+        LP, integral (offered as the incumbent) or branched.  Returns
+        ``None`` to go on, or ``ERROR`` when its LP breaks down or is
+        unbounded.  Only a node whose LP ran counts in ``nodes``."""
         if self.prunes(node.bound_est):
             return None
+        bounds = self.propagated(node)
+        if bounds is None:
+            return None
+        lb, ub = bounds
         try:
-            res = self.lp(node.lb, node.ub, node.warm)
+            res = self.lp(lb, ub, node.warm)
         except SimplexBreakdown:
             return SolveStatus.ERROR
         self.nodes += 1
@@ -358,9 +402,9 @@ class _Search:
             return None
         cand = self.fractional(x)
         if cand.size == 0:
-            self.accept_candidate(x, node.lb, node.ub)
+            self.accept_candidate(x, lb, ub)
         else:
-            self.branch(obj, node.depth + 1, node.lb, node.ub, x, cand, res.warm)
+            self.branch(obj, node.depth + 1, lb, ub, x, cand, res.warm)
         return None
 
     def run(self, proven_infeasible: bool) -> tuple[SolveStatus, float]:

@@ -57,7 +57,7 @@ def to_standard_form(inst: Instance) -> StandardForm:
         lo, hi = row.interval()
         rlo[i], rup[i] = lo, hi
         for j, v in row.coefficients:
-            A[i, j] = v
+            A[i, j] += v  # the entries of a column repeated in a row add up
     lb = np.array([v.lower for v in inst.variables], dtype=float)
     ub = np.array([v.upper for v in inst.variables], dtype=float)
     is_int = np.array([v.is_integral for v in inst.variables], dtype=bool)

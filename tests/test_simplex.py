@@ -1261,7 +1261,10 @@ def test_branch_and_bound_matches_the_wrapped_oracle(monkeypatch):
         return out
 
     rng = np.random.default_rng(101)
-    insts = [random_mixed_instance(rng) for _ in range(150)] + [market_split_instance(seed=5, n=12, m=2)]
+    # node propagation settles many market-split children without an LP, so
+    # three of them keep the node LPs above a thousand
+    insts = [random_mixed_instance(rng) for _ in range(150)]
+    insts += [market_split_instance(seed=s, n=12, m=2) for s in (5, 6, 7)]
     mine, want = _both_wrapped(monkeypatch, outcomes, insts)
     assert mine == want
     assert sum(nodes for _, nodes, *_ in mine) > 1000

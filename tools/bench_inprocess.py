@@ -6,13 +6,14 @@ Both revisions are exported with ``git archive`` into ``--work`` (as by
 ``tools/bench_pairs.py``).  The file named by ``--out`` gains these sections,
 each replacing a section of the same name; the rest of the file is kept:
 
-- ``tree_solve_seconds_per_family`` and ``root_solve_seconds_per_family``:
-  every job of that workload and seeds 11-20 is solved by
-  ``branch_and_bound`` with the options ``run_suite`` would pick, ``REPS``
-  times with the parent's package and ``REPS`` times with the change's, in
-  one process, alternating which side goes first; each side's fastest run
-  counts.  Seconds and ticks are summed by family (the instance name without
-  its digits).  A side's runs of one job must give the same result.
+- ``<workload>_solve_seconds_per_family`` for ``tree``, ``root`` and
+  ``protocol`` (``TIMED``): every job of that workload and seeds 11-20 is
+  solved by ``branch_and_bound`` with the options ``run_suite`` would pick
+  (for ``protocol``, the adapted suite's), ``REPS`` times with the parent's
+  package and ``REPS`` times with the change's, in one process, alternating
+  which side goes first; each side's fastest run counts.  Seconds and ticks
+  are summed by family (the instance name without its digits).  A side's
+  runs of one job must give the same result.
 - ``tree_seed_11_solve_microseconds``: the ``tree`` jobs of seed 11, with
   every ``BoundedSimplex.solve`` call timed; a call's fastest run counts, and
   each side's medians are grouped by final status and pivots (``2+`` for two
@@ -66,7 +67,7 @@ ROOT = bench_pairs.ROOT
 REPS = 3  # timed runs per side and job; the fastest counts
 SEEDS = list(range(11, 21))  # the seeds of tools/bench_pairs.py's ten default pairs
 SIDES = ("parent", "change")
-TIMED = ("tree", "root")  # the workloads solved in-process, family by family
+TIMED = ("tree", "root", "protocol")  # the workloads solved in-process, family by family
 OBJ_TOL = 1e-9  # relative (to max(1, |objective|)): how far an objective may move and still agree
 TRACED = ("bnb.s", "bnb.self_s", "simplex.s", "simplex.solves", "simplex.iters", "simplex.us_per_iter",
           "simplex.root_iters", "simplex.cut_lp_iters", "simplex.tree_iters", "presolve.s", "cuts.gomory_s",
