@@ -1,6 +1,7 @@
 """Dense array form of an instance used by the simplex and the tree search.
 
-Rows are normalized to two-sided activity intervals rlo <= A x <= rup.
+Rows are normalized to two-sided activity intervals rlo <= A x <= rup.  A
+column repeated in a row or in the objective gets the sum of its entries.
 Integer bounds are ceil/floor-normalized here (exactness-preserving and
 required for cut validity); the user-facing Instance is never altered.
 """
@@ -49,15 +50,14 @@ def to_standard_form(inst: Instance) -> StandardForm:
     m = inst.n_rows
     c = np.zeros(n)
     for j, v in inst.objective:
-        c[j] = v
+        c[j] += v
     A = np.zeros((m, n))
     rlo = np.empty(m)
     rup = np.empty(m)
-    for i, row in enumerate(inst.rows):
-        lo, hi = row.interval()
-        rlo[i], rup[i] = lo, hi
+    for i, (row, A_i) in enumerate(zip(inst.rows, A)):
+        rlo[i], rup[i] = row.interval()
         for j, v in row.coefficients:
-            A[i, j] += v  # the entries of a column repeated in a row add up
+            A_i[j] += v  # a row of A is a view: one index per entry is cheaper than two
     lb = np.array([v.lower for v in inst.variables], dtype=float)
     ub = np.array([v.upper for v in inst.variables], dtype=float)
     is_int = np.array([v.is_integral for v in inst.variables], dtype=bool)

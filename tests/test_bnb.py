@@ -153,6 +153,15 @@ def test_presolve_reads_the_rows_as_the_lp_does():
     assert [(out.status, out.incumbent.objective) for out in outs] == [(SolveStatus.OPTIMAL, 1.0)] * 3
 
 
+def test_a_repeated_objective_column_counts_each_entry():
+    # max x + x over integer x in [0, 3] reads 2x, as Instance.objective_value does
+    inst = Instance("repeat-cost", Sense.MAXIMIZE, (Variable("x", 0.0, 3.0, VarKind.INTEGER),), (),
+                    objective=((0, 1.0), (0, 1.0)))
+    out = branch_and_bound(inst, ReferenceSolverOptions())
+    assert out.status is SolveStatus.OPTIMAL
+    assert out.incumbent.objective == inst.objective_value([3.0]) == 6.0
+
+
 def test_determinism_nodes_incumbent_ticks():
     rng = np.random.default_rng(5150)
     for _ in range(10):
