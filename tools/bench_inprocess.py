@@ -403,10 +403,10 @@ def main(argv=None) -> int:
     for workload in TIMED:
         doc[f"{workload}_solve_seconds_per_family"] = {
             "how": f"{command}, in-process, {span}: each {workload} job solved by branch_and_bound with the "
-                   f"options run_suite would pick, {REPS} times with each revision's package, alternating which "
-                   f"goes first; the fastest of each side's runs counts (raw host seconds), and each side's runs "
-                   f"of a job gave one result. Ticks are summed beside the seconds. seed_ratios is change/parent "
-                   f"of a family's summed seconds, per seed.",
+                   f"options run_suite would pick (for protocol, the adapted suite's), {REPS} times with each "
+                   f"revision's package, alternating which goes first; the fastest of each side's runs counts (raw "
+                   f"host seconds), and each side's runs of a job gave one result. Ticks are summed beside the "
+                   f"seconds. seed_ratios is change/parent of a family's summed seconds, per seed.",
             **timed["families"][workload],
         }
     doc[f"tree_seed_{SEEDS[0]}_solve_microseconds"] = {
