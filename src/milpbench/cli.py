@@ -69,6 +69,7 @@ def _build_parser() -> _Parser:
     p_solve.add_argument("--config", help="JSON configuration file")
     p_solve.add_argument("--time-limit", type=float, default=3600.0)
     p_solve.add_argument("--solution", help="write the incumbent and status here")
+    p_solve.set_defaults(func=_cmd_solve)
 
     p_bench = sub.add_parser("bench", help="benchmark suites and reports")
     bench_sub = p_bench.add_subparsers(dest="bench_command", required=True)
@@ -84,28 +85,33 @@ def _build_parser() -> _Parser:
     p_run.add_argument("--parallel", type=int, default=1)
     p_run.add_argument("--workdir", default=None, help="directory for solution files")
     p_run.add_argument("--solutions", action="store_true", help="write a solution file per instance")
+    p_run.set_defaults(func=_cmd_bench_run)
 
     p_resume = bench_sub.add_parser("resume", help="complete a partially written run log")
     p_resume.add_argument("--dataset", required=True)
     p_resume.add_argument("--store", default=None)
     p_resume.add_argument("--log", required=True, help="existing run log to complete")
     p_resume.add_argument("--workdir", default=None)
+    p_resume.set_defaults(func=_cmd_bench_resume)
 
     p_report = bench_sub.add_parser("report", help="tables, CSV/JSON exports, distribution SVG")
     p_report.add_argument("--baseline", required=True, help="baseline run log")
     p_report.add_argument("--adapted", required=True, help="adapted run log")
     p_report.add_argument("--out", required=True, help="output directory")
+    p_report.set_defaults(func=_cmd_bench_report)
 
     p_val = sub.add_parser("validate", help="check a claimed solution against an instance")
     p_val.add_argument("--instance", required=True)
     p_val.add_argument("--solution", required=True)
     p_val.add_argument("--registry", default=None, help="best-known registry (default: shipped)")
+    p_val.set_defaults(func=_cmd_validate)
 
     p_cfg = sub.add_parser("config", help="inspect configuration resolution")
     cfg_sub = p_cfg.add_subparsers(dest="config_command", required=True)
     p_show = cfg_sub.add_parser("show", help="print the configuration adapt() would pick")
     p_show.add_argument("--store", default=None)
     p_show.add_argument("--instance", required=True)
+    p_show.set_defaults(func=_cmd_config_show)
 
     return parser
 
@@ -262,20 +268,7 @@ def cli_dispatch(argv: list[str]) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "solve":
-            return _cmd_solve(args)
-        if args.command == "bench":
-            if args.bench_command == "run":
-                return _cmd_bench_run(args)
-            if args.bench_command == "resume":
-                return _cmd_bench_resume(args)
-            if args.bench_command == "report":
-                return _cmd_bench_report(args)
-        if args.command == "validate":
-            return _cmd_validate(args)
-        if args.command == "config":
-            return _cmd_config_show(args)
-        raise _UsageError("unknown command")
+        return args.func(args)
     except _UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 1

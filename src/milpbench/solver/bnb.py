@@ -1,9 +1,13 @@
 """Deterministic branch-and-bound over the bounded-simplex LP engine.
 
-Gomory and cover cuts are separated at the root; node selection and
-branching follow the configured strategies with fixed index-based tie
-breaking.  The clock is consulted only for termination, so two runs with
-identical inputs traverse identical trees.
+The root is a node like any other: ``_Search.visit`` decides the fate of
+every node's LP, so each way the search can end is decided in one place.
+Gomory and cover cuts are separated after the root's LP, and the dive, when
+on, runs before the root branches; node selection and branching follow the
+configured strategies with fixed index-based tie breaking.  An integral
+point that the row check rejects ends the solve as ``ERROR`` at any node.
+The clock is consulted only for termination, so two runs with identical
+inputs traverse identical trees.
 
 Objective integrality, a structural rule with no option: when every column
 is bounded, every continuous column costs 0 and every integer column's cost
@@ -18,14 +22,14 @@ rows, not columns, so the step holds for the whole search; their row columns
 widen the tolerance.
 
 Node bound propagation, a structural rule with no option, as CPLEX presolves
-at every node by default: before a node's LP, ``presolve.propagate`` sweeps
-the form's rows (root cuts included, built at the first node visited) from
-those of the branched column until no row is flagged, at most
-``_MAX_PASSES`` times.  A child whose bounds cross is settled without an LP;
-like a child pruned by its bound it is not a node, so ``nodes`` counts the
-root and the nodes whose LP ran.  Moved bounds go into new arrays for that
-node and its children, since siblings share their parent's arrays.  The dive
-does not propagate.
+at every node by default: before the LP of every node but the root,
+``presolve.propagate`` sweeps the form's rows (root cuts included, built at
+the first child visited) from those of the branched column until no row is
+flagged, at most ``_MAX_PASSES`` times.  A child whose bounds cross is
+settled without an LP; like a child pruned by its bound it is not a node, so
+``nodes`` counts the nodes whose LP ran.  Moved bounds go into new arrays for
+that node and its children, since siblings share their parent's arrays.  The
+dive does not propagate.
 """
 
 from __future__ import annotations
@@ -141,8 +145,8 @@ class _Search:
     """The whole search over one standard form: the rows so far (``form``,
     root cuts included) and the one LP object over them (``splx``), the
     incumbent and the open nodes, counters, pseudocosts, and the clock with
-    its deadline.  ``visit`` decides each popped node's fate, and ``run``
-    returns how the search ended."""
+    its deadline.  ``visit`` decides each node's fate, the root's included,
+    and ``run`` returns how the search ended."""
 
     def __init__(self, form: StandardForm, opts: ReferenceSolverOptions,
                  clock: Callable[[], float] = time.monotonic, deadline: float = math.inf):
@@ -169,7 +173,7 @@ class _Search:
         self.pc_up_count = np.zeros(form.n)
         self.pc_dn_count = np.zeros(form.n)
         # propagate's rows of form, their column index and is_int as a list,
-        # built at the first node visited, after the root's cuts
+        # built at the first child visited, after the root's cuts
         self.rows: Optional[list] = None
         self.col_rows: list[list[int]] = []
         self.int_list: list[bool] = []
@@ -230,42 +234,40 @@ class _Search:
         j = node.branch_var
         if j < 0 or not math.isfinite(node.bound_est):
             return
-        degrade = max(0.0, child_obj - node.bound_est)
         if node.branch_up:
-            unit = degrade / max(1.0 - node.parent_frac, 1e-6)
-            k = self.pc_up_count[j]
-            self.pc_up[j] = (self.pc_up[j] * k + unit) / (k + 1)
-            self.pc_up_count[j] = k + 1
+            pc, count, frac = self.pc_up, self.pc_up_count, 1.0 - node.parent_frac
         else:
-            unit = degrade / max(node.parent_frac, 1e-6)
-            k = self.pc_dn_count[j]
-            self.pc_dn[j] = (self.pc_dn[j] * k + unit) / (k + 1)
-            self.pc_dn_count[j] = k + 1
+            pc, count, frac = self.pc_dn, self.pc_dn_count, node.parent_frac
+        k = count[j]
+        pc[j] = (pc[j] * k + max(0.0, child_obj - node.bound_est) / max(frac, 1e-6)) / (k + 1)
+        count[j] = k + 1
 
-    def accept_candidate(self, x: np.ndarray, lb: np.ndarray, ub: np.ndarray) -> None:
-        """Snap integers, exactly complete the continuous part, verify, keep."""
+    def accept_candidate(self, x: np.ndarray, lb: np.ndarray, ub: np.ndarray) -> bool:
+        """Snap integers, exactly complete the continuous part, verify, keep;
+        False when the row check rejects the point."""
         snapped = x.copy()
         ii = self.int_idx
         snapped[ii] = np.round(snapped[ii])
         snapped = np.clip(snapped, lb, ub)
         if not self.rows_ok(snapped):
             if ii.size == self.form.n:
-                return
+                return False
             lb2, ub2 = lb.copy(), ub.copy()
             lb2[ii] = snapped[ii]
             ub2[ii] = snapped[ii]
             try:
                 res = self.lp(lb2, ub2)
             except SimplexBreakdown:
-                return
+                return False
             if res.status is not LpStatus.OPTIMAL or not self.rows_ok(res.point):
-                return
+                return False
             snapped = res.point
             snapped[ii] = np.round(snapped[ii])
         obj = float(self.form.c @ snapped)
         if self.incumbent_obj is None or obj < self.incumbent_obj - 1e-12:
             self.incumbent_obj = obj
             self.x_inc = snapped
+        return True
 
     def rounded(self, bound: float) -> float:
         """``bound`` raised to the next multiple of the objective's step, once
@@ -308,12 +310,10 @@ class _Search:
         self.push(up)
         self.push(dn)
 
-    def root(self, lb: np.ndarray, ub: np.ndarray) -> LpResult:
-        """The root LP and the cut rounds; returns the last LP solved, which
-        ends the rounds when it is not OPTIMAL."""
+    def cut_rounds(self, lb: np.ndarray, ub: np.ndarray, res: LpResult) -> LpResult:
+        """The cut rounds after the root LP ``res``; returns the last LP
+        solved, which ends the rounds when it is not OPTIMAL."""
         opts, is_int = self.opts, self.form.is_int
-        res = self.lp(lb, ub)
-        self.nodes += 1
         for rnd in range(max(opts.gomory_rounds, _COVER_ROUNDS if opts.cover_cuts else 0)):
             if (res.status is not LpStatus.OPTIMAL or self.fractional(res.point).size == 0
                     or self.clock() >= self.deadline):
@@ -376,65 +376,55 @@ class _Search:
         return (np.array(lb), np.array(ub)) if moved else (node.lb, node.ub)
 
     def visit(self, node: _Node) -> Optional[SolveStatus]:
-        """Decide a popped node's fate: pruned by its bound, settled by
-        bound propagation (its bounds cross), infeasible, pruned after its
-        LP, integral (offered as the incumbent) or branched.  Returns
-        ``None`` to go on, or ``ERROR`` when its LP breaks down or is
-        unbounded.  Only a node whose LP ran counts in ``nodes``."""
+        """Decide a node's fate, the root's included: pruned by its bound,
+        settled by bound propagation (its bounds cross), infeasible, pruned
+        after its LP, integral (offered as the incumbent) or branched.  At
+        the root, which is not propagated, the cut rounds follow its LP and
+        the dive, when on, comes before it branches.  Returns ``None`` to go
+        on, or ``ERROR`` when an LP breaks down or is unbounded, or when the
+        row check rejects the node's integral point.  Only a node whose LP
+        ran counts in ``nodes``, and once it has run its objective is the
+        node's bound."""
         if self.prunes(node.bound_est):
             return None
-        bounds = self.propagated(node)
-        if bounds is None:
-            return None
-        lb, ub = bounds
+        lb, ub = node.lb, node.ub
+        if node.depth:
+            bounds = self.propagated(node)
+            if bounds is None:
+                return None
+            lb, ub = bounds
         try:
             res = self.lp(lb, ub, node.warm)
+            self.nodes += 1
+            if not node.depth:
+                res = self.cut_rounds(lb, ub, res)
         except SimplexBreakdown:
             return SolveStatus.ERROR
-        self.nodes += 1
         if res.status is LpStatus.INFEASIBLE:
             return None
         if res.status is LpStatus.UNBOUNDED:
             return SolveStatus.ERROR
         obj, x = res.objective, res.point
         self.observe_pseudocost(node, obj)
+        node.bound_est = obj
         if self.prunes(obj):
             return None
         cand = self.fractional(x)
         if cand.size == 0:
-            self.accept_candidate(x, lb, ub)
-        else:
-            self.branch(obj, node.depth + 1, lb, ub, x, cand, res.warm)
+            return None if self.accept_candidate(x, lb, ub) else SolveStatus.ERROR
+        if not node.depth and self.opts.diving:
+            self.dive(lb, ub, x, res.warm)
+        # the dive's LPs reuse splx: the tree starts from the root's basis
+        self.branch(obj, node.depth + 1, lb, ub, x, cand, res.warm)
         return None
 
-    def run(self, proven_infeasible: bool) -> tuple[SolveStatus, float]:
-        """Search to the end: how it ended, and the bound proven over every
-        node not yet solved, internal (minimizing), rounded to the objective's
-        step and before the incumbent is counted."""
-        if proven_infeasible:
-            return SolveStatus.INFEASIBLE, math.inf
-        lb, ub = self.form.lb.copy(), self.form.ub.copy()
-        try:
-            res = self.root(lb, ub)
-        except SimplexBreakdown:
-            return SolveStatus.ERROR, -math.inf
-        if res.status is LpStatus.INFEASIBLE:
-            return SolveStatus.INFEASIBLE, math.inf
-        if res.status is LpStatus.UNBOUNDED:
-            return SolveStatus.ERROR, -math.inf
-
-        cand = self.fractional(res.point)
-        if cand.size == 0:
-            self.accept_candidate(res.point, lb, ub)
-            # an integral point that the row check rejects is an error
-            return (SolveStatus.OPTIMAL if self.incumbent_obj is not None else SolveStatus.ERROR,
-                    self.rounded(res.objective))
-        if self.opts.diving:
-            self.dive(lb, ub, res.point, res.warm)
-        # the dive's LPs reuse splx: the tree starts from the root's basis
-        self.branch(res.objective, 1, lb, ub, res.point, cand, res.warm)
-
-        while self.open_nodes:
+    def run(self) -> tuple[SolveStatus, float]:
+        """Search from the root to the end: how it ended, and the bound
+        proven over every node not yet solved, internal (minimizing), rounded
+        to the objective's step and before the incumbent is counted."""
+        node = _Node(-math.inf, 0, 0, self.form.lb.copy(), self.form.ub.copy())
+        status = self.visit(node)
+        while status is None and self.open_nodes:
             if self.clock() >= self.deadline:
                 return SolveStatus.TIME_LIMIT, self.open_bound()
             inc = self.incumbent_obj
@@ -442,8 +432,8 @@ class _Search:
                 break
             node = heapq.heappop(self.open_nodes)[1]
             status = self.visit(node)
-            if status is not None:  # the popped node is not solved: its bound still counts
-                return status, min(self.open_bound(), self.rounded(node.bound_est))
+        if status is not None:  # the node is not settled: its bound still counts
+            return status, min(self.open_bound(), self.rounded(node.bound_est))
         if self.incumbent_obj is None:
             return SolveStatus.INFEASIBLE, math.inf
         return SolveStatus.OPTIMAL, self.open_bound()
@@ -460,7 +450,7 @@ def branch_and_bound(
     pres = presolve(to_standard_form(inst), opts, deadline, clock)
     form = pres.form
     search = _Search(form, opts, clock, deadline)
-    status, bound = search.run(pres.proven_infeasible)
+    status, bound = (SolveStatus.INFEASIBLE, math.inf) if pres.proven_infeasible else search.run()
 
     sol, x = None, search.x_inc
     if x is not None:

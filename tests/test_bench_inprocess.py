@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from milpbench.instance import Instance, Relation, Sense, Variable, VarKind, make_row
+from milpbench.runner import RunRecord, RunStatus
 from milpbench.solver import ReferenceSolverOptions, presolve
 from milpbench.solver.standard_form import to_standard_form
 
@@ -84,6 +85,21 @@ def test_agree_takes_equal_statuses_and_objectives_within_the_tolerance():
     assert not agree(sig("optimal", 1.0), sig("time_limit", 1.0))
     assert agree(sig("infeasible", None), sig("infeasible", None))
     assert not agree(sig("time_limit", None), sig("time_limit", 2.0))
+
+
+def test_signatures_carry_the_bound_and_count_the_jobs_that_keep_it_to_the_bit():
+    def row(name, status=RunStatus.OPTIMAL, objective=-3.0, bound=-3.0, nodes=4):
+        record = RunRecord(name, "builtin", "default", status, 0.1, objective=objective, best_bound=bound,
+                           nodes=nodes, ticks=9)
+        return bench_inprocess.record_signature("baseline", record)
+
+    assert row("a") == ["baseline", "a", "default", "optimal", (-3.0).hex(), 4, 9, (-3.0).hex()]
+    assert row("b", RunStatus.INFEASIBLE, None, None)[-1] is None
+    parent = [row("a"), row("b"), row("c"), row("d"), row("e", RunStatus.INFEASIBLE, None, None)]
+    change = [row("a"), row("b", bound=math.nextafter(-3.0, 0.0)), row("c", nodes=5),
+              row("d", objective=-3.0 * (1 + 5e-10), bound=-3.1), row("e", RunStatus.INFEASIBLE, None, None)]
+    assert bench_inprocess.compare_signatures(parent, change) == {
+        "jobs_compared": 5, "identical": 3, "same_bound": 3, "same_status_and_objective": 5}
 
 
 def test_outcome_rows_split_each_bucket_by_long_step_flips():

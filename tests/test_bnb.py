@@ -360,7 +360,68 @@ def test_an_error_exit_keeps_the_unsolved_nodes_bound(monkeypatch):
     assert out.best_bound <= -10.0 and out.gap > 0
 
 
-_CUTS_AND_DIVE = ReferenceSolverOptions(gomory_rounds=3, cover_cuts=True, diving=True)
+def _ray() -> Instance:
+    """min -x  s.t.  x - y <= 1 over integers x, y >= 0: the LP is unbounded."""
+    variables = tuple(Variable(name, 0.0, math.inf, VarKind.INTEGER) for name in ("x", "y"))
+    return Instance("ray", Sense.MINIMIZE, variables, (make_row("r", [(0, 1.0), (1, -1.0)], Relation.LE, 1.0),),
+                    ((0, -1.0),))
+
+
+# the root, decided by visit as every node is: (model, options, the solve call
+# and its attempts that break down, status, best_bound, nodes)
+_ROOT_FATES = {
+    "infeasible": (contradictory_bounds_instance, ReferenceSolverOptions(), None,
+                   SolveStatus.INFEASIBLE, math.inf, 1),
+    "root_lp_breaks_down": (knapsack_2var, ReferenceSolverOptions(), (1, {1, 2}),
+                            SolveStatus.ERROR, -math.inf, 0),
+    "cut_lp_breaks_down": (two_row_knapsack, ReferenceSolverOptions(gomory_rounds=3), (2, {1, 2, 3}),
+                           SolveStatus.ERROR, -math.inf, 1),
+    "unbounded": (_ray, ReferenceSolverOptions(), None, SolveStatus.ERROR, -math.inf, 1),
+    "integral": (knapsack_2var, ReferenceSolverOptions(), None, SolveStatus.OPTIMAL, -2.0, 1),
+}
+
+
+@pytest.mark.parametrize("fate", sorted(_ROOT_FATES))
+def test_the_roots_fates(monkeypatch, fate):
+    model, opts, flaky, status, bound, nodes = _ROOT_FATES[fate]
+    flags = _flaky_attempts(monkeypatch, *flaky) if flaky else []
+    out = branch_and_bound(model(), opts)
+    assert (out.status, out.best_bound, out.nodes) == (status, bound, nodes)
+    assert len(flags) == (len(flaky[1]) if flaky else 0)  # every attempt of that solve broke down
+    if status is SolveStatus.OPTIMAL:
+        assert out.incumbent.objective == out.best_bound
+
+
+def _near_integral(with_z: bool) -> Instance:
+    """max x (+ z) over integers x in [-1, 1] (and z in [0, 1]) under 1000x <=
+    -0.0005 (and 2z <= 1).  The LP gives x = -5e-7, which counts as integral;
+    snapped to 0 it breaks the row by 5e-4.  With z the root is fractional,
+    and its child at z = 0 has that point."""
+    variables = [Variable("x", -1.0, 1.0, VarKind.INTEGER)]
+    rows = [make_row("r", [(0, 1000.0)], Relation.LE, -0.0005)]
+    if with_z:
+        variables.append(Variable("z", 0.0, 1.0, VarKind.INTEGER))
+        rows.append(make_row("s", [(1, 2.0)], Relation.LE, 1.0))
+    return Instance("near", Sense.MAXIMIZE, tuple(variables), tuple(rows),
+                    tuple((j, 1.0) for j in range(len(variables))))
+
+
+def test_a_rejected_integral_point_is_an_error_at_every_node():
+    # x = -1, z = 0 is feasible, so dropping the node that holds the rejected
+    # point and reporting INFEASIBLE would be wrong
+    inst = _near_integral(True)
+    assert enumerate_box_integer_optimum(inst) == ("optimal", -1.0)
+    out = branch_and_bound(inst, ReferenceSolverOptions())
+    assert out.status is SolveStatus.ERROR and out.incumbent is None and out.nodes == 2
+    assert out.best_bound >= -1.0  # a bound on the max side
+    # the root alone: its bound is its LP's, which rounding to the step leaves as it is
+    root = _near_integral(False)
+    out = branch_and_bound(root, ReferenceSolverOptions())
+    assert out.status is SolveStatus.ERROR and out.incumbent is None and out.nodes == 1
+    assert out.best_bound == solve_lp(root).objective
+
+
+_CUTS_AND_DIVE =ReferenceSolverOptions(gomory_rounds=3, cover_cuts=True, diving=True)
 
 
 def test_one_lp_object_per_row_set(monkeypatch):
@@ -395,7 +456,7 @@ def test_one_lp_object_per_row_set(monkeypatch):
 def test_first_tree_node_starts_from_the_root_basis_not_the_dive(monkeypatch):
     # the LP after the last cut round ends the root, the next solve is the
     # dive's first LP, and the first tree-node LP is the first solve after a
-    # node is made
+    # node below the root is made
     calls, cut_rounds, first_node = [], [], []
     solve, add_cut_rows, node = BoundedSimplex.solve, bnb._Search.add_cut_rows, bnb._Node
 
@@ -404,9 +465,14 @@ def test_first_tree_node_starts_from_the_root_basis_not_the_dive(monkeypatch):
         calls.append((warm, res))
         return res
 
+    def node_spy(*args):
+        if args[1]:  # the depth: the root, made first, is no tree node
+            first_node.append(len(calls))
+        return node(*args)
+
     monkeypatch.setattr(BoundedSimplex, "solve", spy)
     monkeypatch.setattr(bnb._Search, "add_cut_rows", lambda *a: cut_rounds.append(len(calls)) or add_cut_rows(*a))
-    monkeypatch.setattr(bnb, "_Node", lambda *a: first_node.append(len(calls)) or node(*a))
+    monkeypatch.setattr(bnb, "_Node", node_spy)
     # seed 1's dive finds an incumbent that its rounded root bound proves
     # optimal, so no tree node solves an LP there
     out = branch_and_bound(two_row_knapsack(seed=2), _CUTS_AND_DIVE)

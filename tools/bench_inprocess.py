@@ -26,11 +26,13 @@ each replacing a section of the same name; the rest of the file is kept:
 - ``identical_results``: one untimed pass (``perfbench/workloads.run_pass``) of
   each workload of ``BENCHMARK.json`` and seeds 11-20, in a fresh process per
   side, counting the jobs whose status, objective (``float.hex``), nodes and
-  ticks are equal, and the jobs whose status is equal and whose objective
-  lies within ``1e-9 * max(1, |objective|)`` of the parent's.
+  ticks are equal, the jobs whose ``best_bound`` is equal to the bit, and the
+  jobs whose status is equal and whose objective lies within
+  ``1e-9 * max(1, |objective|)`` of the parent's.
 
 All timed seconds except the traced ones are raw host seconds.  The
-``signatures`` subcommand prints one pass's job signatures from a checkout; the
+``signatures`` subcommand prints one pass's job signatures from a checkout, each
+a ``signature`` followed by the record's ``best_bound`` (``float.hex``); the
 identity section runs it once per side, workload and seed.  The ``presolve``
 subcommand prints, for every model of one workload and seed, a digest of the
 presolved standard form under four option sets (``PRESOLVE_SETS``): the
@@ -57,7 +59,7 @@ import subprocess
 import sys
 import tempfile
 import time
-from collections import defaultdict
+from collections import Counter, defaultdict
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
@@ -128,9 +130,9 @@ def interleaved(jobs: list[dict], run) -> list[dict]:
 
 
 def agree(parent: list, change: list) -> bool:
-    """Two job signatures with the same status, and objectives within ``OBJ_TOL``
-    relative, or both without one."""
-    (status_p, obj_p, *_), (status_c, obj_c, *_) = parent[-4:], change[-4:]
+    """Two rows of ``signatures`` with the same status, and objectives within
+    ``OBJ_TOL`` relative, or both without one."""
+    (status_p, obj_p), (status_c, obj_c) = parent[3:5], change[3:5]
     if status_p != status_c or (obj_p is None) != (obj_c is None):
         return False
     if obj_p is None:
@@ -288,16 +290,34 @@ def traced_sides(run) -> dict:
             for s in SIDES}
 
 
+def record_signature(suite: str, record) -> list:
+    """A job's suite, instance and configuration, its ``signature`` and its
+    ``best_bound`` (``float.hex``, None when the record has none)."""
+    bound = record.best_bound
+    return [suite, record.instance_name, record.config_label,
+            *signature(record.status.value, record.objective, record.nodes, record.ticks),
+            None if bound is None else float(bound).hex()]
+
+
 def signatures(checkout: Path, workload: str, seed: int) -> list:
-    """One untimed pass of ``workload`` from ``checkout``: a signature per job."""
+    """One untimed pass of ``workload`` from ``checkout``: a ``record_signature`` per job."""
     sys.path[:0] = [str(checkout / "src"), str(checkout / "perfbench")]
     workloads = importlib.import_module("workloads")
     with tempfile.TemporaryDirectory() as d:
         wl = workloads.build(workload, seed, Path(d) / "setup")
         result = workloads.run_pass(wl, Path(d) / "pass")
-    return [[j.suite, j.record.instance_name, j.record.config_label,
-             *signature(j.record.status.value, j.record.objective, j.record.nodes, j.record.ticks)]
-            for j in result.jobs]
+    return [record_signature(j.suite, j.record) for j in result.jobs]
+
+
+def compare_signatures(parent: list, change: list) -> dict:
+    """Counts over two sides' ``signatures`` of one pass: the jobs compared, those
+    whose rows are equal but for the bound, those whose bound is equal to the
+    bit, and those that ``agree``."""
+    pairs = list(zip(parent, change))
+    return {"jobs_compared": max(len(parent), len(change)),
+            "identical": sum(a[:-1] == b[:-1] for a, b in pairs),
+            "same_bound": sum(a[:3] == b[:3] and a[-1] == b[-1] for a, b in pairs),
+            "same_status_and_objective": sum(a[:3] == b[:3] and agree(a, b) for a, b in pairs)}
 
 
 def presolved(side: Side, inst, opts) -> tuple:
@@ -343,21 +363,20 @@ def presolve_digests(checkout: Path, workload: str, seed: int) -> list:
 
 
 def identical_section(copies: dict, workloads: list[str], seeds: list[int]) -> dict:
-    compared, identical, agreeing = {}, {}, {}
+    counts = defaultdict(dict)
     for workload in workloads:
-        compared[workload] = identical[workload] = agreeing[workload] = 0
+        total = Counter()
         for seed in seeds:
             sigs = {}
             for s in SIDES:
                 cmd = [sys.executable, str(Path(__file__).resolve()), "signatures", "--checkout", str(copies[s]),
                        "--workload", workload, "--seed", str(seed)]
                 sigs[s] = json.loads(subprocess.run(cmd, check=True, capture_output=True, text=True).stdout)
-            compared[workload] += max(len(sigs[s]) for s in SIDES)
-            identical[workload] += sum(a == b for a, b in zip(sigs["parent"], sigs["change"]))
-            agreeing[workload] += sum(a[:3] == b[:3] and agree(a, b) for a, b in zip(sigs["parent"], sigs["change"]))
-        print(workload, "identical", identical[workload], "agreeing", agreeing[workload], "of", compared[workload],
-              flush=True)
-    return {"jobs_compared": compared, "identical": identical, "same_status_and_objective": agreeing}
+            total.update(compare_signatures(sigs["parent"], sigs["change"]))
+        print(workload, dict(total), flush=True)
+        for key, n in total.items():
+            counts[key][workload] = n
+    return dict(counts)
 
 
 def main(argv=None) -> int:
@@ -431,8 +450,9 @@ def main(argv=None) -> int:
     doc["identical_results"] = {
         "how": f"{command}: one untimed pass (perfbench/workloads.run_pass) of each workload, {span}, from "
                f"each side's copy in its own process: identical counts the jobs whose status, objective "
-               f"(float.hex), nodes and ticks are equal; same_status_and_objective those whose status is equal "
-               f"and whose objective is within {OBJ_TOL:g}*max(1, |parent objective|).",
+               f"(float.hex), nodes and ticks are equal; same_bound those whose best_bound is equal to the "
+               f"bit; same_status_and_objective those whose status is equal and whose objective is within "
+               f"{OBJ_TOL:g}*max(1, |parent objective|).",
         **identical,
     }
     args.out.write_text(json.dumps(bench_pairs._rounded(doc), indent=1) + "\n")
