@@ -570,6 +570,20 @@ def test_boxed_models_never_enter_phase_one(monkeypatch):
     assert entered == []
 
 
+def test_pseudocosts_average_each_directions_degradation_per_unit():
+    # a child that moved its column down by the fraction f, or up by 1 - f,
+    # adds (its objective - the parent's bound) / that distance to the mean
+    # of its direction; the root and a better child add nothing and 0
+    search = bnb._Search(to_standard_form(knapsack_2var()), ReferenceSolverOptions())
+    lb, ub = search.form.lb, search.form.ub
+    search.observe_pseudocost(bnb._Node(-math.inf, 0, 0, lb, ub), 5.0)
+    for up, frac, obj in [(True, 0.25, 2.0), (True, 0.5, 1.5), (False, 0.25, 2.0), (False, 0.5, 0.5)]:
+        search.observe_pseudocost(bnb._Node(1.0, 1, 1, lb, ub, 0, up, frac), obj)
+    assert search.pc_up[0] == pytest.approx((1 / 0.75 + 0.5 / 0.5) / 2) and search.pc_up_count[0] == 2
+    assert search.pc_dn[0] == pytest.approx((1 / 0.25 + 0.0) / 2) and search.pc_dn_count[0] == 2
+    assert search.pc_up[1] == search.pc_dn[1] == 2.0 and search.pc_up_count[1] == 0  # the cold start |c|
+
+
 @pytest.mark.parametrize("rule", list(BranchRule))
 def test_branching_tie_goes_to_the_lower_index(rule):
     # x2 = 0.25 and x3 = 0.75 score bitwise alike under both rules (0.25,
