@@ -29,7 +29,12 @@ flagged, at most ``_MAX_PASSES`` times.  A child whose bounds cross is
 settled without an LP; like a child pruned by its bound it is not a node, so
 ``nodes`` counts the nodes whose LP ran.  Moved bounds go into new arrays for
 that node and its children, since siblings share their parent's arrays.  The
-dive does not propagate.
+dive does not propagate.  After the sweep, each equality row with integral data
+over binary columns (``_binary_equalities``) that holds the branched column or
+a moved one is tested exactly: a subset sum over its free columns decides
+whether the row can still meet its right-hand side (``_reaches``; Trick,
+*Ann. Oper. Res.* 118, 2003).  A child whose row cannot is settled like one
+whose bounds cross, without an LP and not counted in ``nodes``.
 """
 
 from __future__ import annotations
@@ -52,6 +57,10 @@ from .simplex import (_INT_TOL, _OPT_TOL, BASIC, BoundedSimplex, LpResult, LpSta
 from .standard_form import StandardForm, to_standard_form
 
 _COVER_ROUNDS = 5
+# the most sum(|a|) of a row that _reaches tests: it bounds the bitset's bits and
+# shifts, so a test costs at most about _REACH_CAP^2 / 64 word operations, a few
+# ms, below one LP over that many columns (a market split's row sums to < 1,200)
+_REACH_CAP = 4096
 
 
 class SolveStatus(Enum):
@@ -128,6 +137,34 @@ def step_tolerance(form: StandardForm, step: float) -> float:
     return _STEP_TOL + _OPT_TOL * float(span.sum() + row_span.sum()) / step
 
 
+def _binary_equalities(rows, is_int: list, lb: np.ndarray, ub: np.ndarray) -> dict[int, tuple[list, int]]:
+    """The ``form_rows`` that ``_reaches`` tests, by index, as int terms and
+    right-hand side: equalities of integral data, ``_REACH_CAP`` at most in
+    absolute sum, over integer columns with bounds inside [0, 1]."""
+    out = {}
+    for i, (terms, rlo, rup) in enumerate(rows):
+        if (rlo == rup and float(rlo).is_integer() and all(float(a).is_integer() for _, a in terms)
+                and sum(abs(a) for _, a in terms) <= _REACH_CAP
+                and all(is_int[j] and lb[j] >= 0.0 and ub[j] <= 1.0 for j, _ in terms)):
+            out[i] = ([(j, int(a)) for j, a in terms], int(rlo))
+    return out
+
+
+def _reaches(terms: list, rhs: int, lb: list, ub: list) -> bool:
+    """Whether 0/1 values of the free columns meet ``sum(a x) == rhs``, less
+    the fixed columns' terms: bit k of ``reach`` is set when the free columns,
+    those of negative ``a`` complemented, can sum to k."""
+    reach = 1
+    for j, a in terms:
+        if lb[j] == ub[j]:
+            rhs -= a * int(lb[j])
+            continue
+        if a < 0:  # a x = a + |a| (1 - x)
+            rhs, a = rhs - a, -a
+        reach |= reach << a
+    return rhs >= 0 and bool(reach >> rhs & 1)
+
+
 @dataclass
 class _Node:
     bound_est: float
@@ -172,11 +209,12 @@ class _Search:
         self.pc_dn = self.pc_up.copy()
         self.pc_up_count = np.zeros(form.n)
         self.pc_dn_count = np.zeros(form.n)
-        # propagate's rows of form, their column index and is_int as a list,
-        # built at the first child visited, after the root's cuts
+        # propagate's rows of form, their column index, is_int as a list and the
+        # rows _reaches tests, built at the first child visited, after the root's cuts
         self.rows: Optional[list] = None
         self.col_rows: list[list[int]] = []
         self.int_list: list[bool] = []
+        self.equalities: dict[int, tuple[list, int]] = {}
 
     def lp(self, lb: np.ndarray, ub: np.ndarray, warm: Optional[WarmStart] = None) -> LpResult:
         """Solve ``splx`` under these bounds, from ``warm`` when given; its
@@ -310,11 +348,15 @@ class _Search:
         self.push(up)
         self.push(dn)
 
-    def cut_rounds(self, lb: np.ndarray, ub: np.ndarray, res: LpResult) -> LpResult:
+    def cut_rounds(self, root: _Node, res: LpResult) -> LpResult:
         """The cut rounds after the root LP ``res``; returns the last LP
-        solved, which ends the rounds when it is not OPTIMAL."""
-        opts, is_int = self.opts, self.form.is_int
+        solved, which ends the rounds when it is not OPTIMAL.  Each OPTIMAL
+        LP's objective becomes the root's bound before the next round, so a
+        later LP that breaks down leaves it standing."""
+        opts, is_int, lb, ub = self.opts, self.form.is_int, root.lb, root.ub
         for rnd in range(max(opts.gomory_rounds, _COVER_ROUNDS if opts.cover_cuts else 0)):
+            if res.status is LpStatus.OPTIMAL:
+                root.bound_est = res.objective
             if (res.status is not LpStatus.OPTIMAL or self.fractional(res.point).size == 0
                     or self.clock() >= self.deadline):
                 break
@@ -355,16 +397,19 @@ class _Search:
         """The node's bounds after ``propagate`` sweeps from the rows of its
         branched column until no row is flagged, at most ``_MAX_PASSES``
         times: new arrays when a bound moved, the node's own otherwise, and
-        None when some column's bounds cross."""
+        None when some column's bounds cross or when an equality row over
+        binaries that holds the branched or a moved column cannot meet its
+        right-hand side (``_reaches``)."""
         if self.rows is None:
             self.rows = form_rows(self.form)
             self.col_rows = _column_rows(self.rows, self.form.n)
             self.int_list = self.form.is_int.tolist()
+            self.equalities = _binary_equalities(self.rows, self.int_list, self.form.lb, self.form.ub)
         marked = [False] * len(self.rows)
         for i in self.col_rows[node.branch_var]:
             marked[i] = True
         lb, ub = node.lb.tolist(), node.ub.tolist()
-        moved = False
+        moved = [node.branch_var]
         for _ in range(_MAX_PASSES):
             if not any(marked):
                 break
@@ -372,12 +417,16 @@ class _Search:
             cols, infeasible = propagate(self.rows, lb, ub, self.int_list, self.col_rows, marked, marked)
             if infeasible:
                 return None
-            moved = moved or bool(cols)
-        return (np.array(lb), np.array(ub)) if moved else (node.lb, node.ub)
+            moved += cols
+        eqs = self.equalities
+        if eqs and not all(_reaches(*eqs[i], lb, ub) for i in {i for j in moved for i in self.col_rows[j] if i in eqs}):
+            return None
+        return (np.array(lb), np.array(ub)) if len(moved) > 1 else (node.lb, node.ub)
 
     def visit(self, node: _Node) -> Optional[SolveStatus]:
         """Decide a node's fate, the root's included: pruned by its bound,
-        settled by bound propagation (its bounds cross), infeasible, pruned
+        settled by bound propagation (its bounds cross, or an equality row
+        over binaries cannot meet its right-hand side), infeasible, pruned
         after its LP, integral (offered as the incumbent) or branched.  At
         the root, which is not propagated, the cut rounds follow its LP and
         the dive, when on, comes before it branches.  Returns ``None`` to go
@@ -397,7 +446,7 @@ class _Search:
             res = self.lp(lb, ub, node.warm)
             self.nodes += 1
             if not node.depth:
-                res = self.cut_rounds(lb, ub, res)
+                res = self.cut_rounds(node, res)
         except SimplexBreakdown:
             return SolveStatus.ERROR
         if res.status is LpStatus.INFEASIBLE:

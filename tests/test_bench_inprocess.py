@@ -29,16 +29,16 @@ def test_interleaved_alternates_which_side_goes_first():
 
 
 def test_family_rows_sum_by_family_and_seed():
-    def ticks(parent, change):
+    def sides(parent, change):
         return {"parent": parent, "change": change}
 
     seed_jobs = {
-        11: [("knap000", {"parent": 1.0, "change": 0.8}, ticks(10, 4)),
-             ("knap001", {"parent": 1.0, "change": 0.9}, ticks(10, 6)),
-             ("chain0", {"parent": 2.0, "change": 2.2}, ticks(3, 3))],
-        12: [("knap000", {"parent": 2.0, "change": 1.0}, ticks(20, 5)),
-             ("knap001", {"parent": 2.0, "change": 1.0}, ticks(10, 5)),
-             ("chain0", {"parent": 1.0, "change": 0.5}, ticks(0, 0))],
+        11: [("knap000", {"parent": 1.0, "change": 0.8}, sides(10, 4), sides(7, 3)),
+             ("knap001", {"parent": 1.0, "change": 0.9}, sides(10, 6), sides(5, 5)),
+             ("chain0", {"parent": 2.0, "change": 2.2}, sides(3, 3), sides(2, 2))],
+        12: [("knap000", {"parent": 2.0, "change": 1.0}, sides(20, 5), sides(9, 1)),
+             ("knap001", {"parent": 2.0, "change": 1.0}, sides(10, 5), sides(6, 6)),
+             ("chain0", {"parent": 1.0, "change": 0.5}, sides(0, 0), sides(1, 1))],
     }
     rows = bench_inprocess.family_rows(seed_jobs)
     knap, chain = rows["families"]["knap"], rows["families"]["chain"]
@@ -49,10 +49,13 @@ def test_family_rows_sum_by_family_and_seed():
     assert chain["seed_ratios"] == pytest.approx([1.1, 0.5]) and chain["change_faster_seeds"] == 1
     assert (knap["parent_ticks"], knap["change_ticks"], knap["ticks_change_over_parent"]) == (50, 20, 0.4)
     assert (chain["parent_ticks"], chain["change_ticks"], chain["ticks_change_over_parent"]) == (3, 3, 1.0)
+    assert (knap["parent_nodes"], knap["change_nodes"]) == (27, 15)
+    assert (chain["parent_nodes"], chain["change_nodes"]) == (3, 3)
     everything = rows["all_jobs"]
     assert (everything["parent_s"], everything["change_s"]) == pytest.approx((9.0, 6.4))
     assert (everything["change_faster_jobs"], everything["jobs"]) == (5, 6)
     assert (everything["parent_ticks"], everything["change_ticks"]) == (53, 23)
+    assert (everything["parent_nodes"], everything["change_nodes"]) == (30, 18)
 
 
 def test_outcome_rows_group_by_status_and_pivots():

@@ -22,6 +22,7 @@ from milpbench.solver.standard_form import to_standard_form
 from milpbench.validate import check_feasibility
 
 from _helpers import (
+    binary_instance,
     chain_instance,
     contradictory_bounds_instance,
     counting_clock,
@@ -34,6 +35,7 @@ from _helpers import (
     random_binary_instance,
     random_mixed_instance,
     two_row_knapsack,
+    var,
 )
 
 ALL_STRATEGIES = [
@@ -240,6 +242,22 @@ def test_rel_gap_early_stop():
     assert exact.incumbent.objective == pytest.approx(-11.5, abs=1e-9)
 
 
+def test_gap_zero_goes_on_one_step_from_a_large_incumbent():
+    # min -1e7 x0 - v @ x over binaries under one packing row: best-bound
+    # search holds the incumbent -10000081 while a node whose bound rounds to
+    # the optimum -10000082 is open.  Their gap, 1 / 10000081 < 1e-7, is not
+    # 0, so at gap 0 the search goes on and proves the optimum; at a gap of
+    # 1e-7 it stops a whole step short
+    w, v = [19, 18, 8, 4, 19, 3], [6, 18, 15, 24, 17, 25]
+    inst = binary_instance("big", 7, [make_row("c", [(j + 1, float(a)) for j, a in enumerate(w)], Relation.LE, 35.0)],
+                           [(0, -1e7)] + [(j + 1, -float(a)) for j, a in enumerate(v)])
+    assert enumerate_binary_optimum(inst) == ("optimal", -10000082.0)
+    out = branch_and_bound(inst, ReferenceSolverOptions())
+    assert out.status is SolveStatus.OPTIMAL and out.incumbent.objective == out.best_bound == -10000082.0
+    loose = branch_and_bound(inst, ReferenceSolverOptions(rel_gap=1e-7))
+    assert loose.status is SolveStatus.OPTIMAL and loose.incumbent.objective == -10000081.0
+
+
 def test_chain_instance_gomory_collapses_tree():
     inst = chain_instance(30, off_lattice=True)
     plain = branch_and_bound(inst, ReferenceSolverOptions())
@@ -368,14 +386,19 @@ def _ray() -> Instance:
 
 
 # the root, decided by visit as every node is: (model, options, the solve call
-# and its attempts that break down, status, best_bound, nodes)
+# and its attempts that break down, status, best_bound, nodes).  When the first
+# cut LP breaks down, the root LP's -124.19..., rounded up to the objective's
+# step of 1, is still the bound; when the second does, the first cut LP's
+# -122.19... is
 _ROOT_FATES = {
     "infeasible": (contradictory_bounds_instance, ReferenceSolverOptions(), None,
                    SolveStatus.INFEASIBLE, math.inf, 1),
     "root_lp_breaks_down": (knapsack_2var, ReferenceSolverOptions(), (1, {1, 2}),
                             SolveStatus.ERROR, -math.inf, 0),
     "cut_lp_breaks_down": (two_row_knapsack, ReferenceSolverOptions(gomory_rounds=3), (2, {1, 2, 3}),
-                           SolveStatus.ERROR, -math.inf, 1),
+                           SolveStatus.ERROR, -124.0, 1),
+    "second_cut_lp_breaks_down": (two_row_knapsack, ReferenceSolverOptions(gomory_rounds=3), (3, {1, 2, 3}),
+                                  SolveStatus.ERROR, -122.0, 1),
     "unbounded": (_ray, ReferenceSolverOptions(), None, SolveStatus.ERROR, -math.inf, 1),
     "integral": (knapsack_2var, ReferenceSolverOptions(), None, SolveStatus.OPTIMAL, -2.0, 1),
 }
@@ -528,7 +551,7 @@ _TREE_PINS = {
     "chain": {"best_bound": (2, 2), "depth_first_pseudocost": (2, 2), "diving": (1, 2)},
     "chain_off_lattice": {"best_bound": (27, 27), "depth_first_pseudocost": (27, 27), "diving": (27, 28)},
     "knapsack": {"best_bound": (17, 25), "depth_first_pseudocost": (17, 26), "diving": (17, 32)},
-    "market_split": {"best_bound": (42, 55), "depth_first_pseudocost": (48, 56), "diving": (42, 64)},
+    "market_split": {"best_bound": (18, 25), "depth_first_pseudocost": (12, 18), "diving": (18, 34)},
     "mixed": {"best_bound": (5, 5), "depth_first_pseudocost": (5, 5), "diving": (4, 5)},
 }
 
@@ -808,3 +831,102 @@ def test_children_settled_by_propagation_hold_no_point(monkeypatch):
                 lp_feasible += 1
                 assert _enumerated(child_form, lb, ub) is None, inst.name
     assert compared > 480 and n_settled - lp_feasible > 20 and lp_feasible > 20
+
+
+def _equality_model(rng) -> Instance:
+    """Six to twelve binaries, some fixed at 1, under one or two equality rows
+    with integer coefficients in [-9, 19], zeros among them, near a 0/1 point,
+    and a packing row that cover cuts can separate."""
+    n = int(rng.integers(6, 13))
+    fixed = rng.random(n) < 0.15
+    variables = tuple(Variable(f"x{j}", float(f), 1.0, VarKind.BINARY) for j, f in enumerate(fixed))
+    anchor = np.where(fixed, 1, rng.integers(0, 2, n))
+    rows = []
+    for i in range(int(rng.integers(1, 3))):
+        a = rng.integers(-9, 20, n)
+        rhs = int(a @ anchor) + (0 if rng.random() < 0.4 else int(rng.integers(-3, 4)))
+        rows.append(make_row(f"e{i}", [(j, float(a[j])) for j in range(n)], Relation.EQ, float(rhs)))
+    w = rng.integers(1, 10, n)
+    rows.append(make_row("p", [(j, float(w[j])) for j in range(n)], Relation.LE, float(w.sum() // 2 + w[fixed].sum())))
+    return Instance(f"eq{rng.integers(0, 10 ** 9)}", Sense.MINIMIZE, variables, tuple(rows),
+                    tuple((j, float(rng.integers(-10, 11))) for j in range(n)))
+
+
+def test_children_settled_by_the_row_test_hold_no_point(monkeypatch):
+    # a child one of whose equality rows over binaries cannot reach its
+    # right-hand side is settled without an LP; no integer point of the model
+    # lies in its own box, before propagation, and every solve matches
+    # enumeration.  The settled children's rows carry negative coefficients,
+    # zeros that form_rows drops and columns fixed at 1, beside cover cuts
+    settled, failed = [], []
+    reaches, propagated = bnb._reaches, bnb._Search.propagated
+
+    def reaches_spy(terms, rhs, lb, ub):
+        ok = reaches(terms, rhs, lb, ub)
+        if not ok:
+            failed.append(terms)
+        return ok
+
+    def propagated_spy(self, node):
+        failed.clear()
+        bounds = propagated(self, node)
+        if bounds is None and failed:
+            row = next(i for i, (terms, _) in self.equalities.items() if terms is failed[0])
+            settled.append((self.form, row, node.lb.copy(), node.ub.copy()))
+        return bounds
+
+    monkeypatch.setattr(bnb, "_reaches", reaches_spy)
+    monkeypatch.setattr(bnb._Search, "propagated", propagated_spy)
+    models = [(_PIN_MODELS[name](), opts) for name in sorted(_PIN_MODELS) for opts in _PIN_OPTIONS.values()]
+    rng = np.random.default_rng(3119)
+    heavy = ReferenceSolverOptions(gomory_rounds=2, cover_cuts=True, presolve_bound_tighten=True,
+                                   presolve_coeff_reduce=True, diving=True,
+                                   node_strategy=NodeStrategy.DEPTH_FIRST, branch_rule=BranchRule.PSEUDOCOST)
+    options = [ReferenceSolverOptions(), heavy, ReferenceSolverOptions(cover_cuts=True)]
+    models += [(_equality_model(rng), options[k % 3]) for k in range(200)]
+    seen = {"settled": 0, "negative": 0, "zero": 0, "fixed_at_1": 0, "cut_rows": 0}
+    for inst, opts in models:
+        settled.clear()
+        out = branch_and_bound(inst, opts)
+        form = to_standard_form(inst)
+        want = _enumerated(form, form.lb, form.ub)
+        if want is None:
+            assert out.status is SolveStatus.INFEASIBLE, inst.name
+        else:
+            assert out.status is SolveStatus.OPTIMAL, inst.name
+            assert out.incumbent.objective == pytest.approx(form.user_objective(want), abs=1e-6), inst.name
+        for child_form, row, lb, ub in settled:
+            assert _enumerated(form, lb, ub) is None, inst.name
+            coefficients = inst.rows[row].coefficients
+            seen["settled"] += 1
+            seen["negative"] += any(a < 0 for _, a in coefficients)
+            seen["zero"] += any(a == 0 for _, a in coefficients)
+            seen["fixed_at_1"] += any(inst.variables[j].lower == 1 for j, _ in coefficients)
+            seen["cut_rows"] += child_form.m > form.m
+    assert seen["settled"] > 100 and min(seen.values()) > 10, seen
+
+
+def test_only_equality_rows_of_integral_data_over_binaries_are_tested():
+    # each row but the last two is ineligible for one reason: a fractional
+    # coefficient or right-hand side, a general-integer or a continuous
+    # column, a >= row, |coefficients| summing past the cap; the last two
+    # are eligible, one of them at the cap exactly
+    cap = bnb._REACH_CAP
+    variables = (var("x0"), var("x1"), var("x2"), var("g", 0.0, 3.0, _INT), var("y", 0.0, 1.0, _CONT))
+    rows = [
+        make_row("frac_coef", [(0, 1.5), (1, 1.0)], Relation.EQ, 1.0),
+        make_row("frac_rhs", [(0, 2.0), (1, 1.0)], Relation.EQ, 1.5),
+        make_row("general", [(0, 1.0), (3, 1.0)], Relation.EQ, 1.0),
+        make_row("continuous", [(0, 1.0), (4, 1.0)], Relation.EQ, 1.0),
+        make_row("cover", [(0, 1.0), (1, 1.0)], Relation.GE, 1.0),
+        make_row("wide", [(0, cap / 2 + 1), (1, -cap / 2)], Relation.EQ, 1.0),
+        make_row("at_cap", [(0, cap / 2), (1, -cap / 2)], Relation.EQ, 0.0),
+        make_row("plain", [(0, 3.0), (1, 0.0), (2, -2.0)], Relation.EQ, 1.0),
+    ]
+    form = to_standard_form(Instance("rows", Sense.MINIMIZE, variables, tuple(rows), ()))
+    got = bnb._binary_equalities(bnb.form_rows(form), form.is_int.tolist(), form.lb, form.ub)
+    assert got == {6: ([(0, cap // 2), (1, -(cap // 2))], 0), 7: ([(0, 3), (2, -2)], 1)}
+    # the >= rows that cut rounds append are never tested
+    search = bnb._Search(to_standard_form(two_row_knapsack(seed=2)), _CUTS_AND_DIVE)
+    assert search.run()[0] is SolveStatus.OPTIMAL and search.rows is not None
+    assert len(search.rows) > 2 and search.equalities == {}

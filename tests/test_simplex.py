@@ -1261,10 +1261,12 @@ def test_branch_and_bound_matches_the_wrapped_oracle(monkeypatch):
         return out
 
     rng = np.random.default_rng(101)
-    # node propagation settles many market-split children without an LP, so
-    # three of them keep the node LPs above a thousand
+    # node propagation and the equality rows' reachability test settle many
+    # market-split children without an LP, so eight of them keep the node LPs
+    # above a thousand
     insts = [random_mixed_instance(rng) for _ in range(150)]
-    insts += [market_split_instance(seed=s, n=12, m=2) for s in (5, 6, 7)]
+    insts += [market_split_instance(seed=s, n=12, m=2) for s in (5, 6, 7, 8, 9, 10)]
+    insts += [market_split_instance(seed=s, n=14, m=2) for s in (6, 7)]
     mine, want = _both_wrapped(monkeypatch, outcomes, insts)
     assert mine == want
     assert sum(nodes for _, nodes, *_ in mine) > 1000

@@ -11,8 +11,8 @@ each replacing a section of the same name; the rest of the file is kept:
   solved by ``branch_and_bound`` with the options ``run_suite`` would pick
   (for ``protocol``, the adapted suite's), ``REPS`` times with the parent's
   package and ``REPS`` times with the change's, in one process, alternating
-  which side goes first; each side's fastest run counts.  Seconds and ticks
-  are summed by family (the instance name without its digits).  A side's
+  which side goes first; each side's fastest run counts.  Seconds, ticks and
+  nodes are summed by family (the instance name without its digits).  A side's
   runs of one job must give the same result.
 - ``tree_seed_11_solve_microseconds``: the ``tree`` jobs of seed 11, with
   every ``BoundedSimplex.solve`` call timed; a call's fastest run counts, and
@@ -150,22 +150,25 @@ def solve_job(side: Side, job) -> tuple[float, list]:
                               o.nodes, o.deterministic_ticks)
 
 
-def family_rows(seed_jobs: dict[int, list[tuple[str, dict, dict]]]) -> dict:
-    """``seed_jobs[seed]``: (instance name, {side: fastest seconds}, {side: ticks}) per job."""
+def family_rows(seed_jobs: dict[int, list[tuple[str, dict, dict, dict]]]) -> dict:
+    """``seed_jobs[seed]``: (instance name, {side: fastest seconds}, {side:
+    ticks}, {side: nodes}) per job."""
     seeds = sorted(seed_jobs)
     sums = defaultdict(lambda: {seed: {s: 0.0 for s in SIDES} for seed in seeds})
     ticks = defaultdict(lambda: {s: 0 for s in SIDES})
+    nodes = defaultdict(lambda: {s: 0 for s in SIDES})
     models = defaultdict(set)
     for seed in seeds:
-        for name, best, job_ticks in seed_jobs[seed]:
+        for name, best, job_ticks, job_nodes in seed_jobs[seed]:
             for key in (family(name), "all_jobs"):
                 for s in SIDES:
                     sums[key][seed][s] += best[s]
                     ticks[key][s] += job_ticks[s]
+                    nodes[key][s] += job_nodes[s]
             models[family(name)].add((seed, name))
 
     def row(key):
-        per_seed, t = sums[key], ticks[key]
+        per_seed, t, n = sums[key], ticks[key], nodes[key]
         ratios = [per_seed[seed]["change"] / per_seed[seed]["parent"] for seed in seeds]
         parent_s = sum(v["parent"] for v in per_seed.values())
         change_s = sum(v["change"] for v in per_seed.values())
@@ -173,9 +176,10 @@ def family_rows(seed_jobs: dict[int, list[tuple[str, dict, dict]]]) -> dict:
                 "median_seed_ratio": statistics.median(ratios),
                 "change_faster_seeds": sum(r < 1 for r in ratios), "seeds": len(seeds), "seed_ratios": ratios,
                 "parent_ticks": t["parent"], "change_ticks": t["change"],
-                "ticks_change_over_parent": t["change"] / t["parent"] if t["parent"] else None}
+                "ticks_change_over_parent": t["change"] / t["parent"] if t["parent"] else None,
+                "parent_nodes": n["parent"], "change_nodes": n["change"]}
 
-    jobs = [best for seed in seeds for _, best, _ in seed_jobs[seed]]
+    jobs = [best for seed in seeds for _, best, *_ in seed_jobs[seed]]
     return {
         "families": {f: {"models_per_seed": len(models[f]) // len(seeds), **row(f)} for f in sorted(models)},
         "all_jobs": {**row("all_jobs"), "change_faster_jobs": sum(b["change"] < b["parent"] for b in jobs),
@@ -258,8 +262,8 @@ def timed_sections(copies: dict, seeds: list[int], work: Path) -> dict:
                     if len({tuple(sig) for _, sig in r[s]}) != 1:
                         raise SystemExit(f"{workload} seed {seed} {name}: the {s}'s runs differ")
                 seed_jobs[seed].append((name, {s: min(t for t, _ in r[s]) for s in SIDES},
-                                        {s: r[s][0][1][3] for s in SIDES}))
-            print(workload, seed, {s: round(sum(b[s] for _, b, _ in seed_jobs[seed]), 4) for s in SIDES}, flush=True)
+                                        {s: r[s][0][1][3] for s in SIDES}, {s: r[s][0][1][2] for s in SIDES}))
+            print(workload, seed, {s: round(sum(b[s] for _, b, *_ in seed_jobs[seed]), 4) for s in SIDES}, flush=True)
         families[workload] = family_rows(seed_jobs)
 
     record = spy_on_solves(sides)
