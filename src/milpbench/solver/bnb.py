@@ -26,15 +26,13 @@ at every node by default: before the LP of every node but the root,
 ``presolve.propagate`` sweeps the form's rows (root cuts included, built at
 the first child visited) from those of the branched column until no row is
 flagged, at most ``_MAX_PASSES`` times.  A child whose bounds cross is
-settled without an LP; like a child pruned by its bound it is not a node, so
-``nodes`` counts the nodes whose LP ran.  Moved bounds go into new arrays for
-that node and its children, since siblings share their parent's arrays.  The
-dive does not propagate.  After the sweep, each equality row with integral data
-over binary columns (``_binary_equalities``) that holds the branched column or
-a moved one is tested exactly: a subset sum over its free columns decides
-whether the row can still meet its right-hand side (``_reaches``; Trick,
-*Ann. Oper. Res.* 118, 2003).  A child whose row cannot is settled like one
-whose bounds cross, without an LP and not counted in ``nodes``.
+settled without an LP, and so is one with an equality row of integral data over
+binaries, holding the branched or a moved column, that a subset sum shows cannot
+meet its right-hand side (``_reaches``; Trick, *Ann. Oper. Res.* 118, 2003).
+Like a child pruned by its bound a settled child is not a node, so ``nodes``
+counts the nodes whose LP ran.  Moved bounds go into new arrays for that node
+and its children, since siblings share their parent's arrays.  The dive does
+not propagate.
 """
 
 from __future__ import annotations
@@ -351,8 +349,7 @@ class _Search:
     def cut_rounds(self, root: _Node, res: LpResult) -> LpResult:
         """The cut rounds after the root LP ``res``; returns the last LP
         solved, which ends the rounds when it is not OPTIMAL.  Each OPTIMAL
-        LP's objective becomes the root's bound before the next round, so a
-        later LP that breaks down leaves it standing."""
+        LP's objective is the root's bound until a later one replaces it."""
         opts, is_int, lb, ub = self.opts, self.form.is_int, root.lb, root.ub
         for rnd in range(max(opts.gomory_rounds, _COVER_ROUNDS if opts.cover_cuts else 0)):
             if res.status is LpStatus.OPTIMAL:

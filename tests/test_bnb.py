@@ -930,3 +930,21 @@ def test_only_equality_rows_of_integral_data_over_binaries_are_tested():
     search = bnb._Search(to_standard_form(two_row_knapsack(seed=2)), _CUTS_AND_DIVE)
     assert search.run()[0] is SolveStatus.OPTIMAL and search.rows is not None
     assert len(search.rows) > 2 and search.equalities == {}
+
+
+def test_the_row_test_reads_the_rows_of_every_moved_column():
+    # x0 + x1 <= 1 and 3 x1 + 2 x2 + 2 x3 + 2 x4 = 3 over binaries: the child
+    # at x0 = 1 has x1 = 0 by propagation, and then 2 (x2 + x3 + x4) cannot
+    # be 3, though 3 lies inside the activity range [0, 6] so that no bound
+    # moves; the equality does not hold x0, the branched column, but holds
+    # x1, which moved.  At x0 = 0 the row is met by x1 = 1
+    rows = (make_row("pack", [(0, 1.0), (1, 1.0)], Relation.LE, 1.0),
+            make_row("eq", [(1, 3.0), (2, 2.0), (3, 2.0), (4, 2.0)], Relation.EQ, 3.0))
+    form = to_standard_form(Instance("moved", Sense.MINIMIZE, tuple(var(f"x{j}") for j in range(5)), rows, ()))
+    search = bnb._Search(form, ReferenceSolverOptions())
+    up = bnb._Node(0.0, 1, 1, np.array([1.0, 0.0, 0.0, 0.0, 0.0]), form.ub.copy(), 0, True, 0.5)
+    assert search.propagated(up) is None
+    assert search.equalities == {1: ([(1, 3), (2, 2), (3, 2), (4, 2)], 3)}
+    down = bnb._Node(0.0, 1, 2, form.lb.copy(), np.array([0.0, 1.0, 1.0, 1.0, 1.0]), 0, False, 0.5)
+    lb, ub = search.propagated(down)
+    assert lb is down.lb and ub is down.ub

@@ -428,8 +428,8 @@ def main(argv=None) -> int:
             "how": f"{command}, in-process, {span}: each {workload} job solved by branch_and_bound with the "
                    f"options run_suite would pick (for protocol, the adapted suite's), {REPS} times with each "
                    f"revision's package, alternating which goes first; the fastest of each side's runs counts (raw "
-                   f"host seconds), and each side's runs of a job gave one result. Ticks are summed beside the "
-                   f"seconds. seed_ratios is change/parent of a family's summed seconds, per seed.",
+                   f"host seconds), and each side's runs of a job gave one result. Ticks and nodes are summed beside "
+                   f"the seconds. seed_ratios is change/parent of a family's summed seconds, per seed.",
             **timed["families"][workload],
         }
     doc[f"tree_seed_{SEEDS[0]}_solve_microseconds"] = {
