@@ -51,7 +51,8 @@ class LinearRow:
     """One linear constraint.
 
     ``coefficients`` is a tuple of (variable index, value) pairs sorted by
-    index with no duplicates.  For RANGE rows the feasible interval is
+    index.  An index may repeat: ``validate_instance`` reports it and
+    ``to_standard_form`` sums its entries.  For RANGE rows the feasible interval is
     ``[rhs - range_width, rhs]``; for the other relations ``range_width`` is
     None.
     """

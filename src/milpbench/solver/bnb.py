@@ -350,7 +350,7 @@ class _Search:
         """The cut rounds after the root LP ``res``; returns the last LP
         solved, which ends the rounds when it is not OPTIMAL.  Each OPTIMAL
         LP's objective is the root's bound until a later one replaces it."""
-        opts, is_int, lb, ub = self.opts, self.form.is_int, root.lb, root.ub
+        opts, lb, ub = self.opts, root.lb, root.ub
         for rnd in range(max(opts.gomory_rounds, _COVER_ROUNDS if opts.cover_cuts else 0)):
             if res.status is LpStatus.OPTIMAL:
                 root.bound_est = res.objective
@@ -359,10 +359,9 @@ class _Search:
                 break
             cuts: list[tuple[np.ndarray, float]] = []
             if rnd < opts.gomory_rounds:
-                cuts.extend(gomory_cuts(self.splx, is_int))
-            if opts.cover_cuts:
-                rows = self.form
-                cuts.extend(cover_cuts(rows.A, rows.rlo, rows.rup, lb, ub, is_int, res.point))
+                cuts.extend(gomory_cuts(self.splx, self.form.is_int))
+            if opts.cover_cuts:  # self.form holds the cut rows added so far
+                cuts.extend(cover_cuts(self.form.A, self.form.rlo, self.form.rup, lb, ub, self.form.is_int, res.point))
             if not cuts:
                 break
             res = self.lp(lb, ub, self.add_cut_rows(cuts, res.warm))

@@ -2,12 +2,16 @@
 
 All cuts are returned as ``g . x >= rhs`` rows over the structural
 variables.  Right-hand sides are relaxed by 1e-9*max(1,|rhs|) so float
-drift can never exclude an integral feasible point.
+drift can never exclude an integral feasible point.  Sums that decide a cut
+add their terms one at a time in column (or cover) order, because float
+addition is not associative and the same cuts must come out to the bit.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 
 import numpy as np
 
@@ -34,57 +38,32 @@ def gomory_cuts(splx: BoundedSimplex, is_int: np.ndarray) -> list[tuple[np.ndarr
     structural-variable space.
     """
     n, m = splx.n, splx.m
-    A = splx.form.A
+    A, status = splx.form.A, splx.status
+    int_col = np.concatenate([is_int, np.zeros(m, dtype=bool)])
+    shifted = (status != BASIC) & (splx.hi > splx.lo)  # a fixed column's shifted weight is identically zero
+    rows = np.flatnonzero(int_col[splx.basis])
+    vals = splx.xval[splx.basis[rows]]
+    frac = vals - np.floor(vals)
+    keep = (_F0_MIN <= frac) & (frac <= 1.0 - _F0_MIN)
+    rows, frac = rows[keep], frac[keep]
     cuts: list[tuple[np.ndarray, float]] = []
 
-    fractional = []
-    for p in range(m):
-        col = int(splx.basis[p])
-        if col >= n or not is_int[col]:
-            continue
-        val = splx.xval[col]
-        f0 = val - math.floor(val)
-        if _F0_MIN <= f0 <= 1.0 - _F0_MIN:
-            fractional.append((abs(f0 - 0.5), p, f0))
-    fractional.sort()
-
-    for _, p, f0 in fractional[:_MAX_CUTS]:
-        tab = splx.tableau_row(p)
+    for k in np.argsort(np.abs(frac - 0.5), kind="stable")[:_MAX_CUTS]:
+        f0, tab = frac[k], splx.tableau_row(rows[k])
+        cols = np.flatnonzero(shifted & (np.abs(tab) >= _COEF_DROP))
+        if np.any(status[cols] == FREE):
+            continue  # cannot shift an unbounded nonbasic column
+        at_upper = status[cols] == AT_UPPER
+        abar = np.where(at_upper, -tab[cols], tab[cols])
+        fj = abar - np.floor(abar)
+        gamma = np.where(int_col[cols], np.where(fj <= f0, fj, f0 * (1.0 - fj) / (1.0 - f0)),
+                         np.where(abar > 0, abar, f0 * -abar / (1.0 - f0)))
         g = np.zeros(n + m)  # over structural + activity columns
-        rhs = f0
-        ok = True
-        for j in range(splx.F.shape[1]):
-            if splx.status[j] == BASIC or j == splx.basis[p]:
-                continue
-            a = float(tab[j])
-            if abs(a) < _COEF_DROP:
-                continue
-            width = splx.hi[j] - splx.lo[j]
-            if width <= 0:
-                continue  # fixed column, shifted weight is identically zero
-            if splx.status[j] == FREE:
-                ok = False  # cannot shift an unbounded nonbasic column
-                break
-            at_upper = splx.status[j] == AT_UPPER
-            abar = -a if at_upper else a
-            integral_shift = j < n and is_int[j]
-            if integral_shift:
-                fj = abar - math.floor(abar)
-                gamma = fj if fj <= f0 else f0 * (1.0 - fj) / (1.0 - f0)
-            else:
-                gamma = abar if abar > 0 else f0 * (-abar) / (1.0 - f0)
-            if gamma == 0.0:
-                continue
-            if at_upper:
-                g[j] -= gamma
-                rhs -= gamma * splx.hi[j]
-            else:
-                g[j] += gamma
-                rhs += gamma * splx.lo[j]
-        if not ok:
-            continue
+        g[cols] = np.where(at_upper, -gamma, gamma)
+        terms = g[cols] * np.where(at_upper, splx.hi[cols], splx.lo[cols])
+        rhs = functools.reduce(operator.add, terms.tolist(), f0)
         # substitute activity columns r_i = A_i . x
-        coeffs = g[:n] + A.T @ g[n : n + m]
+        coeffs = g[:n] + A.T @ g[n:]
         mags = np.abs(coeffs[np.abs(coeffs) > _COEF_DROP])
         if mags.size and mags.max() / mags.min() > _DYNAMISM_MAX:
             continue
@@ -105,64 +84,50 @@ def cover_cuts(
     """Separate minimal cover cuts from knapsack relaxations of the rows.
 
     Every finite row side ``a.x <= b`` whose support is all binary yields a
-    knapsack; negative weights are complemented.  Only cuts violated by
-    ``xstar`` are emitted.  A set is a cover only if its weight exceeds the
-    capacity by more than ``_COVER_TOL`` relative: a Gomory row that a 0/1
-    point meets only up to rounding must not yield a cover that cuts it off.
+    knapsack, except an equality's ``>=`` side; negative weights are
+    complemented.  Only cuts violated by ``xstar`` are emitted.  A set is a
+    cover only if its weight exceeds the capacity by more than
+    ``_COVER_TOL`` relative: a Gomory row that a 0/1 point meets only up to
+    rounding must not yield a cover that cuts it off.
     """
-    n = A.shape[1]
     binary = is_int & (lb == 0.0) & (ub == 1.0)
+    nonzero = A != 0.0
     cuts: list[tuple[np.ndarray, float]] = []
 
-    sides: list[tuple[np.ndarray, float]] = []
-    for i in range(A.shape[0]):
-        support = np.flatnonzero(A[i])
-        if support.size == 0 or not np.all(binary[support]):
-            continue
-        if math.isfinite(rup[i]):
-            sides.append((A[i], float(rup[i])))
-        if math.isfinite(rlo[i]) and rlo[i] != rup[i]:
-            sides.append((-A[i], float(-rlo[i])))
+    for i in np.flatnonzero(nonzero.any(axis=1) & ~nonzero[:, ~binary].any(axis=1)):
+        support = np.flatnonzero(nonzero[i])
+        for a, b in ((A[i, support], rup[i]), (-A[i, support], math.inf if rlo[i] == rup[i] else -rlo[i])):
+            if not math.isfinite(b):
+                continue
+            flip = a < 0
+            w = np.abs(a)
+            cap = b - float(a[flip].sum())  # complements shift the rhs
+            cap += _COVER_TOL * max(1.0, abs(cap))
+            if w.sum() <= cap:
+                continue  # no cover exists
+            xs, w = np.where(flip, 1.0 - xstar[support], xstar[support]).tolist(), w.tolist()
 
-    for a_row, b in sides:
-        if len(cuts) >= _MAX_CUTS:
-            break
-        support = np.flatnonzero(a_row)
-        flip = a_row[support] < 0
-        w = np.abs(a_row[support])
-        cap = b - float(a_row[support][flip].sum())  # complements shift the rhs
-        cap += _COVER_TOL * max(1.0, abs(cap))
-        if w.sum() <= cap:
-            continue  # no cover exists
-        xs = np.where(flip, 1.0 - xstar[support], xstar[support])
+            cover: list[int] = []
+            weight = 0.0
+            for k in sorted(range(len(xs)), key=lambda t: -xs[t]):
+                cover.append(k)
+                weight += w[k]
+                if weight > cap:
+                    break
+            if weight <= cap:
+                continue
+            # minimalize: drop heavy members that are not needed
+            for k in sorted(cover, key=lambda t: -w[t]):
+                if weight - w[k] > cap:
+                    cover.remove(k)
+                    weight -= w[k]
 
-        order = sorted(range(len(support)), key=lambda k: (-xs[k], support[k]))
-        cover: list[int] = []
-        weight = 0.0
-        for k in order:
-            cover.append(k)
-            weight += w[k]
-            if weight > cap:
-                break
-        if weight <= cap:
-            continue
-        # minimalize: drop heavy members that are not needed
-        for k in sorted(cover, key=lambda t: -w[t]):
-            if weight - w[k] > cap:
-                cover.remove(k)
-                weight -= w[k]
-
-        if sum(xs[k] for k in cover) <= len(cover) - 1 + 1e-4:
-            continue  # not violated at xstar
-        # sum of (complement-aware) cover vars <= |C| - 1, as a >= row
-        g = np.zeros(n)
-        rhs = -(len(cover) - 1)
-        for k in cover:
-            j = int(support[k])
-            if flip[k]:
-                g[j] += 1.0
-                rhs += 1.0
-            else:
-                g[j] -= 1.0
-        cuts.append((g, _relax(rhs)))
+            if functools.reduce(operator.add, [xs[k] for k in cover], 0.0) <= len(cover) - 1 + 1e-4:
+                continue  # not violated at xstar
+            # sum of (complement-aware) cover vars <= |C| - 1, as a >= row
+            g = np.zeros(A.shape[1])
+            g[support[cover]] = np.where(flip[cover], 1.0, -1.0)
+            cuts.append((g, _relax(int(flip[cover].sum()) - (len(cover) - 1))))
+            if len(cuts) == _MAX_CUTS:
+                return cuts
     return cuts

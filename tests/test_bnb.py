@@ -258,6 +258,20 @@ def test_gap_zero_goes_on_one_step_from_a_large_incumbent():
     assert loose.status is SolveStatus.OPTIMAL and loose.incumbent.objective == -10000081.0
 
 
+def test_an_incumbent_better_by_three_ten_millionths_replaces_the_first():
+    # min -x0 - 0.9999997 x1 - x2 under 8x0 + 7x1 + 2x2 <= 8 over binaries:
+    # the search meets x1 = 1 (-0.9999997) before an optimum (-1), which must
+    # replace it although the two differ by 3e-7
+    inst = binary_instance("near", 3, [make_row("c", [(0, 8.0), (1, 7.0), (2, 2.0)], Relation.LE, 8.0)],
+                           [(0, -1.0), (1, -0.9999997), (2, -1.0)])
+    _, want = enumerate_binary_optimum(inst)
+    assert want == -1.0
+    for opts in (ReferenceSolverOptions(), ReferenceSolverOptions(diving=True)):
+        out = branch_and_bound(inst, opts)
+        assert out.status is SolveStatus.OPTIMAL
+        assert out.incumbent.objective == pytest.approx(want, abs=1e-9)
+
+
 def test_chain_instance_gomory_collapses_tree():
     inst = chain_instance(30, off_lattice=True)
     plain = branch_and_bound(inst, ReferenceSolverOptions())
@@ -543,16 +557,19 @@ _PIN_OPTIONS = {
         node_strategy=NodeStrategy.DEPTH_FIRST, branch_rule=BranchRule.PSEUDOCOST
     ),
     "diving": ReferenceSolverOptions(diving=True),
+    "cuts": ReferenceSolverOptions(gomory_rounds=2, cover_cuts=True),
 }
 
 # (nodes, deterministic_ticks) per option set; a change that alters pivots or
 # the node order on purpose updates these and says so
 _TREE_PINS = {
-    "chain": {"best_bound": (2, 2), "depth_first_pseudocost": (2, 2), "diving": (1, 2)},
-    "chain_off_lattice": {"best_bound": (27, 27), "depth_first_pseudocost": (27, 27), "diving": (27, 28)},
-    "knapsack": {"best_bound": (17, 25), "depth_first_pseudocost": (17, 26), "diving": (17, 32)},
-    "market_split": {"best_bound": (18, 25), "depth_first_pseudocost": (12, 18), "diving": (18, 34)},
-    "mixed": {"best_bound": (5, 5), "depth_first_pseudocost": (5, 5), "diving": (4, 5)},
+    "chain": {"best_bound": (2, 2), "depth_first_pseudocost": (2, 2), "diving": (1, 2), "cuts": (1, 2)},
+    "chain_off_lattice": {"best_bound": (27, 27), "depth_first_pseudocost": (27, 27), "diving": (27, 28),
+                          "cuts": (1, 2)},
+    "knapsack": {"best_bound": (17, 25), "depth_first_pseudocost": (17, 26), "diving": (17, 32), "cuts": (4, 23)},
+    "market_split": {"best_bound": (18, 25), "depth_first_pseudocost": (12, 18), "diving": (18, 34),
+                     "cuts": (15, 47)},
+    "mixed": {"best_bound": (5, 5), "depth_first_pseudocost": (5, 5), "diving": (4, 5), "cuts": (1, 3)},
 }
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -10,7 +11,13 @@ from milpbench.solver.cuts import cover_cuts, gomory_cuts
 from milpbench.solver.simplex import BoundedSimplex, LpStatus
 from milpbench.solver.standard_form import to_standard_form
 
-from _helpers import counting_clock, enumerate_binary_optimum, random_binary_instance
+from _helpers import (
+    counting_clock,
+    enumerate_binary_optimum,
+    market_split_instance,
+    random_binary_instance,
+    two_row_knapsack,
+)
 
 
 def _gomory_for(inst: Instance):
@@ -182,3 +189,90 @@ def test_gomory_and_cover_knapsacks_reach_the_enumerated_optimum(seed):
         out = branch_and_bound(inst, opts, clock=counting_clock())
         assert out.status.value == "optimal"
         assert out.incumbent.objective == pytest.approx(want, abs=1e-6)
+
+
+def test_an_equality_row_separates_its_le_side_only():
+    # x0 + x1 + x2 = 2 at (0.2, 0.2, 1): the <= side's cover {x0, x1, x2}
+    # holds 1.4 <= 2, and the >= side is not separated; the same row
+    # written as >= 2 yields x0 + x1 >= 1 from the cover {x0, x1} of its
+    # complements
+    xstar = np.array([0.2, 0.2, 1.0])
+    box = (np.zeros(3), np.ones(3), np.ones(3, dtype=bool))
+    A = np.ones((1, 3))
+    assert cover_cuts(A, np.array([2.0]), np.array([2.0]), *box, xstar) == []
+    cuts = cover_cuts(A, np.array([2.0]), np.array([math.inf]), *box, xstar)
+    assert len(cuts) == 1
+    g, rhs = cuts[0]
+    assert g.tolist() == [1.0, 1.0, 0.0] and rhs == pytest.approx(1.0, abs=1e-8) and rhs < 1.0
+
+
+def test_a_cover_violated_by_a_twentieth_yields_its_cut():
+    # 3x0 + 3x1 + 3x2 <= 5 at (1, 0.05, 0): x0 + x1 <= 1 is violated by 0.05
+    cuts = cover_cuts(np.array([[3.0, 3.0, 3.0]]), np.array([-math.inf]), np.array([5.0]),
+                      np.zeros(3), np.ones(3), np.ones(3, dtype=bool), np.array([1.0, 0.05, 0.0]))
+    assert len(cuts) == 1
+    g, rhs = cuts[0]
+    assert g.tolist() == [-1.0, -1.0, 0.0] and rhs == pytest.approx(-1.0, abs=1e-8)
+
+
+def _many_rows(seed: int, m: int = 72, n: int = 30) -> Instance:
+    """max c.x over 22 binaries, 4 integers in [0, 5] and 4 continuous columns
+    in [0, 10], under ``m`` rows of 3-7 signed terms (<=, >= or a range)
+    around a random integral point; about half the rows are all binary."""
+    rng = np.random.default_rng(seed)
+    kinds = [VarKind.BINARY] * 22 + [VarKind.INTEGER] * 4 + [VarKind.CONTINUOUS] * 4
+    variables = tuple(Variable(f"x{j}", 0.0, 1.0 if k is VarKind.BINARY else 5.0 if k is VarKind.INTEGER else 10.0, k)
+                      for j, k in enumerate(kinds))
+    anchor = np.array([rng.integers(0, 2) if j < 22 else rng.integers(0, 6) for j in range(n)], dtype=float)
+    rows = []
+    for i in range(m):
+        pool = 22 if i % 2 else n
+        support = sorted(int(j) for j in rng.choice(pool, size=int(rng.integers(3, 8)), replace=False))
+        coeffs = [(j, float(int(rng.integers(1, 10)) * (1 if rng.random() < 0.7 else -1))) for j in support]
+        act = float(sum(c * anchor[j] for j, c in coeffs))
+        relation = (Relation.LE, Relation.GE, Relation.RANGE)[i % 3]
+        slack = float(rng.integers(0, 3))
+        if relation is Relation.GE:
+            rows.append(make_row(f"r{i}", coeffs, relation, act - slack))
+        else:
+            width = slack + float(rng.integers(0, 4)) if relation is Relation.RANGE else None
+            rows.append(make_row(f"r{i}", coeffs, relation, act + slack, width))
+    objective = tuple((j, float(rng.integers(1, 20))) for j in range(n))
+    return Instance(f"many{seed}", Sense.MAXIMIZE, variables, tuple(rows), objective)
+
+
+_DIGEST_MODELS = {
+    "two_row_knapsack": two_row_knapsack,
+    "market_split": lambda: market_split_instance(seed=5, n=12, m=2),
+    **{f"knapsack_10x3_{k}": (lambda k=k: _knapsack_10x3(np.random.default_rng(40 + k))) for k in range(3)},
+    "many_rows_7": lambda: _many_rows(7),
+    "many_rows_9": lambda: _many_rows(9),
+}
+
+# (Gomory cuts, cover cuts, sha256 of each cut's g.tobytes() and float.hex(rhs)
+# in order) from one call of each separator at the model's LP optimum; a
+# change that moves a cut by one bit changes the digest
+_CUT_DIGESTS = {
+    "knapsack_10x3_0": (3, 3, "2f1abf7cee1ceddf8679540d3f99ac748623e4d3a642c4583d278383d28988ad"),
+    "knapsack_10x3_1": (2, 2, "f2457373ef7d0e2b3b1547a0290ebba53d190c50d4663b000f23a2b0a46f1e8b"),
+    "knapsack_10x3_2": (3, 3, "896c76b0b8b90d359e3ad2ef30300dd7597fcd0839c18e76e521aa589752073b"),
+    "many_rows_7": (16, 16, "b0b3d5b49520473d481e9e88c7588ec3cda269201fa6c54b6dfa76bcacf40f46"),
+    "many_rows_9": (8, 12, "89e47aa33972448110ffce7f805aa301e665a48aeeb7eeee0825f5a8256dbac8"),
+    "market_split": (2, 2, "2b8b611cb88bc3c8c8d98d39e5427a536a98effe324bfe50468f8c98ebb44ba6"),
+    "two_row_knapsack": (2, 2, "8825143b14616251d8962bc33efb20ffb97b630ad0aa182f7c5234e1e5e62a80"),
+}
+
+
+@pytest.mark.parametrize("model", sorted(_DIGEST_MODELS))
+def test_separators_return_the_pinned_cuts_to_the_bit(model):
+    form = to_standard_form(_DIGEST_MODELS[model]())
+    splx = BoundedSimplex(form)
+    res = splx.solve()
+    assert res.status is LpStatus.OPTIMAL
+    gomory = gomory_cuts(splx, form.is_int)
+    cover = cover_cuts(form.A, form.rlo, form.rup, form.lb, form.ub, form.is_int, res.point)
+    h = hashlib.sha256()
+    for g, rhs in gomory + cover:
+        h.update(g.tobytes())
+        h.update(float.hex(rhs).encode())
+    assert (len(gomory), len(cover), h.hexdigest()) == _CUT_DIGESTS[model]

@@ -37,10 +37,7 @@ identity section runs it once per side, workload and seed.  The ``presolve``
 subcommand prints, for every model of one workload and seed, a digest of the
 presolved standard form under four option sets (``PRESOLVE_SETS``): the
 ``float.hex`` of every entry, so two checkouts whose digests agree presolve to
-the bit.  A checkout whose presolve still returns an ``Instance`` has it
-mapped through its ``to_standard_form``, and its dropped row names to their
-positions, so its digests compare with a later checkout's.  Run it once per
-checkout, each in its own process, and compare::
+the bit.  Run it once per checkout, each in its own process, and compare::
 
     python3 tools/bench_inprocess.py presolve --checkout DIR --workload root --seed 11
 """
@@ -232,7 +229,7 @@ def spy_on_solves(sides: dict) -> dict[str, list]:
             t0 = time.perf_counter()
             r = _solve(self, *args, **kwargs)
             seconds = time.perf_counter() - t0
-            _log.append((r.status.value, r.iterations, getattr(r, "flips", 0), seconds))  # 0 before the long step
+            _log.append((r.status.value, r.iterations, r.flips, seconds))
             return r
 
         cls.solve = timed
@@ -325,17 +322,9 @@ def compare_signatures(parent: list, change: list) -> dict:
 
 
 def presolved(side: Side, inst, opts) -> tuple:
-    """``side``'s presolve of ``inst``: (form, dropped row positions, infeasible flag, passes).
-    A ``PresolveResult`` that still holds an ``Instance`` is mapped to its standard form."""
-    if "form" in side.presolve.PresolveResult.__dataclass_fields__:
-        result = side.presolve.presolve(side.standard_form.to_standard_form(inst), opts)
-        form, dropped = result.form, result.back_map.dropped_rows
-    else:
-        result = side.presolve.presolve(inst, opts)
-        form = side.standard_form.to_standard_form(result.instance)
-        position = {row.name: i for i, row in enumerate(inst.rows)}
-        dropped = tuple(position[name] for name in result.back_map.dropped_rows)
-    return form, dropped, result.proven_infeasible, result.passes
+    """``side``'s presolve of ``inst``: (form, dropped row positions, infeasible flag, passes)."""
+    result = side.presolve.presolve(side.standard_form.to_standard_form(inst), opts)
+    return result.form, result.back_map.dropped_rows, result.proven_infeasible, result.passes
 
 
 def digest(form, dropped, infeasible, passes) -> str:
