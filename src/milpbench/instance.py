@@ -52,9 +52,9 @@ class LinearRow:
 
     ``coefficients`` is a tuple of (variable index, value) pairs sorted by
     index.  An index may repeat: ``validate_instance`` reports it and
-    ``to_standard_form`` sums its entries.  For RANGE rows the feasible interval is
-    ``[rhs - range_width, rhs]``; for the other relations ``range_width`` is
-    None.
+    ``to_standard_form`` sums its entries.  For RANGE rows the feasible
+    interval is ``[rhs - range_width, rhs]``; for the other relations
+    ``range_width`` is None.
     """
 
     name: str

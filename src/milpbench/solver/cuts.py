@@ -2,9 +2,11 @@
 
 All cuts are returned as ``g . x >= rhs`` rows over the structural
 variables.  Right-hand sides are relaxed by 1e-9*max(1,|rhs|) so float
-drift can never exclude an integral feasible point.  Sums that decide a cut
-add their terms one at a time in column (or cover) order, because float
-addition is not associative and the same cuts must come out to the bit.
+drift can never exclude an integral feasible point.  A Gomory right-hand
+side adds its terms one float at a time in column order, and the cover test
+its values in cover order, because float addition is not associative: numpy's
+pairwise sum, or the compensated ``sum`` of Python 3.12, would move the cuts'
+last bits.
 """
 
 from __future__ import annotations
