@@ -1,8 +1,8 @@
 """Command-line driver.
 
 Subcommands: solve, bench run, bench resume, bench report, validate,
-config show.  Exit codes: 0 success, 1 user error (bad flags, bad files),
-2 internal error.  MILPBENCH_STORE supplies the default store path.
+config show.  Exit codes: 0 success, 1 user error (bad flags, files that
+cannot be read or parsed), 2 internal error.  MILPBENCH_STORE supplies the default store path.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from typing import Optional
 
 from . import __version__
 from .config import (
-    ConfigError,
     Configuration,
     adapt,
     empty_store,
@@ -26,12 +25,11 @@ from .config import (
     param_by_index,
 )
 from .instance import extract_features, validate_instance
-from .mps import MpsParseError, load_instance
+from .mps import load_instance
 from .report import emit_distribution_svg, render_table
 from .runner import (
     BackendKind,
     BackendSpec,
-    DatasetMismatch,
     ObjectiveKind,
     PROTOCOL_SHIFT,
     RunStatus,
@@ -272,7 +270,7 @@ def cli_dispatch(argv: list[str]) -> int:
     except _UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    except (ConfigError, MpsParseError, DatasetMismatch, FileNotFoundError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # ConfigError, MpsParseError and DatasetMismatch are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # internal failure

@@ -13,18 +13,20 @@ from __future__ import annotations
 import gzip
 import io
 import math
+import zlib
 from pathlib import Path
 from typing import Iterable, TextIO, Union
 
 from .instance import INF, Instance, LinearRow, Relation, Sense, Variable, VarKind
 
 _SECTIONS = {"NAME", "OBJSENSE", "ROWS", "COLUMNS", "RHS", "RANGES", "BOUNDS", "ENDATA"}
-_VALUE_BOUND_CODES = {"UP", "LO", "FX", "UI", "LI"}
-_FLAG_BOUND_CODES = {"FR", "MI", "PL", "BV"}
+# each bound code and whether its record takes a value
+_BOUND_CODES = {"UP": True, "LO": True, "FX": True, "UI": True, "LI": True,
+                "FR": False, "MI": False, "PL": False, "BV": False}
 
 
 class MpsParseError(ValueError):
-    """Syntax or consistency error in an MPS stream, with a 1-based line number."""
+    """Syntax or consistency error in an MPS stream, with a 1-based line number (0: the whole file)."""
 
     def __init__(self, message: str, line_no: int):
         super().__init__(f"line {line_no}: {message}")
@@ -32,29 +34,31 @@ class MpsParseError(ValueError):
 
 
 class _ColumnState:
-    __slots__ = ("name", "lower", "upper", "kind", "explicit_lower", "explicit_upper")
+    __slots__ = ("name", "lower", "upper", "kind")
 
     def __init__(self, name: str, integral: bool):
         self.name = name
         self.lower = 0.0
         self.upper = INF
         self.kind = VarKind.INTEGER if integral else VarKind.CONTINUOUS
-        self.explicit_lower = False
-        self.explicit_upper = False
 
 
 def _parse_float(token: str, line_no: int) -> float:
     try:
-        return float(token)
+        value = float(token)
     except ValueError:
         raise MpsParseError(f"expected a number, got {token!r}", line_no) from None
+    if value != value:
+        raise MpsParseError(f"NaN is not a value: {token!r}", line_no)
+    return value
 
 
 def parse_mps(source: Union[str, TextIO], name_hint: str = "") -> Instance:
     """Parse free-format MPS text into a normalized :class:`Instance`.
 
-    Raises :class:`MpsParseError` on syntax errors, duplicate row/column
-    names, references to undeclared rows, or a missing ENDATA terminator.
+    Raises :class:`MpsParseError` on syntax errors, NaN values, duplicate
+    row/column names, references to undeclared rows, or a missing ENDATA
+    terminator.
     """
     if isinstance(source, str):
         source = io.StringIO(source)
@@ -65,15 +69,13 @@ def parse_mps(source: Union[str, TextIO], name_hint: str = "") -> Instance:
     objective_constant = 0.0
     free_rows: set[str] = set()
 
-    row_relation: dict[str, Relation] = {}
-    row_order: list[str] = []
+    row_relation: dict[str, Relation] = {}  # constraint rows in ROWS order
     row_coeffs: dict[str, dict[int, float]] = {}
     row_rhs: dict[str, float] = {}
     row_range: dict[str, float] = {}
 
-    columns: dict[str, _ColumnState] = {}
+    columns: dict[str, _ColumnState] = {}  # in order of first appearance
     col_index: dict[str, int] = {}
-    col_order: list[str] = []
     obj_coeffs: dict[int, float] = {}
     cname, j = None, -1  # the column of the last COLUMNS record and its index
 
@@ -128,7 +130,6 @@ def parse_mps(source: Union[str, TextIO], name_hint: str = "") -> Instance:
                     free_rows.add(rname)  # extra free rows carry no constraint
             elif rtype in ("L", "G", "E"):
                 row_relation[rname] = {"L": Relation.LE, "G": Relation.GE, "E": Relation.EQ}[rtype]
-                row_order.append(rname)
                 row_coeffs[rname] = {}
             else:
                 raise MpsParseError(f"unknown row type {rtype!r}", line_no)
@@ -150,15 +151,16 @@ def parse_mps(source: Union[str, TextIO], name_hint: str = "") -> Instance:
                 cname = tokens[0]
                 if cname not in columns:
                     columns[cname] = _ColumnState(cname, in_integer_block)
-                    col_index[cname] = len(col_order)
-                    col_order.append(cname)
+                    col_index[cname] = len(col_index)
                 j = col_index[cname]
             for k in range(1, n, 2):
                 rname = tokens[k]
                 try:
                     val = float(tokens[k + 1])
                 except ValueError:
-                    raise MpsParseError(f"expected a number, got {tokens[k + 1]!r}", line_no) from None
+                    val = math.nan
+                if val != val:  # not a number, or NaN: _parse_float raises the error that says which
+                    _parse_float(tokens[k + 1], line_no)
                 coeffs = row_coeffs.get(rname)
                 if coeffs is not None:  # ROWS keeps constraint names apart from the objective's
                     if j in coeffs:
@@ -183,9 +185,7 @@ def parse_mps(source: Union[str, TextIO], name_hint: str = "") -> Instance:
             for rname, val in _pair_records(tokens, row_coeffs, objective_name, free_rows, line_no):
                 if rname == objective_name:
                     objective_constant = -val
-                elif rname in free_rows:
-                    pass
-                else:
+                elif rname not in free_rows:
                     row_rhs[rname] = val
 
         elif section == "RANGES":
@@ -205,12 +205,10 @@ def parse_mps(source: Union[str, TextIO], name_hint: str = "") -> Instance:
     if not saw_endata:
         raise MpsParseError("missing ENDATA", line_no + 1)
 
-    variables = tuple(_finalize_variable(columns[c]) for c in col_order)
+    variables = tuple(_finalize_variable(col) for col in columns.values())
     rows = tuple(
-        _finalize_row(
-            rname, row_relation[rname], row_coeffs[rname], row_rhs.get(rname, 0.0), row_range.get(rname)
-        )
-        for rname in row_order
+        _finalize_row(rname, relation, row_coeffs[rname], row_rhs.get(rname, 0.0), row_range.get(rname))
+        for rname, relation in row_relation.items()
     )
     return Instance(
         name=name,
@@ -252,68 +250,39 @@ def _pair_records(
 
 def _apply_bound(tokens: list[str], columns: dict[str, _ColumnState], line_no: int) -> None:
     code = tokens[0].upper()
-    if code in _FLAG_BOUND_CODES:
-        if len(tokens) == 3:
-            cname = tokens[2]
-        elif len(tokens) == 2:
-            cname = tokens[1]
-        else:
-            raise MpsParseError(f"bound code {code} takes no value", line_no)
-        value = 0.0
-    elif code in _VALUE_BOUND_CODES:
-        if len(tokens) == 4:
-            cname, value = tokens[2], _parse_float(tokens[3], line_no)
-        elif len(tokens) == 3:
-            cname, value = tokens[1], _parse_float(tokens[2], line_no)
-        else:
-            raise MpsParseError(f"bound code {code} needs a column and a value", line_no)
-    else:
+    takes_value = _BOUND_CODES.get(code)
+    if takes_value is None:
         raise MpsParseError(f"unknown bound code {code!r}", line_no)
+    n = len(tokens)  # the bound set's name is optional
+    if not takes_value:
+        if n not in (2, 3):
+            raise MpsParseError(f"bound code {code} takes no value", line_no)
+        cname = tokens[-1]
+    elif n in (3, 4):
+        cname, value = tokens[n - 2], _parse_float(tokens[n - 1], line_no)
+    else:
+        raise MpsParseError(f"bound code {code} needs a column and a value", line_no)
 
     col = columns.get(cname)
     if col is None:
         raise MpsParseError(f"bound on undeclared column {cname!r}", line_no)
 
-    if code == "UP":
-        col.upper = value
-        col.explicit_upper = True
-    elif code == "LO":
-        col.lower = value
-        col.explicit_lower = True
-    elif code == "FX":
-        col.lower = col.upper = value
-        col.explicit_lower = col.explicit_upper = True
-    elif code == "FR":
-        col.lower, col.upper = -INF, INF
-        col.explicit_lower = col.explicit_upper = True
-    elif code == "MI":
-        col.lower = -INF
-        col.explicit_lower = True
-    elif code == "PL":
-        col.upper = INF
-        col.explicit_upper = True
-    elif code == "BV":
-        # explicit bounds around BV keep the tighter intersection
-        col.lower = max(col.lower, 0.0) if col.explicit_lower else 0.0
-        col.upper = min(col.upper, 1.0) if col.explicit_upper else 1.0
+    if code == "BV":  # the kind only: _finalize_variable meets the bounds with [0, 1]
         col.kind = VarKind.BINARY
-    elif code == "UI":
-        col.upper = value
-        col.explicit_upper = True
-        if col.kind is VarKind.CONTINUOUS:
-            col.kind = VarKind.INTEGER
-    elif code == "LI":
-        col.lower = value
-        col.explicit_lower = True
-        if col.kind is VarKind.CONTINUOUS:
-            col.kind = VarKind.INTEGER
+        return
+    if code in ("LO", "LI", "FX", "MI", "FR"):
+        col.lower = value if takes_value else -INF
+    if code in ("UP", "UI", "FX", "PL", "FR"):
+        col.upper = value if takes_value else INF
+    if code in ("UI", "LI") and col.kind is VarKind.CONTINUOUS:
+        col.kind = VarKind.INTEGER
 
 
 def _finalize_variable(col: _ColumnState) -> Variable:
     lower, upper, kind = col.lower, col.upper, col.kind
-    if kind is VarKind.BINARY:
-        lower = max(0.0, math.ceil(lower - 1e-9))
-        upper = min(1.0, math.floor(upper + 1e-9))
+    if kind is VarKind.BINARY:  # after the last record, meet [0, 1] and round inward
+        lower = max(0.0, math.ceil(lower - 1e-9)) if math.isfinite(lower) else max(lower, 0.0)
+        upper = min(1.0, math.floor(upper + 1e-9)) if math.isfinite(upper) else min(upper, 1.0)
     return Variable(col.name, lower, upper, kind)
 
 
@@ -340,11 +309,18 @@ def instance_stem(path: Union[str, Path]) -> str:
 
 
 def load_instance(path: Union[str, Path]) -> Instance:
-    """Read an instance from an ``.mps`` file; ``.gz`` paths are decompressed."""
+    """Read an instance from an ``.mps`` file; ``.gz`` paths are decompressed.
+
+    Raises ``OSError`` when the file cannot be read and :class:`MpsParseError`
+    for anything wrong with what it holds; nothing else.
+    """
     path = Path(path)
     opener = gzip.open if path.name.endswith(".gz") else open
-    with opener(path, "rt") as handle:  # type: ignore[arg-type]
-        return parse_mps(handle, name_hint=instance_stem(path))
+    try:
+        with opener(path, "rt") as handle:  # type: ignore[arg-type]
+            return parse_mps(handle, name_hint=instance_stem(path))
+    except (UnicodeDecodeError, EOFError, zlib.error) as exc:  # not text, or a cut or corrupt gzip stream
+        raise MpsParseError(f"unreadable content: {type(exc).__name__}: {exc}", 0) from exc
 
 
 def write_mps(inst: Instance) -> str:

@@ -171,7 +171,7 @@ def audit_log_incumbents(
     Records without solutions are skipped with a note; unreadable files or
     missing instance paths yield "unverifiable" instead of aborting.
     """
-    from .mps import MpsParseError, load_instance
+    from .mps import load_instance  # looked up per call, so a patched mps.load_instance is the one used
 
     out: list[AuditEntry] = []
     for record in log.records:
@@ -186,7 +186,7 @@ def audit_log_incumbents(
         try:
             inst = load_instance(inst_path)
             values, file_obj = read_solution(record.solution_path)
-        except (OSError, ValueError, MpsParseError) as exc:
+        except (OSError, ValueError) as exc:  # an MpsParseError is a ValueError
             out.append(AuditEntry(name, Verdict.UNVERIFIABLE, None, f"unreadable: {exc}"))
             continue
         claim = Solution(values, file_obj if file_obj is not None else 0.0)

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -69,6 +70,37 @@ def test_unknown_flag_exits_one(tmp_path, capsys):
 def test_missing_instance_is_user_error(capsys):
     rc = cli_dispatch(["solve", "/nonexistent/q.mps"])
     assert rc == 1
+
+
+@pytest.mark.parametrize("subcommand", [["solve"], ["config", "show", "--instance"]], ids=["solve", "config"])
+def test_a_directory_for_an_instance_is_user_error(tmp_path, capsys, subcommand):
+    rc = cli_dispatch([*subcommand, str(tmp_path)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        ((b"    x1  c1  1.0", b"    x1  c1  nan"), "NaN is not a value"),
+        ((b"NAME knap2", b"NAME \xff"), "unreadable content"),
+    ],
+    ids=["nan", "not text"],
+)
+def test_a_malformed_instance_is_user_error(tmp_path, capsys, edit, message):
+    path = tmp_path / "bad.mps"
+    path.write_bytes(Path(write_instance(tmp_path, knapsack_2var())).read_bytes().replace(*edit))
+    rc = cli_dispatch(["solve", str(path)])
+    assert rc == 1
+    assert message in capsys.readouterr().err
+
+
+def test_a_binary_freed_after_bv_solves(tmp_path, capsys):
+    path = Path(write_instance(tmp_path, knapsack_2var()))
+    path.write_text(path.read_text().replace(" BV BND  x1", " BV BND  x1\n FR BND  x1"))
+    rc = cli_dispatch(["solve", str(path)])
+    assert rc == 0
+    assert "objective  -2.0" in capsys.readouterr().out
 
 
 def test_bench_run_and_report_round_trip(tmp_path, capsys):

@@ -480,3 +480,99 @@ def test_loader_agrees_with_the_oracle_on_crlf_files(tmp_path, suffix):
         expected = _outcome(_oracle_load_instance, path)
         assert expected[0] == "instance"
         assert _outcome(load_instance, path) == expected
+
+
+# A binary's bounds meet [0, 1] once, after the column's last BOUNDS record,
+# whatever order its records come in and whether a bound is infinite.
+
+
+@pytest.mark.parametrize(
+    "records,bounds",
+    [
+        ((" BV BND  y", " MI BND  y"), (0.0, 1.0)),
+        ((" BV BND  y", " PL BND  y"), (0.0, 1.0)),
+        ((" BV BND  y", " FR BND  y"), (0.0, 1.0)),
+        ((" MI BND  y", " BV BND  y"), (0.0, 1.0)),
+        ((" FR BND  y", " BV BND  y"), (0.0, 1.0)),
+        ((" LO BND  y  0.5", " BV BND  y"), (1.0, 1.0)),
+        ((" BV BND  y", " UP BND  y  0.5"), (0.0, 0.0)),
+    ],
+    ids=["BV MI", "BV PL", "BV FR", "MI BV", "FR BV", "LO BV", "BV UP"],
+)
+def test_a_binary_meets_zero_one_after_its_last_bound(records, bounds):
+    inst = parse_mps(TWO_VAR.replace(" BV BND  y", "\n".join(records)))
+    y = inst.variables[1]
+    assert y.kind is VarKind.BINARY
+    assert (y.lower, y.upper) == bounds
+
+
+NAN_FILES = {
+    "COLUMNS": (TWO_VAR.replace("    y  obj  1.0  c1  1.0", "    y  obj  1.0  c1  nan"), 7),
+    "COLUMNS objective": (TWO_VAR.replace("    y  obj  1.0  c1  1.0", "    y  obj  NaN  c1  1.0"), 7),
+    "RHS": (TWO_VAR.replace("    RHS  c1  1.0", "    RHS  c1  -nan"), 9),
+    "RANGES": (TWO_VAR.replace("BOUNDS", "RANGES\n    RNG  c1  nan\nBOUNDS"), 11),
+    "BOUNDS": (TWO_VAR.replace(" BV BND  y", " UP BND  y  nan"), 12),
+}
+
+
+@pytest.mark.parametrize("section", sorted(NAN_FILES))
+def test_a_nan_value_is_a_parse_error_at_its_line(section):
+    text, line_no = NAN_FILES[section]
+    with pytest.raises(MpsParseError, match="NaN") as err:
+        parse_mps(text)
+    assert err.value.line_no == line_no
+
+
+def _corrupt(data: bytes, rnd: random.Random) -> bytes:
+    """One seeded damage to a file's bytes: a cut, flipped bytes or inserted high bytes."""
+    roll = rnd.random()
+    if roll < 0.3:
+        return data[: rnd.randrange(len(data))]
+    out = bytearray(data)
+    if roll < 0.7:
+        for _ in range(rnd.randint(1, 4)):
+            out[rnd.randrange(len(out))] = rnd.randrange(256)
+    else:
+        at = rnd.randrange(len(out))
+        out[at:at] = bytes(rnd.randrange(128, 256) for _ in range(rnd.randint(1, 3)))
+    return bytes(out)
+
+
+def test_a_corrupt_file_loads_or_raises_only_os_or_parse_errors(tmp_path):
+    rng = np.random.default_rng(33)
+    rnd = random.Random(33)
+    texts = [write_mps(random_mixed_instance(rng)).encode() for _ in range(20)]
+    outcomes = {}
+    for k in range(400):
+        suffix = (".mps", ".mps.gz")[k % 2]
+        data = rnd.choice(texts)
+        path = tmp_path / f"f{k}{suffix}"
+        path.write_bytes(_corrupt(gzip.compress(data, mtime=0) if suffix == ".mps.gz" else data, rnd))
+        try:
+            load_instance(path)
+            outcome = "instance"
+        except MpsParseError as exc:
+            outcome = "whole file" if exc.line_no == 0 else "line"
+        except OSError:
+            outcome = "OSError"
+        outcomes[suffix, outcome] = outcomes.get((suffix, outcome), 0) + 1
+    # every kind of outcome is reached: undecodable text, cut or corrupt gzip streams, bad gzip headers
+    assert set(outcomes) >= {(s, o) for s in (".mps", ".mps.gz") for o in ("instance", "whole file", "line")}
+    assert (".mps.gz", "OSError") in outcomes
+
+
+@pytest.mark.parametrize(
+    "data,cause",
+    [
+        (b"NAME \xff\xfe\n", "UnicodeDecodeError"),
+        (gzip.compress(TWO_VAR.encode(), mtime=0)[:-12], "EOFError"),
+        (gzip.compress(TWO_VAR.encode(), mtime=0)[:10] + b"\x07" + bytes(20), "error"),  # deflate block type 3
+    ],
+    ids=["not text", "cut gzip", "corrupt deflate"],
+)
+def test_unreadable_content_is_a_parse_error_of_the_whole_file(tmp_path, data, cause):
+    path = tmp_path / ("bad.mps.gz" if data[:2] == b"\x1f\x8b" else "bad.mps")
+    path.write_bytes(data)
+    with pytest.raises(MpsParseError, match=f"unreadable content: {cause}") as err:
+        load_instance(path)
+    assert err.value.line_no == 0

@@ -211,6 +211,48 @@ def test_run_suite_unreadable_instance_continues(tmp_path):
     assert [r.status for r in log.records] == [RunStatus.ERROR, RunStatus.OPTIMAL]
 
 
+def test_a_nan_file_first_is_an_error_record_and_the_suite_goes_on(tmp_path):
+    bad = tmp_path / "nan.mps"
+    bad.write_text(write_mps(knapsack_2var()).replace("    x1  c1  1.0", "    x1  c1  nan"))
+    good = write_instance(tmp_path, chain_instance(6))
+    ds = DatasetSpec("custom", (str(bad), good), 30.0)
+    log = run_suite(ds, BUILTIN, empty_store(), adapt_enabled=False)
+    assert [r.status for r in log.records] == [RunStatus.ERROR, RunStatus.OPTIMAL]
+    assert log.records[0].instance_name == "nan"
+    assert "parse failure" in log.records[0].diagnostics and "NaN" in log.records[0].diagnostics
+
+
+def test_unreadable_files_between_good_ones_each_get_one_error_record(tmp_path):
+    text = write_mps(knapsack_2var())
+    bad = {
+        "binary.mps": b"NAME \xff\xfe\n",  # not text
+        "cut.mps.gz": gzip.compress(text.encode(), mtime=0)[:-12],  # a gzip stream cut short
+        "corrupt.mps.gz": gzip.compress(text.encode(), mtime=0)[:10] + b"\x07" + bytes(20),  # bad deflate data
+        "folder.mps": None,  # a directory
+    }
+    paths = []
+    for k, (name, data) in enumerate(bad.items()):
+        paths.append(write_instance(tmp_path, chain_instance(6 + k, name=f"good{k}")))
+        path = tmp_path / name
+        if data is None:
+            path.mkdir()
+        else:
+            path.write_bytes(data)
+        paths.append(str(path))
+    # a binary whose BV comes before MI: its bounds still meet [0, 1]
+    paths.append(str(tmp_path / "bv_mi.mps"))
+    Path(paths[-1]).write_text(text.replace(" BV BND  x0", " BV BND  x0\n MI BND  x0"))
+    ds = DatasetSpec("custom", tuple(paths), 30.0)
+    out = tmp_path / "run.jsonl"
+    log = run_suite(ds, BUILTIN, empty_store(), adapt_enabled=False, log_path=out)
+    assert [r.instance_path for r in log.records] == paths
+    assert len(read_log(out).records) == len(paths)
+    errors = [r for r in log.records if r.status is RunStatus.ERROR]
+    assert [r.instance_name for r in errors] == ["binary", "cut", "corrupt", "folder"]
+    assert all(r.diagnostics.startswith("parse failure:") for r in errors)
+    assert log.by_instance()["knap2"].objective == -2.0
+
+
 def test_log_round_trip_and_header(tmp_path):
     ds = _tiny_dataset(tmp_path)
     out = tmp_path / "run.jsonl"

@@ -1,3 +1,4 @@
+import gzip
 import json
 from pathlib import Path
 
@@ -153,6 +154,18 @@ def test_audit_unreadable_solution_is_unverifiable(tmp_path):
     log.records[0].solution_path = str(tmp_path / "vanished.sol")
     entries = audit_log_incumbents(log, {"knap2": path}, load_registry())
     assert entries[0].verdict is Verdict.UNVERIFIABLE
+
+
+def test_audit_of_a_cut_gzip_instance_is_unverifiable(tmp_path):
+    path = write_instance(tmp_path, knapsack_2var())
+    backend = BackendSpec(kind=BackendKind.BUILTIN, solution_path_template="{instance}.sol")
+    log = run_suite(DatasetSpec("custom", (path,), 30.0), backend, empty_store(), adapt_enabled=False,
+                    work_dir=tmp_path)
+    cut = tmp_path / "knap2.mps.gz"
+    cut.write_bytes(gzip.compress(Path(path).read_bytes())[:-12])
+    entries = audit_log_incumbents(log, {"knap2": str(cut)}, load_registry())
+    assert entries[0].verdict is Verdict.UNVERIFIABLE
+    assert "unreadable content: EOFError" in entries[0].note
 
 
 def test_solver_incumbents_audit_clean_at_1e6(tmp_path):
