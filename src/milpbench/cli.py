@@ -2,7 +2,8 @@
 
 Subcommands: solve, bench run, bench resume, bench report, validate,
 config show.  Exit codes: 0 success, 1 user error (bad flags, files that
-cannot be read or parsed), 2 internal error.  MILPBENCH_STORE supplies the default store path.
+cannot be read or parsed), 2 internal error.  MILPBENCH_STORE supplies the
+default store path.
 """
 
 from __future__ import annotations

@@ -280,7 +280,7 @@ def _apply_bound(tokens: list[str], columns: dict[str, _ColumnState], line_no: i
 
 def _finalize_variable(col: _ColumnState) -> Variable:
     lower, upper, kind = col.lower, col.upper, col.kind
-    if kind is VarKind.BINARY:  # after the last record, meet [0, 1] and round inward
+    if kind is VarKind.BINARY:  # the one place a binary meets [0, 1]: after its last record, rounded inward
         lower = max(0.0, math.ceil(lower - 1e-9)) if math.isfinite(lower) else max(lower, 0.0)
         upper = min(1.0, math.floor(upper + 1e-9)) if math.isfinite(upper) else min(upper, 1.0)
     return Variable(col.name, lower, upper, kind)
