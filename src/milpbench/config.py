@@ -4,15 +4,18 @@ The registry pins the 47 tunable solver parameters by index and canonical
 name.  A :class:`ConfigStore` maps labels to typed parameter assignments and
 resolves an incoming instance to a configuration in three steps: exact
 instance-name match, highest-priority matching feature rule, then the
-default label.  ``map_to_reference`` translates the supported subset onto
-:class:`ReferenceSolverOptions`; unsupported indices are collected, never
-rejected.
+default label.  ``_check_value`` is the one test of a parameter value: a
+store or configuration that loads holds finite numbers only, strategy names
+resolved to their integers.  ``map_to_reference`` translates the supported
+subset onto :class:`ReferenceSolverOptions`; unsupported indices are
+collected, never rejected.
 """
 
 from __future__ import annotations
 
 import json
-import math
+import operator
+import sys
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import IO, Optional, Union
@@ -89,19 +92,16 @@ _PARAM_NAMES = (
 )
 
 _REAL_VALUED = {32, 46}  # CutsFactor and MIPGap take fractional values
-_ENUM_VALUED = {19, 37}  # variable/node selection accept strategy names too
-
-
-def _kind_for(i: int) -> ValueKind:
-    if i in _REAL_VALUED:
-        return ValueKind.REAL
-    if i in _ENUM_VALUED:
-        return ValueKind.ENUMERATION
-    return ValueKind.INTEGER
+# the strategy names the two selection parameters accept, each another spelling of its integer
+_STRATEGY_NAMES = {
+    19: {"most_fractional": 0, "pseudocost": 2},  # VariableSelect
+    37: {"depth_first": 0, "best_bound": 1},  # NodeSelect
+}
 
 
 PARAMETER_REGISTRY: tuple[ParamDef, ...] = tuple(
-    ParamDef(index=i, name=name, value_kind=_kind_for(i))
+    ParamDef(i, name, ValueKind.REAL if i in _REAL_VALUED else
+             ValueKind.ENUMERATION if i in _STRATEGY_NAMES else ValueKind.INTEGER)
     for i, name in enumerate(_PARAM_NAMES, start=1)
 )
 
@@ -123,19 +123,12 @@ def param_by_name(name: str) -> ParamDef:
 
 @dataclass(frozen=True)
 class Configuration:
-    assignments: dict[int, Union[int, float, str]] = field(default_factory=dict)
+    assignments: dict[int, Union[int, float]] = field(default_factory=dict)
     label: str = ""
 
 
-_FEATURES = frozenset(f.name for f in fields(FeatureVector))
-_OPS = {
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    "=": lambda a, b: a == b,
-    "==": lambda a, b: a == b,
-    ">=": lambda a, b: a >= b,
-    ">": lambda a, b: a > b,
-}
+_FEATURES = tuple(f.name for f in fields(FeatureVector))  # a tuple: membership needs no hash
+_OPS = {"<": operator.lt, "<=": operator.le, "=": operator.eq, "==": operator.eq, ">=": operator.ge, ">": operator.gt}
 
 
 @dataclass(frozen=True)
@@ -157,12 +150,7 @@ class ConfigStore:
 
 
 def empty_store(label: str = "default") -> ConfigStore:
-    return ConfigStore(
-        configs={label: Configuration({}, label)},
-        by_instance={},
-        rules=(),
-        default_label=label,
-    )
+    return ConfigStore({label: Configuration({}, label)}, {}, (), label)
 
 
 def _resolve_param(key: str) -> ParamDef:
@@ -172,19 +160,33 @@ def _resolve_param(key: str) -> ParamDef:
         return param_by_name(key)
 
 
-def _check_value(p: ParamDef, value, domain: Optional[dict]) -> Union[int, float, str]:
+def _finite(v) -> bool:
+    """A JSON number that a float holds, so not NaN or infinite; true and false are not numbers."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+
+
+def _check_value(p: ParamDef, value, domain: Optional[dict]) -> Union[int, float]:
+    """The one test of a parameter value, run as a store or configuration
+    loads and again by ``map_to_reference``: a strategy name becomes its
+    integer; the number must be finite, integral unless the parameter is real,
+    at least 0 for MIPGap, and inside the store's domain."""
+    names = _STRATEGY_NAMES.get(p.index)
+    if names is not None and isinstance(value, str):
+        if value not in names:
+            raise ConfigError(f"{p.name}: unknown strategy name {value!r}; accepted: {', '.join(names)}")
+        value = names[value]
     if isinstance(value, bool):
         value = int(value)
-    if p.value_kind is ValueKind.ENUMERATION and isinstance(value, str):
-        pass  # open enumeration: symbolic values resolve at mapping time
-    elif not isinstance(value, (int, float)):
-        raise ConfigError(f"{p.name}: value {value!r} is not a number")
-    elif p.value_kind is ValueKind.REAL:
+    if not _finite(value):
+        raise ConfigError(f"{p.name}: value {value!r} is not a finite number")
+    if p.value_kind is ValueKind.REAL:
         value = float(value)
+    elif value != int(value):
+        raise ConfigError(f"{p.name}: expected an integer, got {value!r}")
     else:
-        if float(value) != int(value):
-            raise ConfigError(f"{p.name}: expected an integer, got {value!r}")
-        value = int(value)
+        value = int(value)  # an integral float
+    if p.index == 46 and value < 0:  # MIPGap, a relative gap tolerance
+        raise ConfigError(f"{p.name}: gap tolerance must be at least 0, got {value}")
     if domain:
         if "min" in domain and value < domain["min"]:
             raise ConfigError(f"{p.name}: {value} below domain minimum {domain['min']}")
@@ -195,10 +197,10 @@ def _check_value(p: ParamDef, value, domain: Optional[dict]) -> Union[int, float
     return value
 
 
-def _parse_assignments(raw: dict, owner: str, domains: dict[int, dict]) -> dict[int, Union[int, float, str]]:
+def _parse_assignments(raw: dict, owner: str, domains: dict[int, dict]) -> dict[int, Union[int, float]]:
     """Resolve each key by index or name and check its value; a parameter
     assigned twice, under either key, is rejected."""
-    assignments: dict[int, Union[int, float, str]] = {}
+    assignments: dict[int, Union[int, float]] = {}
     for key, value in raw.items():
         p = _resolve_param(key)
         if p.index in assignments:
@@ -207,12 +209,21 @@ def _parse_assignments(raw: dict, owner: str, domains: dict[int, dict]) -> dict[
     return assignments
 
 
+def _section(doc: dict, key: str, kind: type):
+    """An optional top-level section, of the given JSON type when present."""
+    value = doc.get(key, kind())
+    if not isinstance(value, kind):
+        raise ConfigError(f'"{key}" must be a JSON {"object" if kind is dict else "array"}, got {value!r}')
+    return value
+
+
 def load_store(source: Union[str, IO[str]]) -> ConfigStore:
     """Load and fully validate a JSON configuration store.
 
     Top-level keys: "configs", "by_instance", "rules", "default", and an
     optional per-store "domains" tightening.  Parameter assignments may be
-    keyed by registry index or canonical name.
+    keyed by registry index or canonical name.  Anything malformed is a
+    :class:`ConfigError`, so a store that loads runs to the end.
     """
     text = source if isinstance(source, str) else source.read()
     try:
@@ -223,10 +234,14 @@ def load_store(source: Union[str, IO[str]]) -> ConfigStore:
         raise ConfigError("store must be a JSON object")
 
     domains: dict[int, dict] = {}
-    for key, dom in (doc.get("domains") or {}).items():
+    for key, dom in _section(doc, "domains", dict).items():
         p = _resolve_param(key)
         if not isinstance(dom, dict):
             raise ConfigError(f"domain for {p.name} must be an object")
+        values = dom.get("values", [])
+        bounds = [dom[k] for k in ("min", "max") if k in dom] + (values if isinstance(values, list) else [None])
+        if not all(map(_finite, bounds)):
+            raise ConfigError(f"domain for {p.name}: min, max and each of values must be a finite number, got {dom!r}")
         domains[p.index] = dom
 
     configs: dict[str, Configuration] = {}
@@ -242,45 +257,40 @@ def load_store(source: Union[str, IO[str]]) -> ConfigStore:
     if not isinstance(default_label, str) or default_label not in configs:
         raise ConfigError(f'"default" must name a config; got {default_label!r}')
 
-    by_instance: dict[str, str] = {}
-    for iname, label in (doc.get("by_instance") or {}).items():
-        if label not in configs:
+    by_instance: dict[str, str] = _section(doc, "by_instance", dict)
+    for iname, label in by_instance.items():
+        if not isinstance(label, str) or label not in configs:
             raise ConfigError(f"by_instance[{iname!r}] references missing config {label!r}")
-        by_instance[iname] = label
 
     rules: list[ConfigRule] = []
-    priorities: set[int] = set()
-    for k, raw in enumerate(doc.get("rules") or []):
+    for k, raw in enumerate(_section(doc, "rules", list)):
         if not isinstance(raw, dict):
             raise ConfigError(f"rule #{k} must be an object")
         label = raw.get("config")
-        if label not in configs:
+        if not isinstance(label, str) or label not in configs:
             raise ConfigError(f"rule #{k} references missing config {label!r}")
         priority = raw.get("priority")
-        if not isinstance(priority, int):
+        if type(priority) is not int:
             raise ConfigError(f"rule #{k} needs an integer priority")
-        if priority in priorities:
+        if any(r.priority == priority for r in rules):
             raise ConfigError(f"rule priority {priority} is not unique")
-        priorities.add(priority)
+        when = raw.get("when", [])
+        if not isinstance(when, list) or not all(isinstance(c, dict) for c in when):
+            raise ConfigError(f'rule #{k}: "when" must be an array of clause objects, got {when!r}')
         clauses = []
-        for clause in raw.get("when") or []:
+        for clause in when:
             f, op, v = clause.get("field"), clause.get("op"), clause.get("value")
             if f not in _FEATURES:
                 raise ConfigError(f"rule #{k}: unknown feature field {f!r}")
-            if op not in _OPS:
+            if not isinstance(op, str) or op not in _OPS:
                 raise ConfigError(f"rule #{k}: unknown operator {op!r}")
-            if not isinstance(v, (int, float)) or isinstance(v, bool):
-                raise ConfigError(f"rule #{k}: threshold {v!r} is not a number")
+            if not _finite(v):
+                raise ConfigError(f"rule #{k}: threshold {v!r} is not a finite number")
             clauses.append((f, op, float(v)))
         rules.append(ConfigRule(tuple(clauses), label, priority))
     rules.sort(key=lambda r: -r.priority)
 
-    return ConfigStore(
-        configs=configs,
-        by_instance=by_instance,
-        rules=tuple(rules),
-        default_label=default_label,
-    )
+    return ConfigStore(configs, by_instance, tuple(rules), default_label)
 
 
 def adapt(name: str, features: FeatureVector, store: ConfigStore) -> Configuration:
@@ -300,18 +310,18 @@ def adapt(name: str, features: FeatureVector, store: ConfigStore) -> Configurati
     return store.configs[label]
 
 
-# indices the reference solver honors; the four on/off parameters are on for
-# positive values
-_TOGGLES = {
-    4: "diving",
-    14: "cover_cuts",
-    24: "presolve_coeff_reduce",
-    36: "presolve_bound_tighten",
+# each index the reference solver honors: the option it sets and how a checked
+# value converts; the four on/off parameters are on for positive values
+_HONORED = {
+    4: ("diving", lambda v: v > 0),
+    14: ("cover_cuts", lambda v: v > 0),
+    15: ("gomory_rounds", lambda v: max(0, v)),
+    19: ("branch_rule", lambda v: BranchRule.PSEUDOCOST if v in (2, 3, 4) else BranchRule.MOST_FRACTIONAL),
+    24: ("presolve_coeff_reduce", lambda v: v > 0),
+    36: ("presolve_bound_tighten", lambda v: v > 0),
+    37: ("node_strategy", lambda v: NodeStrategy.DEPTH_FIRST if v == 0 else NodeStrategy.BEST_BOUND),
+    46: ("rel_gap", float),
 }
-_IDX_GOMORY = 15
-_IDX_VARSEL = 19
-_IDX_NODESEL = 37
-_IDX_MIPGAP = 46
 
 
 def map_to_reference(
@@ -324,36 +334,19 @@ def map_to_reference(
     pseudocost and anything else most-fractional; Gomory values clamp to a
     nonnegative round count.  Every other index, threads included, lands in
     ``ignored``, and a field no assignment sets keeps its
-    :class:`ReferenceSolverOptions` default.
+    :class:`ReferenceSolverOptions` default.  Each honored value passes the
+    loader's check first, so a :class:`Configuration` built in code meets the
+    same rule as one loaded from JSON.
     """
     opts: dict[str, object] = {}
     ignored: list[int] = []
     for idx, value in sorted(cfg.assignments.items()):
-        if idx in _TOGGLES:
-            opts[_TOGGLES[idx]] = value > 0
-        elif idx == _IDX_NODESEL:
-            chosen = _as_choice(value, {"depth_first": 0, "best_bound": 1})
-            opts["node_strategy"] = NodeStrategy.DEPTH_FIRST if chosen == 0 else NodeStrategy.BEST_BOUND
-        elif idx == _IDX_VARSEL:
-            chosen = _as_choice(value, {"most_fractional": 0, "pseudocost": 2})
-            opts["branch_rule"] = BranchRule.PSEUDOCOST if chosen in (2, 3, 4) else BranchRule.MOST_FRACTIONAL
-        elif idx == _IDX_GOMORY:
-            opts["gomory_rounds"] = max(0, int(value))
-        elif idx == _IDX_MIPGAP:
-            if value < 0 or not math.isfinite(value):
-                raise ConfigError(f"gap tolerance must be a finite nonnegative real, got {value}")
-            opts["rel_gap"] = float(value)
+        if idx in _HONORED:
+            option, convert = _HONORED[idx]
+            opts[option] = convert(_check_value(param_by_index(idx), value, None))
         else:
             ignored.append(idx)
     return ReferenceSolverOptions(time_limit_s=time_limit_s, ignored=tuple(ignored), **opts)
-
-
-def _as_choice(value, names: dict[str, int]) -> int:
-    if isinstance(value, str):
-        if value not in names:
-            raise ConfigError(f"unknown strategy name {value!r}")
-        return names[value]
-    return int(value)
 
 
 def configuration_to_json(cfg: Configuration) -> str:

@@ -56,9 +56,9 @@ def _parse_float(token: str, line_no: int) -> float:
 def parse_mps(source: Union[str, TextIO], name_hint: str = "") -> Instance:
     """Parse free-format MPS text into a normalized :class:`Instance`.
 
-    Raises :class:`MpsParseError` on syntax errors, NaN values, duplicate
-    row/column names, references to undeclared rows, or a missing ENDATA
-    terminator.
+    Raises :class:`MpsParseError` on syntax errors, NaN values, infinite
+    coefficients in COLUMNS, duplicate row/column names, references to
+    undeclared rows, or a missing ENDATA terminator.
     """
     if isinstance(source, str):
         source = io.StringIO(source)
@@ -159,8 +159,10 @@ def parse_mps(source: Union[str, TextIO], name_hint: str = "") -> Instance:
                     val = float(tokens[k + 1])
                 except ValueError:
                     val = math.nan
-                if val != val:  # not a number, or NaN: _parse_float raises the error that says which
+                if val - val != 0.0:  # not a number or NaN (_parse_float says which), or infinite
                     _parse_float(tokens[k + 1], line_no)
+                    if rname not in free_rows:  # a free row's coefficients are discarded
+                        raise MpsParseError(f"infinite coefficient {tokens[k + 1]!r} in row {rname!r}", line_no)
                 coeffs = row_coeffs.get(rname)
                 if coeffs is not None:  # ROWS keeps constraint names apart from the objective's
                     if j in coeffs:
@@ -281,8 +283,8 @@ def _apply_bound(tokens: list[str], columns: dict[str, _ColumnState], line_no: i
 def _finalize_variable(col: _ColumnState) -> Variable:
     lower, upper, kind = col.lower, col.upper, col.kind
     if kind is VarKind.BINARY:  # the one place a binary meets [0, 1]: after its last record, rounded inward
-        lower = max(0.0, math.ceil(lower - 1e-9)) if math.isfinite(lower) else max(lower, 0.0)
-        upper = min(1.0, math.floor(upper + 1e-9)) if math.isfinite(upper) else min(upper, 1.0)
+        lower = max(0.0, float(math.ceil(lower - 1e-9))) if math.isfinite(lower) else max(lower, 0.0)
+        upper = min(1.0, float(math.floor(upper + 1e-9))) if math.isfinite(upper) else min(upper, 1.0)
     return Variable(col.name, lower, upper, kind)
 
 

@@ -257,6 +257,15 @@ def test_config_show_by_instance_hit(tmp_path, capsys):
     assert "CPXPARAM_MIP_Cuts_Gomory = 2" in out
 
 
+def test_config_show_with_an_infinite_value_is_user_error(tmp_path, capsys):
+    mps = write_instance(tmp_path, knapsack_2var())
+    store = tmp_path / "store.json"
+    store.write_text('{"configs": {"c": {"34": Infinity}}, "default": "c"}')
+    rc = cli_dispatch(["config", "show", "--store", str(store), "--instance", mps])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: CPXPARAM_Threads: value inf is not a finite number\n"
+
+
 def test_store_env_variable_default(tmp_path, capsys, monkeypatch):
     mps = write_instance(tmp_path, knapsack_2var())
     store = _write_store(

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from milpbench.config import (
     PARAMETER_REGISTRY,
     ConfigError,
     Configuration,
+    ValueKind,
     adapt,
     load_configuration,
     load_store,
@@ -243,3 +245,151 @@ def test_store_accepts_strategy_names_for_enum_params():
     store = make_store({"configs": {"s": {"37": "depth_first"}}, "default": "s"})
     opts = map_to_reference(store.configs["s"])
     assert opts.node_strategy is NodeStrategy.DEPTH_FIRST
+
+
+# Every parameter value is checked once, as it loads: a store that loads runs
+# to the end, and a bad value names its parameter instead of failing the first
+# job that uses it.
+BAD_VALUES = {
+    "NodeSelect name": ("37", "foo"),
+    "VariableSelect name": ("19", "bogus"),
+    "negative MIPGap": ("46", -0.5),
+    "NaN MIPGap": ("46", math.nan),
+    "infinite Threads": ("34", math.inf),
+    "NaN Threads": ("34", math.nan),
+    "NaN CutsFactor": ("32", math.nan),
+}
+
+
+@pytest.mark.parametrize("key,value", list(BAD_VALUES.values()), ids=list(BAD_VALUES))
+def test_a_bad_value_in_a_rule_picked_configuration_fails_at_load(key, value):
+    doc = {
+        "configs": {"base": {}, "bad": {key: value}},
+        "default": "base",
+        "rules": [{"priority": 1, "config": "bad", "when": [{"field": "n_vars", "op": ">=", "value": 1}]}],
+    }
+    with pytest.raises(ConfigError, match=param_by_index(int(key)).name):
+        make_store(doc)
+
+
+@pytest.mark.parametrize(
+    "assignments",
+    [{46: math.nan}, {37: "foo"}, {4: 0.5}, {15: math.inf}, {19: [2]}],
+    ids=["NaN MIPGap", "unknown name", "fractional toggle", "infinite Gomory", "list"],
+)
+def test_a_configuration_built_in_code_meets_the_load_rule(assignments):
+    with pytest.raises(ConfigError, match=param_by_index(next(iter(assignments))).name):
+        map_to_reference(Configuration(assignments, "code"))
+
+
+_CLAUSE = {"field": "n_vars", "op": ">=", "value": 1}
+MALFORMED = {
+    "domain bound": ({"domains": {"46": {"min": "a"}}}, "CPXPARAM_MIP_Tolerances_MIPGap"),
+    "domain values": ({"domains": {"46": {"values": 0.1}}}, "CPXPARAM_MIP_Tolerances_MIPGap"),
+    "clause": ({"rules": [{"priority": 1, "config": "c", "when": [5]}]}, '"when"'),
+    "when object": ({"rules": [{"priority": 1, "config": "c", "when": {}}]}, '"when"'),
+    "bool priority": ({"rules": [{"priority": True, "config": "c", "when": [_CLAUSE]}]}, "priority"),
+    "by_instance array": ({"by_instance": []}, '"by_instance"'),
+    "domains array": ({"domains": []}, '"domains"'),
+    "rules object": ({"rules": {}}, '"rules"'),
+    "NaN threshold": ({"rules": [{"priority": 1, "config": "c", "when": [{**_CLAUSE, "value": math.nan}]}]},
+                      "threshold"),
+    "array label": ({"by_instance": {"knap2": ["c"]}}, "by_instance"),
+    "array field": ({"rules": [{"priority": 1, "config": "c", "when": [{**_CLAUSE, "field": []}]}]}, "field"),
+    "array operator": ({"rules": [{"priority": 1, "config": "c", "when": [{**_CLAUSE, "op": []}]}]}, "operator"),
+}
+
+
+@pytest.mark.parametrize("extra,key", list(MALFORMED.values()), ids=list(MALFORMED))
+def test_a_malformed_store_is_a_config_error_naming_its_key(extra, key):
+    with pytest.raises(ConfigError, match=key):
+        make_store({"configs": {"c": {}}, "default": "c", **extra})
+
+
+def test_a_strategy_name_is_another_spelling_of_its_integer():
+    named = make_store({"configs": {"s": {"37": "depth_first"}}, "default": "s"})
+    assert named.configs == make_store({"configs": {"s": {"37": 0}}, "default": "s"}).configs
+    assert named.configs["s"].assignments == {37: 0}
+    domain = make_store({"configs": {"s": {"37": "depth_first"}}, "default": "s", "domains": {"37": {"values": [0, 1]}}})
+    assert domain.configs == named.configs
+    with pytest.raises(ConfigError, match="CPXPARAM_MIP_Strategy_NodeSelect: 0 below domain minimum 1"):
+        make_store({"configs": {"s": {"37": "depth_first"}}, "default": "s", "domains": {"37": {"min": 1}}})
+
+
+# The mapping before each value was checked at load: the parent revision's
+# loader check, ``map_to_reference`` and ``_as_choice``, kept as an oracle.
+def _oracle_check_value(p, value):
+    if isinstance(value, bool):
+        value = int(value)
+    if p.value_kind is ValueKind.ENUMERATION and isinstance(value, str):
+        pass
+    elif not isinstance(value, (int, float)):
+        raise ConfigError(f"{p.name}: value {value!r} is not a number")
+    elif p.value_kind is ValueKind.REAL:
+        value = float(value)
+    else:
+        if float(value) != int(value):
+            raise ConfigError(f"{p.name}: expected an integer, got {value!r}")
+        value = int(value)
+    return value
+
+
+_ORACLE_TOGGLES = {4: "diving", 14: "cover_cuts", 24: "presolve_coeff_reduce", 36: "presolve_bound_tighten"}
+
+
+def _oracle_map_to_reference(cfg):
+    opts = {}
+    ignored = []
+    for idx, value in sorted(cfg.assignments.items()):
+        if idx in _ORACLE_TOGGLES:
+            opts[_ORACLE_TOGGLES[idx]] = value > 0
+        elif idx == 37:
+            chosen = _oracle_as_choice(value, {"depth_first": 0, "best_bound": 1})
+            opts["node_strategy"] = NodeStrategy.DEPTH_FIRST if chosen == 0 else NodeStrategy.BEST_BOUND
+        elif idx == 19:
+            chosen = _oracle_as_choice(value, {"most_fractional": 0, "pseudocost": 2})
+            opts["branch_rule"] = BranchRule.PSEUDOCOST if chosen in (2, 3, 4) else BranchRule.MOST_FRACTIONAL
+        elif idx == 15:
+            opts["gomory_rounds"] = max(0, int(value))
+        elif idx == 46:
+            if value < 0 or not math.isfinite(value):
+                raise ConfigError(f"gap tolerance must be a finite nonnegative real, got {value}")
+            opts["rel_gap"] = float(value)
+        else:
+            ignored.append(idx)
+    return ReferenceSolverOptions(ignored=tuple(ignored), **opts)
+
+
+def _oracle_as_choice(value, names):
+    if isinstance(value, str):
+        if value not in names:
+            raise ConfigError(f"unknown strategy name {value!r}")
+        return names[value]
+    return int(value)
+
+
+GRID_INDICES = (1, 4, 14, 15, 19, 24, 32, 34, 36, 37, 46)
+GRID_VALUES = (*range(-3, 8), 0.5, 2.0, -0.25, True, math.inf, math.nan,
+               "depth_first", "best_bound", "most_fractional", "pseudocost")
+
+
+def test_mapping_agrees_with_the_oracle_wherever_the_oracle_succeeds():
+    agreed, newly_rejected = 0, []
+    for idx in GRID_INDICES:
+        for value in GRID_VALUES:
+            try:
+                expected = _oracle_map_to_reference(Configuration({idx: _oracle_check_value(param_by_index(idx), value)}))
+            except (ConfigError, ValueError, OverflowError, TypeError):
+                expected = None
+            try:
+                got = map_to_reference(load_configuration(json.dumps({str(idx): value})))
+            except ConfigError:
+                if expected is not None:
+                    newly_rejected.append((idx, str(value)))
+                continue
+            assert expected is not None, (idx, value)  # every value the oracle rejects fails at load
+            assert got == expected, (idx, value)
+            agreed += 1
+    # integer parameters take 13 grid values each, the selections 15, CutsFactor 15, MIPGap 11
+    assert agreed == 7 * 13 + 2 * 15 + 15 + 11
+    assert newly_rejected == [(32, "inf"), (32, "nan")]  # the oracle let a non-finite CutsFactor through

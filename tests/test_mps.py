@@ -113,6 +113,7 @@ ENDATA
     assert by["d"].kind is VarKind.INTEGER and by["d"].upper == 9.0
     assert by["e"].kind is VarKind.INTEGER and by["e"].lower == 2.0
     assert by["f"].upper == math.inf
+    assert all(type(bound) is float for v in inst.variables for bound in (v.lower, v.upper))
 
 
 def test_integer_marker_defaults():
@@ -191,6 +192,7 @@ def test_bv_with_explicit_bounds_keeps_tighter_intersection():
     y = inst.variables[1]
     assert y.kind is VarKind.BINARY
     assert (y.lower, y.upper) == (0.0, 0.0)
+    assert type(y.lower) is float and type(y.upper) is float
 
 
 def test_parse_is_deterministic():
@@ -496,14 +498,17 @@ def test_loader_agrees_with_the_oracle_on_crlf_files(tmp_path, suffix):
         ((" FR BND  y", " BV BND  y"), (0.0, 1.0)),
         ((" LO BND  y  0.5", " BV BND  y"), (1.0, 1.0)),
         ((" BV BND  y", " UP BND  y  0.5"), (0.0, 0.0)),
+        ((" BV BND  y", " FX BND  y  1"), (1.0, 1.0)),
+        ((" BV BND  y", " UP BND  y  0.25"), (0.0, 0.0)),
     ],
-    ids=["BV MI", "BV PL", "BV FR", "MI BV", "FR BV", "LO BV", "BV UP"],
+    ids=["BV MI", "BV PL", "BV FR", "MI BV", "FR BV", "LO BV", "BV UP", "BV FX", "BV UP quarter"],
 )
 def test_a_binary_meets_zero_one_after_its_last_bound(records, bounds):
     inst = parse_mps(TWO_VAR.replace(" BV BND  y", "\n".join(records)))
     y = inst.variables[1]
     assert y.kind is VarKind.BINARY
     assert (y.lower, y.upper) == bounds
+    assert type(y.lower) is float and type(y.upper) is float  # rounded, yet still floats
 
 
 NAN_FILES = {
@@ -521,6 +526,31 @@ def test_a_nan_value_is_a_parse_error_at_its_line(section):
     with pytest.raises(MpsParseError, match="NaN") as err:
         parse_mps(text)
     assert err.value.line_no == line_no
+
+
+INF_COEFFICIENT_FILES = {
+    "COLUMNS": (TWO_VAR.replace("    y  obj  1.0  c1  1.0", "    y  obj  1.0  c1  inf"), 7),
+    "COLUMNS objective": (TWO_VAR.replace("    y  obj  1.0  c1  1.0", "    y  obj  -Infinity  c1  1.0"), 7),
+}
+
+
+@pytest.mark.parametrize("section", sorted(INF_COEFFICIENT_FILES))
+def test_an_infinite_coefficient_is_a_parse_error_at_its_line(section):
+    text, line_no = INF_COEFFICIENT_FILES[section]
+    with pytest.raises(MpsParseError, match="infinite coefficient") as err:
+        parse_mps(text)
+    assert err.value.line_no == line_no
+
+
+def test_infinite_rhs_range_and_bound_values_still_parse():
+    text = TWO_VAR.replace("    RHS  c1  1.0", "    RHS  c1  inf\nRANGES\n    RNG  c1  -inf").replace(
+        " BV BND  y", " LO BND  y  -inf"
+    )
+    text = text.replace("ROWS\n N  obj", "ROWS\n N  obj\n N  spare").replace("    x  obj  1.0", "    x  spare  inf  obj  1.0")
+    inst = parse_mps(text)
+    assert inst.rows[0].rhs == math.inf and inst.rows[0].range_width == math.inf
+    assert inst.variables[1].lower == -math.inf
+    assert inst.objective == ((0, 1.0), (1, 1.0))  # the free row's infinite coefficient is discarded
 
 
 def _corrupt(data: bytes, rnd: random.Random) -> bytes:

@@ -222,6 +222,20 @@ def test_a_nan_file_first_is_an_error_record_and_the_suite_goes_on(tmp_path):
     assert "parse failure" in log.records[0].diagnostics and "NaN" in log.records[0].diagnostics
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [("    x0  c1  1.0", "    x0  c1  inf"), ("    x0  obj  -1.0", "    x0  obj  -inf")],
+    ids=["row", "objective"],
+)
+def test_an_infinite_coefficient_file_first_is_an_error_record_and_the_suite_goes_on(tmp_path, edit):
+    bad = tmp_path / "inf.mps"
+    bad.write_text(write_mps(knapsack_2var()).replace(*edit))
+    good = write_instance(tmp_path, chain_instance(6))
+    log = run_suite(DatasetSpec("custom", (str(bad), good), 30.0), BUILTIN, empty_store(), adapt_enabled=False)
+    assert [r.status for r in log.records] == [RunStatus.ERROR, RunStatus.OPTIMAL]
+    assert "parse failure" in log.records[0].diagnostics and "infinite coefficient" in log.records[0].diagnostics
+
+
 def test_unreadable_files_between_good_ones_each_get_one_error_record(tmp_path):
     text = write_mps(knapsack_2var())
     bad = {
