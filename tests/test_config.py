@@ -316,8 +316,9 @@ def test_a_strategy_name_is_another_spelling_of_its_integer():
         make_store({"configs": {"s": {"37": "depth_first"}}, "default": "s", "domains": {"37": {"min": 1}}})
 
 
-# The mapping before each value was checked at load: the parent revision's
-# loader check, ``map_to_reference`` and ``_as_choice``, kept as an oracle.
+# The mapping as it was before each value was checked at load (commit
+# 2be5569): its loader check, ``map_to_reference`` and ``_as_choice``, kept
+# as an oracle.
 def _oracle_check_value(p, value):
     if isinstance(value, bool):
         value = int(value)
