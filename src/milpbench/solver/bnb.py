@@ -236,6 +236,7 @@ class _Search:
             rup=np.concatenate([f.rup, np.full(len(cuts), np.inf)]),
         )
         self.splx = BoundedSimplex(self.form)
+        self.rows = None  # the next sweep reads the cut rows too
         if self.step:  # the cuts' row columns can move too
             self.step_tol = step_tolerance(self.form, self.step)
         return np.concatenate([basis, new_rows]), np.concatenate([status, np.full(len(cuts), BASIC, np.int8)])
@@ -401,11 +402,13 @@ class _Search:
             self.col_rows = _column_rows(self.rows, self.form.n)
             self.int_list = self.form.is_int.tolist()
             self.equalities = _binary_equalities(self.rows, self.int_list, self.form.lb, self.form.ub)
+        # the root flags every row; its branch_var of -1 names no column
+        flagged = self.col_rows[node.branch_var] if node.depth else range(len(self.rows))
         marked = [False] * len(self.rows)
-        for i in self.col_rows[node.branch_var]:
+        for i in flagged:
             marked[i] = True
         lb, ub = node.lb.tolist(), node.ub.tolist()
-        moved = [node.branch_var]
+        moved: list[int] = []
         for _ in range(_MAX_PASSES):
             if not any(marked):
                 break
@@ -415,9 +418,10 @@ class _Search:
                 return None
             moved += cols
         eqs = self.equalities
-        if eqs and not all(_reaches(*eqs[i], lb, ub) for i in {i for j in moved for i in self.col_rows[j] if i in eqs}):
+        if eqs and not all(_reaches(*eqs[i], lb, ub)
+                           for i in {*flagged, *(i for j in moved for i in self.col_rows[j])} if i in eqs):
             return None
-        return (np.array(lb), np.array(ub)) if len(moved) > 1 else (node.lb, node.ub)
+        return (np.array(lb), np.array(ub)) if moved else (node.lb, node.ub)
 
     def visit(self, node: _Node) -> Optional[SolveStatus]:
         """Decide a node's fate, the root's included: pruned by its bound,
@@ -432,12 +436,13 @@ class _Search:
         node's bound."""
         if self.prunes(node.bound_est):
             return None
-        lb, ub = node.lb, node.ub
-        if node.depth:
+        # presolve's bound pass, when on, has swept the root to the fixpoint
+        if node.depth or not self.opts.presolve_bound_tighten:
             bounds = self.propagated(node)
             if bounds is None:
                 return None
-            lb, ub = bounds
+            node.lb, node.ub = bounds  # the root's cut rounds, dive and children start from them
+        lb, ub = node.lb, node.ub
         try:
             res = self.lp(lb, ub, node.warm)
             self.nodes += 1

@@ -87,18 +87,24 @@ def cover_cuts(
 
     Every finite row side ``a.x <= b`` whose support is all binary yields a
     knapsack, except an equality's ``>=`` side; negative weights are
-    complemented.  Only cuts violated by ``xstar`` are emitted.  A set is a
+    complemented.  An integer column fixed at 0 or 1 counts as a constant:
+    its term moves to the row's sides, and the knapsack is over the free
+    binaries.  Only cuts violated by ``xstar`` are emitted.  A set is a
     cover only if its weight exceeds the capacity by more than
     ``_COVER_TOL`` relative: a Gomory row that a 0/1 point meets only up to
     rounding must not yield a cover that cuts it off.
     """
     binary = is_int & (lb == 0.0) & (ub == 1.0)
+    fixed = is_int & (lb == ub) & ((lb == 0.0) | (lb == 1.0))
     nonzero = A != 0.0
     cuts: list[tuple[np.ndarray, float]] = []
 
-    for i in np.flatnonzero(nonzero.any(axis=1) & ~nonzero[:, ~binary].any(axis=1)):
-        support = np.flatnonzero(nonzero[i])
-        for a, b in ((A[i, support], rup[i]), (-A[i, support], math.inf if rlo[i] == rup[i] else -rlo[i])):
+    for i in np.flatnonzero(nonzero[:, binary].any(axis=1) & ~nonzero[:, ~(binary | fixed)].any(axis=1)):
+        support = np.flatnonzero(nonzero[i] & binary)
+        # the terms of the columns fixed at 1, one float at a time
+        const = functools.reduce(operator.add, A[i, nonzero[i] & fixed & (lb == 1.0)].tolist(), 0.0)
+        for a, b in ((A[i, support], rup[i] - const),
+                     (-A[i, support], math.inf if rlo[i] == rup[i] else -(rlo[i] - const))):
             if not math.isfinite(b):
                 continue
             flip = a < 0

@@ -399,14 +399,26 @@ def _ray() -> Instance:
                     ((0, -1.0),))
 
 
+def _apart() -> Instance:
+    """min x  s.t.  x - y >= 1 and x - y <= 0 over free integers x, y: the
+    LP is infeasible, but every activity bound of either row is infinite, so
+    the root's sweep moves no bound."""
+    variables = tuple(Variable(name, -math.inf, math.inf, VarKind.INTEGER) for name in ("x", "y"))
+    rows = (make_row("ge", [(0, 1.0), (1, -1.0)], Relation.GE, 1.0),
+            make_row("le", [(0, 1.0), (1, -1.0)], Relation.LE, 0.0))
+    return Instance("apart", Sense.MINIMIZE, variables, rows, ((0, 1.0),))
+
+
 # the root, decided by visit as every node is: (model, options, the solve call
 # and its attempts that break down, status, best_bound, nodes).  When the first
 # cut LP breaks down, the root LP's -124.19..., rounded up to the objective's
 # step of 1, is still the bound; when the second does, the first cut LP's
-# -122.19... is
+# -122.19... is.  A root whose sweep crosses a column's bounds is settled
+# before its LP, like a child
 _ROOT_FATES = {
-    "infeasible": (contradictory_bounds_instance, ReferenceSolverOptions(), None,
-                   SolveStatus.INFEASIBLE, math.inf, 1),
+    "infeasible": (_apart, ReferenceSolverOptions(), None, SolveStatus.INFEASIBLE, math.inf, 1),
+    "swept_infeasible": (contradictory_bounds_instance, ReferenceSolverOptions(), None,
+                         SolveStatus.INFEASIBLE, math.inf, 0),
     "root_lp_breaks_down": (knapsack_2var, ReferenceSolverOptions(), (1, {1, 2}),
                             SolveStatus.ERROR, -math.inf, 0),
     "cut_lp_breaks_down": (two_row_knapsack, ReferenceSolverOptions(gomory_rounds=3), (2, {1, 2, 3}),
@@ -430,17 +442,19 @@ def test_the_roots_fates(monkeypatch, fate):
 
 
 def _near_integral(with_z: bool) -> Instance:
-    """max x (+ z) over integers x in [-1, 1] (and z in [0, 1]) under 1000x <=
-    -0.0005 (and 2z <= 1).  The LP gives x = -5e-7, which counts as integral;
-    snapped to 0 it breaks the row by 5e-4.  With z the root is fractional,
-    and its child at z = 0 has that point."""
-    variables = [Variable("x", -1.0, 1.0, VarKind.INTEGER)]
-    rows = [make_row("r", [(0, 1000.0)], Relation.LE, -0.0005)]
+    """max x - 3w (+ z) over integers x in [-1, 1], w in [0, 10] (and z in
+    [0, 1]) under 1000x - 1000w <= -0.0005 (and 2z - 2w <= 1).  The LP gives
+    w = 0 and x = -5e-7, which counts as integral; snapped to 0 it breaks the
+    row by 5e-4.  With z the root is fractional, and its child at z = 0 has
+    that point.  w's range keeps bound propagation from moving any bound."""
+    variables = [Variable("x", -1.0, 1.0, VarKind.INTEGER), Variable("w", 0.0, 10.0, VarKind.INTEGER)]
+    rows = [make_row("r", [(0, 1000.0), (1, -1000.0)], Relation.LE, -0.0005)]
+    objective = [(0, 1.0), (1, -3.0)]
     if with_z:
         variables.append(Variable("z", 0.0, 1.0, VarKind.INTEGER))
-        rows.append(make_row("s", [(1, 2.0)], Relation.LE, 1.0))
-    return Instance("near", Sense.MAXIMIZE, tuple(variables), tuple(rows),
-                    tuple((j, 1.0) for j in range(len(variables))))
+        rows.append(make_row("s", [(2, 2.0), (1, -2.0)], Relation.LE, 1.0))
+        objective.append((2, 1.0))
+    return Instance("near", Sense.MAXIMIZE, tuple(variables), tuple(rows), tuple(objective))
 
 
 def test_a_rejected_integral_point_is_an_error_at_every_node():
@@ -569,7 +583,7 @@ _TREE_PINS = {
     "knapsack": {"best_bound": (17, 25), "depth_first_pseudocost": (17, 26), "diving": (17, 32), "cuts": (4, 23)},
     "market_split": {"best_bound": (18, 25), "depth_first_pseudocost": (12, 18), "diving": (18, 34),
                      "cuts": (15, 47)},
-    "mixed": {"best_bound": (5, 5), "depth_first_pseudocost": (5, 5), "diving": (4, 5), "cuts": (1, 3)},
+    "mixed": {"best_bound": (5, 6), "depth_first_pseudocost": (11, 16), "diving": (3, 4), "cuts": (1, 3)},
 }
 
 
@@ -965,3 +979,82 @@ def test_the_row_test_reads_the_rows_of_every_moved_column():
     down = bnb._Node(0.0, 1, 2, form.lb.copy(), np.array([0.0, 1.0, 1.0, 1.0, 1.0]), 0, False, 0.5)
     lb, ub = search.propagated(down)
     assert lb is down.lb and ub is down.ub
+
+
+def _root_sweeps(monkeypatch) -> list:
+    """Spy on ``_Search.propagated``: the depth of every node it sweeps."""
+    depths, propagated = [], bnb._Search.propagated
+    monkeypatch.setattr(bnb._Search, "propagated", lambda self, node: depths.append(node.depth) or propagated(self, node))
+    return depths
+
+
+@pytest.mark.parametrize("tighten", [False, True])
+def test_the_root_is_swept_unless_presolve_tightened_its_bounds(monkeypatch, tighten):
+    # presolve's bound pass reaches the sweep's fixpoint, so the root is swept
+    # once when that pass is off and never when it is on; children always are
+    depths = _root_sweeps(monkeypatch)
+    out = branch_and_bound(two_row_knapsack(seed=2), replace(_CUTS_AND_DIVE, presolve_bound_tighten=tighten))
+    assert out.status is SolveStatus.OPTIMAL and out.nodes > 1
+    assert depths.count(0) == (0 if tighten else 1) and len(depths) > 1
+
+
+@pytest.mark.parametrize("model", [contradictory_bounds_instance, parity_infeasible_instance])
+def test_a_root_settled_by_its_sweep_is_infeasible_with_no_node(monkeypatch, model):
+    # crossed bounds, or an equality row over binaries that no 0/1 point meets
+    solves = []
+    solve = BoundedSimplex.solve
+    monkeypatch.setattr(BoundedSimplex, "solve", lambda self, *a, **k: solves.append(1) or solve(self, *a, **k))
+    out = branch_and_bound(model(), ReferenceSolverOptions())
+    assert (out.status, out.nodes, out.best_bound, out.incumbent) == (SolveStatus.INFEASIBLE, 0, math.inf, None)
+    assert solves == [] and out.gap == math.inf
+
+
+def test_the_root_sweep_keeps_every_status_and_objective(monkeypatch):
+    # the same solves with the root's sweep patched out reach the same status
+    # and objective: the sweep only removes points no integer solution holds
+    models = [random_mixed_instance(np.random.default_rng(6007 + k)) for k in range(300)]
+    models += [market_split_instance(seed=s, n=12, m=2) for s in range(5, 11)]
+    options = [ReferenceSolverOptions(), ReferenceSolverOptions(node_strategy=NodeStrategy.DEPTH_FIRST,
+                                                                branch_rule=BranchRule.PSEUDOCOST), _CUTS_AND_DIVE]
+
+    def outcomes():
+        return [(o.status, None if o.incumbent is None else o.incumbent.objective, o.nodes)
+                for k, inst in enumerate(models) for o in [branch_and_bound(inst, options[k % 3])]]
+
+    swept = outcomes()
+    propagated = bnb._Search.propagated
+    monkeypatch.setattr(bnb._Search, "propagated",
+                        lambda self, node: propagated(self, node) if node.depth else (node.lb, node.ub))
+    unswept = outcomes()
+    moved = 0
+    for (status, obj, nodes), (want_status, want_obj, want_nodes) in zip(swept, unswept):
+        assert status is want_status
+        assert (obj is None) == (want_obj is None)
+        if obj is not None:
+            assert abs(obj - want_obj) <= 1e-9 * max(1.0, abs(want_obj))
+        moved += nodes != want_nodes
+    statuses = {status for status, *_ in swept}
+    assert {SolveStatus.OPTIMAL, SolveStatus.INFEASIBLE} <= statuses and moved > 10, (statuses, moved)
+
+
+def test_children_sweep_the_root_cut_rows(monkeypatch):
+    # the root's sweep builds the rows before its cut rounds; each round drops
+    # them, so the first child rebuilds them with every cut row
+    swept = []
+    propagated = bnb._Search.propagated
+
+    def spy(self, node):
+        bounds = propagated(self, node)
+        swept.append((node.depth, self.form, self.rows))
+        return bounds
+
+    monkeypatch.setattr(bnb._Search, "propagated", spy)
+    inst = two_row_knapsack(seed=2)
+    out = branch_and_bound(inst, _CUTS_AND_DIVE)
+    assert out.status is SolveStatus.OPTIMAL
+    m = to_standard_form(inst).m
+    (root_depth, root_form, root_rows), *children = swept
+    assert root_depth == 0 and root_form.m == m and len(root_rows) == m
+    assert children and all(depth > 0 for depth, *_ in children)
+    for _, form, rows in children:
+        assert form.m > m and rows == bnb.form_rows(form)

@@ -145,6 +145,24 @@ def test_cover_cuts_skip_non_binary_rows():
     assert cuts == []
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_a_binary_fixed_at_one_moves_its_term_to_the_rows_side(sign):
+    # 3x0 + 3x1 + 3x2 + 4x3 + 7x4 <= 9 with x3 fixed at 1 and x4 at 0 is the
+    # knapsack 3x0 + 3x1 + 3x2 <= 5 over the free binaries; sign -1 writes
+    # both rows as >= rows
+    xstar = np.array([1.0, 2.0 / 3.0, 0.0, 1.0, 0.0])
+    is_int = np.ones(5, dtype=bool)
+    lb, ub = np.array([0.0, 0.0, 0.0, 1.0, 0.0]), np.array([1.0, 1.0, 1.0, 1.0, 0.0])
+    sides = (lambda b: (np.array([-math.inf]), np.array([b]))) if sign > 0 else \
+        (lambda b: (np.array([-b]), np.array([math.inf])))
+    fixed = cover_cuts(sign * np.array([[3.0, 3.0, 3.0, 4.0, 7.0]]), *sides(9.0), lb, ub, is_int, xstar)
+    moved = cover_cuts(sign * np.array([[3.0, 3.0, 3.0, 0.0, 0.0]]), *sides(5.0), lb, ub, is_int, xstar)
+    assert len(fixed) == 1
+    assert [(g.tolist(), float.hex(rhs)) for g, rhs in fixed] == [(g.tolist(), float.hex(rhs)) for g, rhs in moved]
+    g, rhs = fixed[0]
+    assert g.tolist() == [-1.0, -1.0, 0.0, 0.0, 0.0] and rhs == pytest.approx(-1.0, abs=1e-8)
+
+
 def test_cut_pipeline_preserves_optimum_on_random_instances():
     rng = np.random.default_rng(313)
     for _ in range(40):

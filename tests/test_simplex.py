@@ -619,13 +619,16 @@ def test_reused_object_solves_like_a_fresh_one(monkeypatch):
 def test_tiny_only_blocking_pivot_is_a_breakdown_not_unbounded():
     # min -x s.t. 1e-10 x <= 1, x >= 0: the optimum is -1e10, but only an
     # entry below the pivot tolerance bounds x, so phase 1 cannot pivot on
-    # it; the solve breaks down (bnb: ERROR) rather than reporting a ray
+    # it; the solve breaks down rather than reporting a ray.  The tree's
+    # root sweep reads x <= 1e10 from the row before its LP, which then
+    # meets the optimum
     inst = Instance(
         "t", Sense.MINIMIZE, (Variable("x", 0.0, math.inf),), (make_row("r", [(0, 1e-10)], Relation.LE, 1.0),), ((0, -1.0),)
     )
     with pytest.raises(SimplexBreakdown):
         solve_lp(inst)
-    assert branch_and_bound(inst, ReferenceSolverOptions()).status is SolveStatus.ERROR
+    out = branch_and_bound(inst, ReferenceSolverOptions())
+    assert out.status is SolveStatus.OPTIMAL and out.incumbent.objective == pytest.approx(-1e10, rel=1e-12)
 
 
 def _unboxed_lp(rng, m):
@@ -1261,12 +1264,12 @@ def test_branch_and_bound_matches_the_wrapped_oracle(monkeypatch):
         return out
 
     rng = np.random.default_rng(101)
-    # node propagation and the equality rows' reachability test settle many
-    # market-split children without an LP, so eight of them keep the node LPs
-    # above a thousand
+    # node and root propagation and the equality rows' reachability test
+    # settle many children without an LP, so nine market splits keep the node
+    # LPs above a thousand
     insts = [random_mixed_instance(rng) for _ in range(150)]
     insts += [market_split_instance(seed=s, n=12, m=2) for s in (5, 6, 7, 8, 9, 10)]
-    insts += [market_split_instance(seed=s, n=14, m=2) for s in (6, 7)]
+    insts += [market_split_instance(seed=s, n=14, m=2) for s in (6, 7, 8)]
     mine, want = _both_wrapped(monkeypatch, outcomes, insts)
     assert mine == want
     assert sum(nodes for _, nodes, *_ in mine) > 1000
