@@ -22,17 +22,20 @@ rows, not columns, so the step holds for the whole search; their row columns
 widen the tolerance.
 
 Node bound propagation, a structural rule with no option, as CPLEX presolves
-at every node by default: before the LP of every node but the root,
-``presolve.propagate`` sweeps the form's rows (root cuts included, built at
-the first child visited) from those of the branched column until no row is
-flagged, at most ``_MAX_PASSES`` times.  A child whose bounds cross is
-settled without an LP, and so is one with an equality row of integral data over
-binaries, holding the branched or a moved column, that a subset sum shows cannot
-meet its right-hand side (``_reaches``; Trick, *Ann. Oper. Res.* 118, 2003).
-Like a child pruned by its bound a settled child is not a node, so ``nodes``
-counts the nodes whose LP ran.  Moved bounds go into new arrays for that node
-and its children, since siblings share their parent's arrays.  The dive does
-not propagate.
+at every node by default: before the LP of every node, ``presolve.propagate``
+sweeps the form's rows (built at the first sweep, and again at the first sweep
+after a cut round adds rows) until no row is flagged, at most ``_MAX_PASSES``
+times.  The root flags every row, and is not swept when presolve's bound pass
+ran, which reached the same fixpoint; a child flags the rows of its branched
+column.  A node whose bounds cross is settled without an LP, and so is one
+with an equality row of integral data over binaries, flagged first or holding
+a moved column, that a subset sum shows cannot meet its right-hand side
+(``_reaches``; Trick, *Ann. Oper. Res.* 118, 2003).  Like a child pruned by
+its bound a settled node is not counted: ``nodes`` counts the nodes whose LP
+ran, and a settled root ends the solve ``INFEASIBLE`` with none.  Moved bounds
+go into new arrays for that node and its children, since siblings share their
+parent's arrays; the root's become its own, so its cut rounds and dive start
+from them.  The dive does not propagate.
 """
 
 from __future__ import annotations
@@ -208,7 +211,7 @@ class _Search:
         self.pc_up_count = np.zeros(form.n)
         self.pc_dn_count = np.zeros(form.n)
         # propagate's rows of form, their column index, is_int as a list and the
-        # rows _reaches tests, built at the first child visited, after the root's cuts
+        # rows _reaches tests, built at the first sweep and after each cut round
         self.rows: Optional[list] = None
         self.col_rows: list[list[int]] = []
         self.int_list: list[bool] = []
@@ -391,12 +394,12 @@ class _Search:
             x, warm = res.point, res.warm
 
     def propagated(self, node: _Node) -> Optional[tuple[np.ndarray, np.ndarray]]:
-        """The node's bounds after ``propagate`` sweeps from the rows of its
-        branched column until no row is flagged, at most ``_MAX_PASSES``
-        times: new arrays when a bound moved, the node's own otherwise, and
-        None when some column's bounds cross or when an equality row over
-        binaries that holds the branched or a moved column cannot meet its
-        right-hand side (``_reaches``)."""
+        """The node's bounds after ``propagate`` sweeps from every row at the
+        root, or from the rows of a child's branched column, until no row is
+        flagged, at most ``_MAX_PASSES`` times: new arrays when a bound moved,
+        the node's own otherwise, and None when some column's bounds cross or
+        when an equality row over binaries, flagged first or holding a moved
+        column, cannot meet its right-hand side (``_reaches``)."""
         if self.rows is None:
             self.rows = form_rows(self.form)
             self.col_rows = _column_rows(self.rows, self.form.n)
@@ -427,13 +430,14 @@ class _Search:
         """Decide a node's fate, the root's included: pruned by its bound,
         settled by bound propagation (its bounds cross, or an equality row
         over binaries cannot meet its right-hand side), infeasible, pruned
-        after its LP, integral (offered as the incumbent) or branched.  At
-        the root, which is not propagated, the cut rounds follow its LP and
-        the dive, when on, comes before it branches.  Returns ``None`` to go
-        on, or ``ERROR`` when an LP breaks down or is unbounded, or when the
-        row check rejects the node's integral point.  Only a node whose LP
-        ran counts in ``nodes``, and once it has run its objective is the
-        node's bound."""
+        after its LP, integral (offered as the incumbent) or branched.  The
+        root is propagated unless presolve's bound pass ran, and its swept
+        bounds become its own; the cut rounds follow its LP and the dive,
+        when on, comes before it branches.  Returns ``None`` to go on, or
+        ``ERROR`` when an LP breaks down or is unbounded, or when the row
+        check rejects the node's integral point.  Only a node whose LP ran
+        counts in ``nodes``, and once it has run its objective is the node's
+        bound."""
         if self.prunes(node.bound_est):
             return None
         # presolve's bound pass, when on, has swept the root to the fixpoint

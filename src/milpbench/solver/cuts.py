@@ -95,14 +95,15 @@ def cover_cuts(
     rounding must not yield a cover that cuts it off.
     """
     binary = is_int & (lb == 0.0) & (ub == 1.0)
-    fixed = is_int & (lb == ub) & ((lb == 0.0) | (lb == 1.0))
+    at_one = is_int & (lb == 1.0) & (ub == 1.0)
+    fixed = at_one | is_int & (lb == 0.0) & (ub == 0.0)
     nonzero = A != 0.0
     cuts: list[tuple[np.ndarray, float]] = []
 
     for i in np.flatnonzero(nonzero[:, binary].any(axis=1) & ~nonzero[:, ~(binary | fixed)].any(axis=1)):
         support = np.flatnonzero(nonzero[i] & binary)
         # the terms of the columns fixed at 1, one float at a time
-        const = functools.reduce(operator.add, A[i, nonzero[i] & fixed & (lb == 1.0)].tolist(), 0.0)
+        const = functools.reduce(operator.add, A[i, at_one].tolist(), 0.0)
         for a, b in ((A[i, support], rup[i] - const),
                      (-A[i, support], math.inf if rlo[i] == rup[i] else -(rlo[i] - const))):
             if not math.isfinite(b):

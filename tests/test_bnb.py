@@ -981,18 +981,13 @@ def test_the_row_test_reads_the_rows_of_every_moved_column():
     assert lb is down.lb and ub is down.ub
 
 
-def _root_sweeps(monkeypatch) -> list:
-    """Spy on ``_Search.propagated``: the depth of every node it sweeps."""
-    depths, propagated = [], bnb._Search.propagated
-    monkeypatch.setattr(bnb._Search, "propagated", lambda self, node: depths.append(node.depth) or propagated(self, node))
-    return depths
-
-
 @pytest.mark.parametrize("tighten", [False, True])
 def test_the_root_is_swept_unless_presolve_tightened_its_bounds(monkeypatch, tighten):
     # presolve's bound pass reaches the sweep's fixpoint, so the root is swept
     # once when that pass is off and never when it is on; children always are
-    depths = _root_sweeps(monkeypatch)
+    depths, propagated = [], bnb._Search.propagated
+    monkeypatch.setattr(bnb._Search, "propagated",
+                        lambda self, node: depths.append(node.depth) or propagated(self, node))
     out = branch_and_bound(two_row_knapsack(seed=2), replace(_CUTS_AND_DIVE, presolve_bound_tighten=tighten))
     assert out.status is SolveStatus.OPTIMAL and out.nodes > 1
     assert depths.count(0) == (0 if tighten else 1) and len(depths) > 1
